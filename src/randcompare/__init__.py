@@ -52,14 +52,16 @@ from .inference import (
     ExactEngine,
     MonteCarloEngine,
     TestReport,
+    add_one_pvalue,
     fisher_exact_2x2,
     fisher_randomization_test,
     fisher_selection_test,
-    monte_carlo_pvalue,
     neyman_randomization_test,
     neyman_selection_test,
     permutation_test,
     pooled_t_test,
+    resample_tails,
+    support_mask,
     welch_t_test,
     wilcoxon_test,
 )
@@ -93,6 +95,7 @@ from .stats import (
     ArmSizeWeights,
     AssignmentInclusionWeights,
     SelectionInclusionWeights,
+    d_affine_form,
     d_statistic,
     neyman_se,
     pooled_se,

@@ -32,14 +32,15 @@ from .inference import (
     ExactEngine,
     MonteCarloEngine,
     fisher_exact_2x2,
-    fisher_randomization_test,
+    fisher_randomization_plan,
     fisher_selection_test,
     neyman_randomization_test,
     neyman_selection_test,
-    permutation_test,
+    permutation_plan,
     pooled_t_test,
+    run_resampling_plans,
     welch_t_test,
-    wilcoxon_test,
+    wilcoxon_plan,
 )
 from .simulation import (
     get_scenario,
@@ -71,18 +72,26 @@ _CLI_TESTS = (
 # report order for --tests all: the two difference statistics first
 _ALL_ORDER = ("fisher-rand", "neyman-rand", "permutation", "wilcoxon", "welch", "pooled")
 
+# The resampling tests. permutation and wilcoxon resample the uniform CRD
+# at the observed arm sizes, fisher-rand the --design, which under
+# --design crd is that same CRD.
+_PLANS = {
+    "permutation": lambda observed, design: permutation_plan(observed),
+    "wilcoxon": lambda observed, design: wilcoxon_plan(observed),
+    "fisher-rand": fisher_randomization_plan,
+}
+
 
 def _env_seed() -> int:
     raw = os.environ.get("RANDCOMPARE_SEED")
     if raw is None:
         return 0
     try:
-        seed = int(raw)
-    except ValueError:
+        return _parse_seed(raw)
+    except argparse.ArgumentTypeError:
         raise DataValidationError(
             f"RANDCOMPARE_SEED must be an unsigned 64-bit integer, got {raw!r}"
         ) from None
-    return seed
 
 
 def _parse_seed(value: str) -> int:
@@ -210,17 +219,21 @@ def _parse_test_list(raw: str) -> list:
     return names
 
 
-def _run_one_test(name: str, observed, design, engine, census):
-    if name == "permutation":
-        return permutation_test(observed, engine)
-    if name == "wilcoxon":
-        return wilcoxon_test(observed, engine)
+def _resampled_together(names: list, start: int, design) -> list:
+    """Positions, from start on, of the resampling tests that resample the
+    same design as names[start] and so share one kernel call."""
+    def own_design(name):
+        return name == "fisher-rand" and not isinstance(design, UniformCRD)
+
+    return [i for i in range(start, len(names))
+            if names[i] in _PLANS and own_design(names[i]) == own_design(names[start])]
+
+
+def _run_one_test(name: str, observed, design, census):
     if name == "welch":
         return welch_t_test(observed)
     if name == "pooled":
         return pooled_t_test(observed)
-    if name == "fisher-rand":
-        return fisher_randomization_test(observed, design, engine)
     if name == "neyman-rand":
         return neyman_randomization_test(observed, design)
     if name == "fisher-exact":
@@ -324,9 +337,19 @@ def cmd_test(args) -> int:
     names = _parse_test_list(args.tests)
     reports = []
     notices = []
-    for name in names:
+    # Resampling tests are scored a group at a time, when the group's
+    # first test is reached, so errors still surface in --tests order.
+    resampled = {}
+    for i, name in enumerate(names):
+        if name in _PLANS:
+            if i not in resampled:
+                group = _resampled_together(names, i, design)
+                plans = [_PLANS[names[j]](observed, design) for j in group]
+                resampled.update(zip(group, run_resampling_plans(plans, engine)))
+            reports.append(resampled.pop(i))
+            continue
         try:
-            reports.append(_run_one_test(name, observed, design, engine, census))
+            reports.append(_run_one_test(name, observed, design, census))
         except NoncomputableDistributionError as exc:
             notices.append(
                 {"test": name.replace("-", "_"),

@@ -37,7 +37,10 @@ class RngStream:
     ``generator()`` always returns a generator at the start of this
     stream, so one stream should have one consumer. Parallel work takes
     ``substream(...)`` handles derived from (seed, key) instead of sharing
-    a generator.
+    a generator. The ``test`` command keeps to this for each design: its
+    resampling tests on one design share one draw from the engine's
+    stream. An explicit --design, which only fisher-rand resamples, is a
+    second design and takes its own draw from the start of that stream.
     """
 
     seed: int

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NoReturn, Optional, Union
+from typing import NoReturn, Optional, Union
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .stats import (
     ArmSizeWeights,
     AssignmentInclusionWeights,
     SelectionInclusionWeights,
+    d_affine_form,
     d_statistic,
     neyman_se,
     pooled_se,
@@ -62,7 +63,8 @@ from .stats import (
 # in recomputed statistics; the bias is conservative.
 REL_TOL = 1e-9
 
-_MC_CHUNK = 100_000
+# Monte Carlo draws are made and scored in batches of at most this many.
+MC_CHUNK = 100_000
 
 
 @dataclass(frozen=True)
@@ -131,182 +133,184 @@ class TestReport:
         }
 
 
-def monte_carlo_pvalue(
-    observed_stat: float,
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
-    budget: int,
-    rng: RngStream,
-) -> tuple:
-    """Add-one two-sided Monte Carlo p-value and its standard error.
-
-    sampler(generator, count) must return count statistics drawn under
-    the null. p = (1 + #{|stat| >= |observed|}) / (budget + 1), which is
-    a valid p-value for any budget; stderr = sqrt(p(1-p)/budget).
-    """
-    if budget < 1000:
-        raise DataValidationError("Monte Carlo budget must be >= 1000")
-    gen = rng.generator()
-    threshold = abs(observed_stat) * (1.0 - REL_TOL)
-    hits = 0
-    remaining = budget
-    while remaining > 0:
-        take = min(_MC_CHUNK, remaining)
-        stats = np.asarray(sampler(gen, take), dtype=np.float64)
-        hits += int(np.count_nonzero(np.abs(stats) >= threshold))
-        remaining -= take
-    p = (1 + hits) / (budget + 1)
-    return p, math.sqrt(p * (1.0 - p) / budget)
-
-
 def _require_two_arms(observed: ObservedExperiment) -> None:
     if observed.n1 < 1 or observed.n2 < 1:
         raise InsufficientDataError("both treatment arms must be nonempty")
 
 
-def _split_coefficients(responses: np.ndarray, weights: np.ndarray):
-    """Reduce D over relabelings to an affine form: D(t') = mask1 @ coef + offset."""
-    coef = responses / weights[0] + responses / weights[1]
-    offset = -float(np.sum(responses / weights[1]))
-    return coef, offset
-
-
-def _exact_support_stats(design, coef, offset, cap):
-    labels, probs = support_label_matrix(design, cap)
-    stats = (labels == 1).astype(np.float64) @ coef + offset
-    return stats, probs
-
-
-def _support_tail_probs(stats, probs, observed):
-    """(|stat| tail, upper tail, lower tail) masses over an enumerated support.
-
-    Tails spanning the whole support can accumulate to 1 + O(eps); clamp so
-    downstream p-value range checks stay strict.
-    """
-    thr = abs(observed) * (1.0 - REL_TOL)
-    tol = REL_TOL * max(1.0, abs(observed))
-    p_abs = min(float(probs[np.abs(stats) >= thr].sum()), 1.0)
-    upper = min(float(probs[stats >= observed - tol].sum()), 1.0)
-    lower = min(float(probs[stats <= observed + tol].sum()), 1.0)
-    return p_abs, upper, lower
-
-
-def _exact_abs_pvalue(design, coef, offset, observed, cap) -> float:
-    stats, probs = _exact_support_stats(design, coef, offset, cap)
-    return _support_tail_probs(stats, probs, observed)[0]
-
-
-def _exact_tail_probs(design, coef, offset, observed, cap):
-    stats, probs = _exact_support_stats(design, coef, offset, cap)
-    return _support_tail_probs(stats, probs, observed)[1:]
-
-
-def _batch_counts(labels, coef, offset, observed):
-    """Tail counts of the affine statistic over one drawn label batch."""
-    stats = (labels == 1).astype(np.float64) @ coef + offset
-    thr = abs(observed) * (1.0 - REL_TOL)
-    tol = REL_TOL * max(1.0, abs(observed))
-    n_abs = int(np.count_nonzero(np.abs(stats) >= thr))
-    n_up = int(np.count_nonzero(stats >= observed - tol))
-    n_lo = int(np.count_nonzero(stats <= observed + tol))
-    return n_abs, n_up, n_lo
-
-
-def _mc_counts(design, coef, offset, observed, budget, rng):
-    """Counts of |stat| >= |obs|, stat >= obs, stat <= obs over seeded draws.
-
-    One shared driver for all resampling tests: identical (design, budget,
-    stream) means identical label draws, which is what makes permutation
-    and Fisher-randomization Monte Carlo p-values coincide exactly under
-    a uniform CRD.
-    """
-    gen = rng.generator()
-    n_abs = n_up = n_lo = 0
-    remaining = budget
-    while remaining > 0:
-        take = min(_MC_CHUNK, remaining)
-        labels = sample_assignment_batch(design, take, gen)
-        counts = _batch_counts(labels, coef, offset, observed)
-        n_abs += counts[0]
-        n_up += counts[1]
-        n_lo += counts[2]
-        remaining -= take
-    return n_abs, n_up, n_lo
-
-
-def _addone(hits: int, budget: int):
+def add_one_pvalue(hits: int, budget: int) -> tuple:
+    """Add-one Monte Carlo p-value (1 + hits) / (budget + 1), which is valid
+    at any budget, and its standard error sqrt(p(1-p)/budget)."""
     p = (1 + hits) / (budget + 1)
     return p, math.sqrt(p * (1.0 - p) / budget)
+
+
+def support_mask(design: AssignmentDesign, cap: int = ENUMERATION_CAP) -> tuple:
+    """(arm-1 indicator mask (M, n) float64, probs (M,)) over the design's
+    enumerated support: the prebuilt support resample_tails scores."""
+    labels, probs = support_label_matrix(design, cap)
+    return (labels == 1).astype(np.float64), probs
+
+
+def _column_tails(mask, columns, probs=None) -> list:
+    tails = []
+    for coef, offset, observed in columns:
+        stats = mask @ coef + offset
+        thr = abs(observed) * (1.0 - REL_TOL)
+        tol = REL_TOL * max(1.0, abs(observed))
+        hits = (np.abs(stats) >= thr, stats >= observed - tol, stats <= observed + tol)
+        if probs is None:
+            tails.append([int(np.count_nonzero(h)) for h in hits])
+        else:
+            # a tail spanning the whole support can sum to 1 + O(eps)
+            tails.append([min(float(probs[h].sum()), 1.0) for h in hits])
+    return tails
+
+
+def resample_tails(design, columns, *, support=None, budget=None, rng=None) -> list:
+    """The resampling kernel: abs, upper and lower tails of k statistics.
+
+    Each column is (coef, offset, observed); its statistic under an
+    assignment with arm-1 indicator row m is m @ coef + offset. With
+    support, a (mask, probs) pair from support_mask, the tails are
+    probability masses of |stat| >= |observed|, stat >= observed and
+    stat <= observed over it. Otherwise budget assignments are drawn from
+    design on rng.generator(), in chunks of MC_CHUNK, and the tails are
+    hit counts: every column is scored on the same batch, and the float
+    mask is built once per chunk. Returns one [abs, upper, lower] per
+    column.
+    """
+    if support is not None:
+        mask, probs = support
+        return _column_tails(mask, columns, probs)
+    if budget < 1:
+        raise DataValidationError("Monte Carlo budget must be positive")
+    gen = rng.generator()
+    totals = np.zeros((len(columns), 3), dtype=np.int64)
+    for start in range(0, budget, MC_CHUNK):
+        labels = sample_assignment_batch(design, min(MC_CHUNK, budget - start), gen)
+        totals += _column_tails((labels == 1).astype(np.float64), columns)
+    return totals.tolist()
+
+
+# report name -> (hypothesis, assumptions, name in engine errors)
+_RESAMPLING = {
+    "permutation": (Hypothesis.DUP, ("A1", "A2", "A3"), "permutation test"),
+    "wilcoxon": (Hypothesis.DUP, ("A1", "A2", "A3", "A4"), "rank-sum test"),
+    "fisher_rand": (Hypothesis.RUs, ("B1", "B2"), "randomization test"),
+}
+
+
+@dataclass(frozen=True)
+class ResamplingPlan:
+    """A resampling test up to its tails: the design it resamples and its
+    statistic as a kernel column (coef, offset, statistic).
+
+    The rank sum reports min(1, 2 * smaller tail), the difference
+    statistics their |stat| tail.
+    """
+
+    test: str
+    design: AssignmentDesign
+    observed: ObservedExperiment
+    statistic: float
+    coef: np.ndarray
+    offset: float
+
+    def report(self, tails, engine) -> TestReport:
+        """The TestReport once the kernel has scored this plan's column."""
+        p, upper, lower = tails
+        stderr = None
+        if isinstance(engine, MonteCarloEngine):
+            (p, stderr), (upper, se_up), (lower, se_lo) = (
+                add_one_pvalue(t, engine.budget) for t in tails
+            )
+        if self.test == "wilcoxon":
+            p = min(1.0, 2.0 * min(upper, lower))
+            if stderr is not None:
+                # stderr of the doubled smaller tail, before the cap at 1
+                stderr = 2.0 * (se_up if upper <= lower else se_lo)
+        hypothesis, assumptions, _ = _RESAMPLING[self.test]
+        return TestReport(
+            test=self.test,
+            hypothesis=hypothesis,
+            statistic=self.statistic,
+            p_value=p,
+            p_value_kind="exact" if isinstance(engine, ExactEngine) else "monte_carlo",
+            mc_stderr=stderr,
+            assumptions=assumptions,
+            n1=self.observed.n1,
+            n2=self.observed.n2,
+            degenerate=bool(np.ptp(self.observed.responses) == 0.0),
+        )
+
+
+def run_resampling_plans(plans, engine: PValueEngine) -> list:
+    """Reports of resampling tests that share one design, from one kernel
+    call: one enumeration, or one set of draws from engine.rng."""
+    design = plans[0].design
+    if not isinstance(engine, (ExactEngine, MonteCarloEngine)):
+        raise DataValidationError(
+            f"{_RESAMPLING[plans[0].test][2]} supports Exact or MonteCarlo engines"
+        )
+    if any(plan.design != design for plan in plans):
+        raise ValueError("plans scored together must share one design")
+    columns = [(plan.coef, plan.offset, plan.statistic) for plan in plans]
+    if isinstance(engine, ExactEngine):
+        support = support_mask(design, engine.enumeration_cap)
+        tails = resample_tails(design, columns, support=support)
+    else:
+        tails = resample_tails(design, columns, budget=engine.budget, rng=engine.rng)
+    return [plan.report(t, engine) for plan, t in zip(plans, tails)]
+
+
+def _difference_plan(test, observed, design, weights) -> ResamplingPlan:
+    d_obs = d_statistic(observed.responses, observed.assignment, weights)
+    coef, offset = d_affine_form(observed.responses, weights)
+    return ResamplingPlan(test, design, observed, d_obs, coef, offset)
+
+
+def permutation_plan(observed: ObservedExperiment) -> ResamplingPlan:
+    """The permutation test's plan: the difference of arm means over all
+    relabelings at fixed arm sizes."""
+    _require_two_arms(observed)
+    design = UniformCRD(observed.n, observed.n1)
+    weights = resolve_weights(ArmSizeWeights(), observed.sample, observed.assignment)
+    return _difference_plan("permutation", observed, design, weights)
+
+
+def wilcoxon_plan(observed: ObservedExperiment) -> ResamplingPlan:
+    """The rank-sum test's plan: the arm-1 midrank sum over relabelings."""
+    _require_two_arms(observed)
+    design = UniformCRD(observed.n, observed.n1)
+    ranks = rank_midranks(observed.responses)
+    w_obs = rank_sum_statistic(ranks, observed.assignment)
+    return ResamplingPlan("wilcoxon", design, observed, w_obs, ranks, 0.0)
+
+
+def fisher_randomization_plan(
+    observed: ObservedExperiment, design: AssignmentDesign
+) -> ResamplingPlan:
+    """The Fisher randomization test's plan: the inclusion-weighted
+    difference statistic over the design's support."""
+    _require_two_arms(observed)
+    check_both_arm_inclusion(design)
+    _check_observed_in_support(observed, design)
+    weights = resolve_weights(
+        AssignmentInclusionWeights(design), observed.sample, observed.assignment
+    )
+    return _difference_plan("fisher_rand", observed, design, weights)
 
 
 def permutation_test(observed: ObservedExperiment, engine: PValueEngine) -> TestReport:
     """Two-sided test of the distributional process null via the
     difference of arm means over all relabelings at fixed arm sizes."""
-    _require_two_arms(observed)
-    design = UniformCRD(observed.n, observed.n1)
-    weights = resolve_weights(ArmSizeWeights(), observed.sample, observed.assignment)
-    d_obs = d_statistic(observed.responses, observed.assignment, weights)
-    coef, offset = _split_coefficients(observed.responses, weights)
-    degenerate = bool(np.ptp(observed.responses) == 0.0)
-    if isinstance(engine, ExactEngine):
-        p = _exact_abs_pvalue(design, coef, offset, d_obs, engine.enumeration_cap)
-        kind, stderr = "exact", None
-    elif isinstance(engine, MonteCarloEngine):
-        n_abs, _, _ = _mc_counts(design, coef, offset, d_obs, engine.budget, engine.rng)
-        p, stderr = _addone(n_abs, engine.budget)
-        kind = "monte_carlo"
-    else:
-        raise DataValidationError(
-            "permutation test supports Exact or MonteCarlo engines"
-        )
-    return TestReport(
-        test="permutation",
-        hypothesis=Hypothesis.DUP,
-        statistic=d_obs,
-        p_value=p,
-        p_value_kind=kind,
-        mc_stderr=stderr,
-        assumptions=("A1", "A2", "A3"),
-        n1=observed.n1,
-        n2=observed.n2,
-        degenerate=degenerate,
-    )
+    return run_resampling_plans([permutation_plan(observed)], engine)[0]
 
 
 def wilcoxon_test(observed: ObservedExperiment, engine: PValueEngine) -> TestReport:
     """Rank-sum test with midranks; p = min(1, 2 * smaller tail)."""
-    _require_two_arms(observed)
-    design = UniformCRD(observed.n, observed.n1)
-    ranks = rank_midranks(observed.responses)
-    w_obs = rank_sum_statistic(ranks, observed.assignment)
-    degenerate = bool(np.ptp(observed.responses) == 0.0)
-    if isinstance(engine, ExactEngine):
-        upper, lower = _exact_tail_probs(
-            design, ranks, 0.0, w_obs, engine.enumeration_cap
-        )
-        p = min(1.0, 2.0 * min(upper, lower))
-        kind, stderr = "exact", None
-    elif isinstance(engine, MonteCarloEngine):
-        _, n_up, n_lo = _mc_counts(design, ranks, 0.0, w_obs, engine.budget, engine.rng)
-        p_up, se_up = _addone(n_up, engine.budget)
-        p_lo, se_lo = _addone(n_lo, engine.budget)
-        # stderr of the doubled smaller tail, before the cap at 1
-        p = min(1.0, 2.0 * min(p_up, p_lo))
-        stderr = 2.0 * (se_up if p_up <= p_lo else se_lo)
-        kind = "monte_carlo"
-    else:
-        raise DataValidationError("rank-sum test supports Exact or MonteCarlo engines")
-    return TestReport(
-        test="wilcoxon",
-        hypothesis=Hypothesis.DUP,
-        statistic=w_obs,
-        p_value=p,
-        p_value_kind=kind,
-        mc_stderr=stderr,
-        assumptions=("A1", "A2", "A3", "A4"),
-        n1=observed.n1,
-        n2=observed.n2,
-        degenerate=degenerate,
-    )
+    return run_resampling_plans([wilcoxon_plan(observed)], engine)[0]
 
 
 def welch_t_test(observed: ObservedExperiment) -> TestReport:
@@ -388,38 +392,7 @@ def fisher_randomization_test(
     observed response, so the inclusion-weighted difference statistic has
     a fully known distribution over the design's support.
     """
-    _require_two_arms(observed)
-    check_both_arm_inclusion(design)
-    _check_observed_in_support(observed, design)
-    weights = resolve_weights(
-        AssignmentInclusionWeights(design), observed.sample, observed.assignment
-    )
-    d_obs = d_statistic(observed.responses, observed.assignment, weights)
-    coef, offset = _split_coefficients(observed.responses, weights)
-    degenerate = bool(np.ptp(observed.responses) == 0.0)
-    if isinstance(engine, ExactEngine):
-        p = _exact_abs_pvalue(design, coef, offset, d_obs, engine.enumeration_cap)
-        kind, stderr = "exact", None
-    elif isinstance(engine, MonteCarloEngine):
-        n_abs, _, _ = _mc_counts(design, coef, offset, d_obs, engine.budget, engine.rng)
-        p, stderr = _addone(n_abs, engine.budget)
-        kind = "monte_carlo"
-    else:
-        raise DataValidationError(
-            "randomization test supports Exact or MonteCarlo engines"
-        )
-    return TestReport(
-        test="fisher_rand",
-        hypothesis=Hypothesis.RUs,
-        statistic=d_obs,
-        p_value=p,
-        p_value_kind=kind,
-        mc_stderr=stderr,
-        assumptions=("B1", "B2"),
-        n1=observed.n1,
-        n2=observed.n2,
-        degenerate=degenerate,
-    )
+    return run_resampling_plans([fisher_randomization_plan(observed, design)], engine)[0]
 
 
 def neyman_randomization_test(

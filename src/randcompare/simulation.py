@@ -39,30 +39,24 @@ from .core import (
     SampleVector,
     select_components,
 )
-from .designs import (
-    RngStream,
-    UniformCRD,
-    sample_assignment,
-    sample_assignment_batch,
-    support_label_matrix,
-)
+from .designs import RngStream, UniformCRD, sample_assignment
 from .errors import (
     DataValidationError,
     DegenerateDataError,
     UnknownScenarioError,
 )
 from .inference import (
-    _MC_CHUNK,
-    _addone,
-    _batch_counts,
-    _split_coefficients,
-    _support_tail_probs,
+    MC_CHUNK,
+    add_one_pvalue,
     neyman_randomization_test,
     pooled_t_test,
+    resample_tails,
+    support_mask,
     welch_t_test,
 )
 from .stats import (
     ArmSizeWeights,
+    d_affine_form,
     d_statistic,
     rank_midranks,
     rank_sum_statistic,
@@ -646,37 +640,28 @@ class _RowPlan:
 def _resampling_pvalues(plan: _RowPlan, responses, assignment, replicate: int):
     """p-values of the three resampling tests for one replicate.
 
-    Matches the standalone test functions exactly: the batch comes from
-    a fresh generator on substream (4, row, replicate), which is the
-    same construction MonteCarloEngine applies, and both statistics are
-    counted on one shared batch (their standalone runs would draw the
-    identical batch from the identical stream anyway).
+    Matches the standalone test functions exactly: both statistics are
+    scored by the same resampling kernel on one shared batch, drawn from
+    a fresh generator on substream (4, row, replicate), which is the same
+    construction MonteCarloEngine applies.
     """
     if plan.scenario.binary:
         p_d = _binary_exact_pvalue(responses, assignment.labels, plan.design.n1)
         return p_d, None
     d_obs = d_statistic(responses, assignment, plan.weight_table)
-    coef, offset = _split_coefficients(responses, plan.weight_table)
+    coef, offset = d_affine_form(responses, plan.weight_table)
     ranks = rank_midranks(responses)
     w_obs = rank_sum_statistic(ranks, assignment)
+    columns = ((coef, offset, d_obs), (ranks, 0.0, w_obs))
     if plan.support is not None:
-        mask, probs = plan.support
-        d_stats = mask @ coef + offset
-        w_stats = mask @ ranks
-        p_d = _support_tail_probs(d_stats, probs, d_obs)[0]
-        _, up, lo = _support_tail_probs(w_stats, probs, w_obs)
-        p_w = min(1.0, 2.0 * min(up, lo))
-        return p_d, p_w
-    row_code = 0 if plan.row == "randomization" else 1
-    gen = plan.master.substream(4, row_code, replicate).generator()
-    labels = sample_assignment_batch(plan.design, plan.mc_budget, gen)
-    n_abs, _, _ = _batch_counts(labels, coef, offset, d_obs)
-    _, n_up, n_lo = _batch_counts(labels, ranks, 0.0, w_obs)
-    p_d = _addone(n_abs, plan.mc_budget)[0]
-    p_up = _addone(n_up, plan.mc_budget)[0]
-    p_lo = _addone(n_lo, plan.mc_budget)[0]
-    p_w = min(1.0, 2.0 * min(p_up, p_lo))
-    return p_d, p_w
+        tails = resample_tails(plan.design, columns, support=plan.support)
+    else:
+        row_code = 0 if plan.row == "randomization" else 1
+        rng = plan.master.substream(4, row_code, replicate)
+        counts = resample_tails(plan.design, columns, budget=plan.mc_budget, rng=rng)
+        tails = [[add_one_pvalue(c, plan.mc_budget)[0] for c in col] for col in counts]
+    (p_d, _, _), (_, up, lo) = tails
+    return p_d, min(1.0, 2.0 * min(up, lo))
 
 
 def _closed_form_pvalue(kind: str, observed: ObservedExperiment, design) -> float:
@@ -757,12 +742,9 @@ def run_size_power(
     design = UniformCRD(n, scenario.n1)
     sample = SampleVector.first_n(n)
     budget = mc_budget if mc_budget is not None else (10_000 if n <= 20 else 4_000)
-    if budget > _MC_CHUNK:
-        raise DataValidationError(f"per-replicate budget above {_MC_CHUNK} unsupported")
-    support = None
-    if exact_small and not scenario.binary:
-        labels, probs = support_label_matrix(design)
-        support = ((labels == 1).astype(np.float64), probs)
+    if budget > MC_CHUNK:
+        raise DataValidationError(f"per-replicate budget above {MC_CHUNK} unsupported")
+    support = support_mask(design) if exact_small and not scenario.binary else None
     probe = AssignmentVector.two_arms(scenario.n1, scenario.n2)
     weight_table = resolve_weights(ArmSizeWeights(), sample, probe)
 

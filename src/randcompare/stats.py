@@ -147,6 +147,14 @@ def d_statistic(
     return total
 
 
+def d_affine_form(responses: np.ndarray, weights: np.ndarray) -> tuple:
+    """(coef, offset) with D(t') = mask1(t') @ coef + offset for every
+    relabeling t', mask1 being the arm-1 indicator of t'."""
+    coef = responses / weights[0] + responses / weights[1]
+    offset = -float(np.sum(responses / weights[1]))
+    return coef, offset
+
+
 def rank_midranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing the average of the ranks they span."""
     values = np.asarray(values, dtype=np.float64)

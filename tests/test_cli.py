@@ -7,6 +7,18 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import randcompare.inference
+from randcompare import (
+    ExactEngine,
+    MonteCarloEngine,
+    RngStream,
+    UniformCRD,
+    explicit_from_json,
+    fisher_randomization_test,
+    load_dataset,
+    permutation_test,
+    wilcoxon_test,
+)
 from randcompare.cli import main
 from randcompare.datasets import bundled_dataset_path
 
@@ -102,6 +114,23 @@ class TestTestCommand:
         assert code == 2
         assert "RANDCOMPARE_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["-1", str(2**64)])
+    def test_env_seed_out_of_range(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("RANDCOMPARE_SEED", raw)
+        code, out = run_cli("test", "--data", "cellphone.csv", "--tests", "welch",
+                            "--engine", "asymptotic", "--format", "json")
+        assert code == 2 and out == ""
+        assert "RANDCOMPARE_SEED" in capsys.readouterr().err
+
+    def test_env_seed_largest(self, monkeypatch):
+        monkeypatch.setenv("RANDCOMPARE_SEED", str(2**64 - 1))
+        code, out = run_cli("test", "--data", "cellphone.csv", "--tests", "welch",
+                            "--engine", "asymptotic", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMAS["test_report"])
+        assert doc["seed"] == 2**64 - 1
+
     def test_csv_format(self):
         code, out = run_cli(
             "test", "--data", "cellphone.csv", "--seed", "7",
@@ -167,6 +196,123 @@ class TestTestCommand:
         )
         assert code == 2
         assert "--mc" in capsys.readouterr().err
+
+
+SIX_CSV = "unit_id,treatment,response\n1,1,3\n2,1,1\n3,1,4\n4,2,1\n5,2,5\n6,2,9\n"
+# four atoms over six units, the observed labels first; every unit can
+# land in either arm
+SIX_DESIGN = {
+    "support": [[1, 1, 1, 2, 2, 2], [2, 2, 2, 1, 1, 1],
+                [1, 2, 1, 2, 1, 2], [2, 1, 2, 1, 2, 1]],
+    "probs": [0.4, 0.3, 0.2, 0.1],
+}
+
+
+@pytest.fixture
+def six_files(tmp_path):
+    data = tmp_path / "six.csv"
+    data.write_text(SIX_CSV)
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps(SIX_DESIGN))
+    return str(data), str(design)
+
+
+# every resampling test, with an asymptotic one between them; --tests all
+# also runs neyman-rand, which an explicit design does not support
+RESAMPLING_TESTS = "fisher-rand,welch,permutation,wilcoxon"
+
+
+class TestGroupedResampling:
+    """The command scores the resampling tests that share a design on one
+    kernel call; each report must still equal its standalone function's."""
+
+    @staticmethod
+    def assert_matches_standalone(argv, data, design, engine, tests="all"):
+        code, out = run_cli("test", "--data", data, "--tests", tests,
+                            "--format", "json", *argv)
+        assert code == 0
+        got = {r["test"]: r for r in json.loads(out)["reports"]}
+        observed = load_dataset(Path(data)).observed
+        expected = (
+            fisher_randomization_test(observed, design, engine),
+            permutation_test(observed, engine),
+            wilcoxon_test(observed, engine),
+        )
+        for report in expected:
+            assert got[report.test] == report.to_dict()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_monte_carlo_field_study(self, seed):
+        data = str(bundled_dataset_path("cellphone"))
+        engine = MonteCarloEngine(2000, RngStream(seed))
+        self.assert_matches_standalone(
+            ("--mc", "2000", "--seed", str(seed)), data, UniformCRD(64, 32), engine
+        )
+
+    def test_exact_six_units(self, six_files):
+        data, _ = six_files
+        self.assert_matches_standalone(
+            ("--engine", "exact"), data, UniformCRD(6, 3), ExactEngine()
+        )
+
+    @pytest.mark.parametrize("argv, engine", [
+        (("--engine", "exact"), ExactEngine()),
+        (("--mc", "2000", "--seed", "5"), MonteCarloEngine(2000, RngStream(5))),
+    ])
+    def test_explicit_design_file(self, six_files, argv, engine):
+        data, design = six_files
+        self.assert_matches_standalone(
+            ("--design", design, *argv), data, explicit_from_json(Path(design)),
+            engine, tests=RESAMPLING_TESTS,
+        )
+
+    @pytest.mark.parametrize("explicit, rows", [(False, 2000), (True, 4000)])
+    def test_all_draws_each_design_once(self, monkeypatch, six_files, explicit, rows):
+        drawn = []
+        original = randcompare.inference.sample_assignment_batch
+
+        def counting(design, size, gen):
+            batch = original(design, size, gen)
+            drawn.append(len(batch))
+            return batch
+
+        monkeypatch.setattr(randcompare.inference, "sample_assignment_batch", counting)
+        data, design = six_files
+        argv = ("--design", design) if explicit else ()
+        code, _ = run_cli("test", "--data", data, "--tests", RESAMPLING_TESTS,
+                          "--mc", "2000", *argv)
+        assert code == 0
+        assert sum(drawn) == rows
+
+    def test_repeated_test_names(self):
+        code, out = run_cli("test", "--data", "cellphone.csv", "--mc", "2000",
+                            "--tests", "permutation,permutation", "--format", "json")
+        assert code == 0
+        first, second = json.loads(out)["reports"]
+        assert first == second
+        observed = load_dataset(bundled_dataset_path("cellphone")).observed
+        assert first == permutation_test(
+            observed, MonteCarloEngine(2000, RngStream(0))
+        ).to_dict()
+
+    def test_errors_keep_tests_order(self, tmp_path, six_files, capsys):
+        data, _ = six_files
+        # the observed labels are outside this design's support
+        design = tmp_path / "other.json"
+        design.write_text(json.dumps(
+            {"support": [[1, 2, 1, 2, 1, 2], [2, 1, 2, 1, 2, 1]], "probs": [0.5, 0.5]}
+        ))
+        code, _ = run_cli("test", "--data", data, "--design", str(design),
+                          "--tests", "neyman-sel,fisher-rand")
+        assert code == 3
+        code, _ = run_cli("test", "--data", data, "--design", str(design),
+                          "--tests", "fisher-rand,neyman-sel")
+        assert code == 2
+        assert "outside the design support" in capsys.readouterr().err
+        code, _ = run_cli("test", "--data", data, "--engine", "asymptotic",
+                          "--tests", "welch,wilcoxon,permutation")
+        assert code == 2
+        assert "rank-sum test supports" in capsys.readouterr().err
 
 
 class TestExitCodes:

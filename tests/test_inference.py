@@ -24,19 +24,22 @@ from randcompare import (
     TestReport as Report,
     UniformCRD,
     UnsupportedDesignError,
+    add_one_pvalue,
     enumerate_support,
     fisher_exact_2x2,
     fisher_randomization_test,
     fisher_selection_test,
-    monte_carlo_pvalue,
     neyman_randomization_test,
     neyman_se,
     neyman_selection_test,
     permutation_test,
     pooled_t_test,
+    resample_tails,
+    support_mask,
     welch_t_test,
     wilcoxon_test,
 )
+from randcompare.designs import sample_assignment_batch
 
 
 def random_instance(gen, n_lo=4, n_hi=9):
@@ -56,20 +59,70 @@ class TestEngines:
         with pytest.raises(DataValidationError):
             MonteCarloEngine(999, RngStream(0))
 
-    def test_monte_carlo_pvalue_add_one_rule(self):
-        never = lambda gen, size: np.zeros(size)
-        p, se = monte_carlo_pvalue(5.0, never, 2000, RngStream(1))
+    def test_kernel_add_one_rule(self):
+        # a constant zero statistic: |0| never reaches 5, and always reaches 0
+        never, always = resample_tails(
+            UniformCRD(6, 3),
+            [(np.zeros(6), 0.0, 5.0), (np.zeros(6), 0.0, 0.0)],
+            budget=2000, rng=RngStream(1),
+        )
+        assert never[0] == 0
+        p, se = add_one_pvalue(never[0], 2000)
         assert p == pytest.approx(1 / 2001)
-        always = lambda gen, size: np.full(size, 7.0)
-        p, se = monte_carlo_pvalue(7.0, always, 2000, RngStream(1))
+        assert always[0] == 2000
+        p, se = add_one_pvalue(always[0], 2000)
         assert p == 1.0
         assert se == 0.0
 
-    def test_monte_carlo_pvalue_stderr(self):
-        half = lambda gen, size: np.where(gen.random(size) < 0.5, 9.0, 0.0)
-        p, se = monte_carlo_pvalue(9.0, half, 10000, RngStream(2))
+    def test_kernel_stderr(self):
+        # unit 1 lands in arm 1 in about half of the draws
+        [[hits, upper, lower]] = resample_tails(
+            UniformCRD(2, 1), [(np.array([1.0, 0.0]), 0.0, 1.0)],
+            budget=10000, rng=RngStream(2),
+        )
+        p, se = add_one_pvalue(hits, 10000)
         assert se == pytest.approx(math.sqrt(p * (1 - p) / 10000))
         assert abs(p - 0.5) < 5 * se
+        assert upper == hits and lower == 10000
+
+    def test_kernel_counts_the_streams_batches(self):
+        # budget above one chunk: the counts are those of the chunks the
+        # design draws from rng.generator(), in order
+        design = UniformCRD(8, 4)
+        coef = np.arange(8.0)
+        gen = RngStream(3).generator()
+        stats = np.concatenate([
+            (sample_assignment_batch(design, size, gen) == 1) @ coef
+            for size in (100_000, 20_000)
+        ])
+        [tails] = resample_tails(design, [(coef, 0.0, 17.0)], budget=120_000,
+                                 rng=RngStream(3))
+        assert tails == [
+            np.count_nonzero(np.abs(stats) >= 17.0 * (1 - 1e-9)),
+            np.count_nonzero(stats >= 17.0 - 1.7e-8),
+            np.count_nonzero(stats <= 17.0 + 1.7e-8),
+        ]
+
+    def test_kernel_columns_share_one_batch(self, six_obs):
+        design = UniformCRD(6, 3)
+        columns = [(six_obs.responses, 0.0, 10.0), (np.arange(6.0), -1.0, 4.0)]
+        together = resample_tails(design, columns, budget=5000, rng=RngStream(4))
+        alone = [resample_tails(design, [c], budget=5000, rng=RngStream(4))[0]
+                 for c in columns]
+        assert together == alone
+
+    def test_kernel_exact_masses(self, tiny_obs):
+        # arm-1 sums of (1,2,3,4) over the 6 splits: 3,4,5,5,6,7
+        [[p_abs, upper, lower]] = resample_tails(
+            UniformCRD(4, 2), [(tiny_obs.responses, 0.0, 5.0)],
+            support=support_mask(UniformCRD(4, 2)),
+        )
+        assert (p_abs, upper, lower) == pytest.approx((4 / 6, 4 / 6, 4 / 6))
+
+    def test_kernel_budget_must_be_positive(self):
+        with pytest.raises(DataValidationError):
+            resample_tails(UniformCRD(4, 2), [(np.ones(4), 0.0, 1.0)],
+                           budget=0, rng=RngStream(0))
 
     def test_report_validates_p(self):
         with pytest.raises(DataValidationError):

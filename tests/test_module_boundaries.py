@@ -1,0 +1,55 @@
+"""No module of the package imports a private name from another one.
+
+A ``_``-prefixed name is free to change with its own module; a second
+module that imports it ties the two together without saying so.
+"""
+import ast
+from pathlib import Path
+
+import randcompare
+
+SRC = Path(randcompare.__file__).resolve().parent
+
+
+def private_imports(source: str, filename: str) -> list:
+    """'file:line: name from module' for each private name that source
+    imports from a randcompare module, relative or absolute."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "randcompare":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                origin = "." * node.level + module
+                found.append(f"{filename}:{node.lineno}: {alias.name} from {origin}")
+    return found
+
+
+def test_detector_sees_relative_and_absolute_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from .inference import _addone, add_one_pvalue\n"
+        "from randcompare.designs import _crd_template\n"
+        "from . import _private_module\n"
+        "from numpy import _core\n"
+        "import randcompare._version\n"
+    )
+    assert private_imports(source, "m.py") == [
+        "m.py:2: _addone from .inference",
+        "m.py:3: _crd_template from randcompare.designs",
+        "m.py:4: _private_module from .",
+    ]
+
+
+def test_no_private_imports_across_modules():
+    paths = sorted(SRC.rglob("*.py"))
+    assert len(paths) >= 10
+    found = [
+        hit
+        for path in paths
+        for hit in private_imports(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert found == []

@@ -44,6 +44,7 @@ from randcompare import (
     welch_t_test,
     wilcoxon_test,
 )
+from randcompare.simulation import _toml_subset_loads
 
 BIG = 200_000
 
@@ -463,3 +464,52 @@ class TestScenarioFiles:
             scenario, replicates=100, rng=RngStream(2), rows=("process",)
         )
         assert len(estimates) == 6
+
+
+class TestTomlSubsetFallback:
+    """_toml_subset_loads, the scenario-file reader for interpreters
+    without tomllib, called directly so it runs on every Python."""
+
+    TEXT = (
+        "# a scenario\n"
+        'name = "demo#1"\n'
+        "n1 = 6\n"
+        "ratio = -1.5e1\n"
+        "adjust_equal_means = true\n"
+        'hypothesis_truth = ["EUP", "RAs"]\n'
+        "\n"
+        "[law]\n"
+        'kind = "normal"  # trailing comment\n'
+        "sd = 2.0\n"
+        "[ fixed_y ]\n"
+        "y1 = [0, 1]\n"
+    )
+
+    def test_sections_and_values(self):
+        doc = _toml_subset_loads(self.TEXT, "demo.toml")
+        assert doc == {
+            "name": "demo#1",
+            "n1": 6,
+            "ratio": -15.0,
+            "adjust_equal_means": True,
+            "hypothesis_truth": ["EUP", "RAs"],
+            "law": {"kind": "normal", "sd": 2.0},
+            "fixed_y": {"y1": [0, 1]},
+        }
+        assert type(doc["n1"]) is int and type(doc["ratio"]) is float
+
+    def test_agrees_with_tomllib(self):
+        tomllib = pytest.importorskip("tomllib")
+        assert _toml_subset_loads(self.TEXT, "demo.toml") == tomllib.loads(self.TEXT)
+
+    @pytest.mark.parametrize("text, message", [
+        ('name = "x"\n[[law]]\n', "demo.toml: line 2: unsupported table header"),
+        ("[]\n", "demo.toml: line 1: unsupported table header"),
+        ("n1 6\n", "demo.toml: line 1: expected 'key = value'"),
+        ("n1 =\n", "demo.toml: line 1: expected 'key = value'"),
+        ("\nkind = normal\n", "demo.toml: line 2: unsupported value syntax 'normal'"),
+    ])
+    def test_errors(self, text, message):
+        with pytest.raises(DataValidationError) as exc:
+            _toml_subset_loads(text, "demo.toml")
+        assert str(exc.value) == message

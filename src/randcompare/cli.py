@@ -130,8 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("--out", default=None)
     test.add_argument("--format", dest="fmt", choices=("json", "table", "csv"),
                       default="table")
-    test.add_argument("--threads", type=int, default=1,
-                      help="accepted for symmetry; tests run single-threaded")
 
     sim = sub.add_parser("simulate", help="estimate size/power for a scenario")
     sim.add_argument("scenario", nargs="?", default=None,
@@ -201,7 +199,8 @@ def _resolve_engine(args, design, seed):
     if choice == "exact":
         return ExactEngine()
     if choice == "mc":
-        return MonteCarloEngine(args.mc or DEFAULT_MC_BUDGET, RngStream(seed))
+        budget = DEFAULT_MC_BUDGET if args.mc is None else args.mc
+        return MonteCarloEngine(budget, RngStream(seed))
     return AsymptoticEngine()
 
 

@@ -3,8 +3,9 @@ randomization- and selection-based inference.
 
 An assignment design is the distribution of the treatment-label vector
 T given the sample; a selection design is the joint distribution of
-(sample, assignment). Tests consume these through three views: first-order
-inclusion probabilities, full-support enumeration, and seeded sampling.
+(sample, assignment). Each design class carries its own views: inclusion
+probabilities, the enumerated support and seeded draws. The module
+functions below are the entry points the tests go through.
 """
 from __future__ import annotations
 
@@ -76,8 +77,29 @@ def binomial_coefficient(n: int, k: int) -> int:
     return value
 
 
+class _EqualByContent:
+    """Equality and hashing by the content ``_key()`` returns, for designs
+    that hold arrays."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 class AssignmentDesign:
-    """Marker base class for assignment designs (see UniformCRD, Explicit)."""
+    """Base class for assignment designs on n positions.
+
+    A design provides ``support_size``; ``inclusion_table()``, the (2, n)
+    table of P(position j gets treatment t); ``support_labels()``, the
+    (M, n) int8 support labels and their (M,) probabilities, with no cap
+    check; ``sample_batch(size, gen)``, a (size, n) label matrix of
+    independent draws; ``contains(labels)``; and ``outside_support``, the
+    error message for an observed assignment it cannot produce.
+    """
 
     n: int
 
@@ -89,6 +111,8 @@ class UniformCRD(AssignmentDesign):
 
     n: int
     n1: int
+
+    outside_support = "observed arm sizes are impossible under the stated design"
 
     def __post_init__(self):
         if not (1 <= self.n1 <= self.n - 1):
@@ -105,13 +129,40 @@ class UniformCRD(AssignmentDesign):
     def support_size(self) -> int:
         return binomial_coefficient(self.n, self.n1)
 
+    def _template(self) -> np.ndarray:
+        return np.concatenate([np.ones(self.n1, np.int8), np.full(self.n2, 2, np.int8)])
 
-@dataclass(frozen=True)
-class Explicit(AssignmentDesign):
+    def inclusion_table(self) -> np.ndarray:
+        return np.repeat([[self.n1 / self.n], [self.n2 / self.n]], self.n, axis=1)
+
+    def support_labels(self) -> tuple:
+        """Every placement of the ones, in itertools.combinations order."""
+        size = self.support_size
+        ones = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(self.n), self.n1)),
+            dtype=np.intp,
+            count=size * self.n1,
+        ).reshape(size, self.n1)
+        labels = np.full((size, self.n), 2, dtype=np.int8)
+        np.put_along_axis(labels, ones, 1, axis=1)
+        return labels, np.full(size, 1.0 / size)
+
+    def sample_batch(self, size: int, gen: np.random.Generator) -> np.ndarray:
+        """Row-wise Fisher-Yates shuffles of the sorted labels."""
+        return gen.permuted(np.tile(self._template(), (size, 1)), axis=1)
+
+    def contains(self, labels) -> bool:
+        return np.array_equal(np.sort(labels), self._template())
+
+
+@dataclass(frozen=True, eq=False)
+class Explicit(_EqualByContent, AssignmentDesign):
     """Assignment design given by its full support and probabilities."""
 
     support: tuple
     probs: np.ndarray
+
+    outside_support = "observed assignment is outside the design support"
 
     def __post_init__(self):
         support = tuple(
@@ -139,6 +190,9 @@ class Explicit(AssignmentDesign):
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_labels", labels)
 
+    def _key(self) -> tuple:
+        return self._labels.shape, self._labels.tobytes(), self.probs.tobytes()
+
     @property
     def n(self) -> int:
         return self.support[0].n
@@ -147,8 +201,23 @@ class Explicit(AssignmentDesign):
     def support_size(self) -> int:
         return len(self.support)
 
-    def label_matrix(self) -> np.ndarray:
-        return self._labels
+    def inclusion_table(self) -> np.ndarray:
+        table = np.empty((2, self.n))
+        table[0, :] = self.probs @ (self._labels == 1)
+        table[1, :] = self.probs @ (self._labels == 2)
+        return table
+
+    def support_labels(self) -> tuple:
+        return self._labels, self.probs
+
+    def sample_batch(self, size: int, gen: np.random.Generator) -> np.ndarray:
+        """Categorical draws of support rows."""
+        return self._labels[gen.choice(len(self.support), size=size, p=self.probs)]
+
+    def contains(self, labels) -> bool:
+        if len(labels) != self.n:
+            return False
+        return bool(np.any(np.all(self._labels == labels, axis=1)))
 
 
 def explicit_from_json(doc) -> Explicit:
@@ -179,17 +248,12 @@ def first_order_inclusion(design: AssignmentDesign, t: int, j: int) -> float:
         raise DataValidationError("treatment label must be 1 or 2")
     if not (1 <= j <= design.n):
         raise DataValidationError(f"position {j} outside 1..{design.n}")
-    if isinstance(design, UniformCRD):
-        n_t = design.n1 if t == 1 else design.n2
-        return n_t / design.n
-    if isinstance(design, Explicit):
-        pi = float(design.probs[design.label_matrix()[:, j - 1] == t].sum())
-        if pi <= 0.0:
-            raise DesignInvalidError(
-                f"zero inclusion probability for treatment {t} at position {j}"
-            )
-        return pi
-    raise DataValidationError(f"unknown design type {type(design).__name__}")
+    pi = float(design.inclusion_table()[t - 1, j - 1])
+    if pi <= 0.0:
+        raise DesignInvalidError(
+            f"zero inclusion probability for treatment {t} at position {j}"
+        )
+    return pi
 
 
 def inclusion_table(design: AssignmentDesign) -> np.ndarray:
@@ -198,18 +262,7 @@ def inclusion_table(design: AssignmentDesign) -> np.ndarray:
     Unlike first_order_inclusion this does not raise on zeros; callers
     that need strict positivity check it themselves.
     """
-    if isinstance(design, UniformCRD):
-        table = np.empty((2, design.n))
-        table[0, :] = design.n1 / design.n
-        table[1, :] = design.n2 / design.n
-        return table
-    if isinstance(design, Explicit):
-        labels = design.label_matrix()
-        table = np.empty((2, design.n))
-        table[0, :] = design.probs @ (labels == 1)
-        table[1, :] = design.probs @ (labels == 2)
-        return table
-    raise DataValidationError(f"unknown design type {type(design).__name__}")
+    return design.inclusion_table()
 
 
 def check_both_arm_inclusion(design: AssignmentDesign) -> None:
@@ -224,30 +277,6 @@ def check_both_arm_inclusion(design: AssignmentDesign) -> None:
         )
 
 
-def enumerate_support(design: AssignmentDesign, cap: int = ENUMERATION_CAP):
-    """Yield every (AssignmentVector, probability) support point once."""
-    size = design.support_size
-    if size > cap:
-        raise EnumerationTooLargeError(
-            f"support size {size} exceeds enumeration cap {cap}; "
-            "use a Monte Carlo engine instead",
-            size=size,
-            cap=cap,
-        )
-    if isinstance(design, UniformCRD):
-        prob = 1.0 / size
-        for ones in itertools.combinations(range(design.n), design.n1):
-            labels = np.full(design.n, 2, dtype=np.int8)
-            labels[list(ones)] = 1
-            yield AssignmentVector(labels), prob
-        return
-    if isinstance(design, Explicit):
-        for vec, prob in zip(design.support, design.probs):
-            yield vec, float(prob)
-        return
-    raise DataValidationError(f"unknown design type {type(design).__name__}")
-
-
 def support_label_matrix(design: AssignmentDesign, cap: int = ENUMERATION_CAP):
     """(labels (M, n) int8, probs (M,)) for vectorized exact engines."""
     size = design.support_size
@@ -257,56 +286,40 @@ def support_label_matrix(design: AssignmentDesign, cap: int = ENUMERATION_CAP):
             size=size,
             cap=cap,
         )
-    if isinstance(design, Explicit):
-        return design.label_matrix(), np.asarray(design.probs)
-    ones = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(design.n), design.n1)
-        ),
-        dtype=np.intp,
-        count=size * design.n1,
-    ).reshape(size, design.n1)
-    labels = np.full((size, design.n), 2, dtype=np.int8)
-    np.put_along_axis(labels, ones, 1, axis=1)
-    probs = np.full(size, 1.0 / size)
-    return labels, probs
+    return design.support_labels()
 
 
-def _crd_template(design: UniformCRD) -> np.ndarray:
-    return np.concatenate(
-        [np.ones(design.n1, np.int8), np.full(design.n2, 2, np.int8)]
-    )
+def enumerate_support(design: AssignmentDesign, cap: int = ENUMERATION_CAP):
+    """Yield every (AssignmentVector, probability) support point once."""
+    labels, probs = support_label_matrix(design, cap)
+    for row, prob in zip(labels, probs):
+        yield AssignmentVector(row), float(prob)
 
 
 def sample_assignment(design: AssignmentDesign, rng: RngStream) -> AssignmentVector:
-    """One seeded draw from the design (Fisher-Yates shuffle for CRD)."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if isinstance(design, UniformCRD):
-        return AssignmentVector(gen.permutation(_crd_template(design)))
-    if isinstance(design, Explicit):
-        idx = int(gen.choice(len(design.support), p=design.probs))
-        return design.support[idx]
-    raise DataValidationError(f"unknown design type {type(design).__name__}")
+    """One seeded draw from the design: the first row of a one-row batch
+    drawn from the start of rng."""
+    return AssignmentVector(sample_assignment_batch(design, 1, rng.generator())[0])
 
 
 def sample_assignment_batch(
     design: AssignmentDesign, size: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """(size, n) int8 label matrix of independent draws.
-
-    Row-wise Fisher-Yates for CRD; categorical support lookup otherwise.
-    """
-    if isinstance(design, UniformCRD):
-        batch = np.tile(_crd_template(design), (size, 1))
-        return gen.permuted(batch, axis=1)
-    if isinstance(design, Explicit):
-        idx = gen.choice(len(design.support), size=size, p=design.probs)
-        return design.label_matrix()[idx]
-    raise DataValidationError(f"unknown design type {type(design).__name__}")
+    """(size, n) int8 label matrix of independent draws."""
+    return design.sample_batch(size, gen)
 
 
 class SelectionDesign:
-    """Marker base class for joint (sample, assignment) designs."""
+    """Base class for joint (sample, assignment) designs on a population
+    of n_population units.
+
+    A design provides ``unit_inclusion_table()``, the (2, N) table of
+    P(unit u is sampled and gets treatment t); ``weight_table(sample)``,
+    the (2, n) selection weights of the sampled units; and ``census()``,
+    its CensusCRD equivalent or None.
+    """
+
+    n_population: int
 
 
 @dataclass(frozen=True)
@@ -329,9 +342,25 @@ class CensusCRD(SelectionDesign):
     def assignment_design(self) -> UniformCRD:
         return UniformCRD(n=self.n_population, n1=self.n1)
 
+    def unit_inclusion_table(self) -> np.ndarray:
+        return self.assignment_design().inclusion_table()
 
-@dataclass(frozen=True)
-class ExplicitJoint(SelectionDesign):
+    def weight_table(self, sample: SampleVector) -> np.ndarray:
+        """The exact arm sizes n1 and n2; the sample must be the whole
+        population."""
+        everyone = np.arange(1, self.n_population + 1)
+        if not np.array_equal(np.sort(sample.indices), everyone):
+            raise DesignInvalidError(
+                "census design requires the sample to be the whole population"
+            )
+        return np.repeat([[float(self.n1)], [float(self.n2)]], sample.n, axis=1)
+
+    def census(self) -> "CensusCRD":
+        return self
+
+
+@dataclass(frozen=True, eq=False)
+class ExplicitJoint(_EqualByContent, SelectionDesign):
     """Joint design given by its support of (sample, assignment) pairs."""
 
     n_population: int
@@ -361,65 +390,68 @@ class ExplicitJoint(SelectionDesign):
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
 
+    def _key(self) -> tuple:
+        pairs = tuple((s.indices.tobytes(), t.labels.tobytes()) for s, t in self.support)
+        return self.n_population, pairs, self.probs.tobytes()
+
+    def unit_inclusion_table(self) -> np.ndarray:
+        """Summed in support order, one vectorized step per support point."""
+        pi = np.zeros((2, self.n_population))
+        for (s, t), prob in zip(self.support, self.probs):
+            pi[t.labels - 1, s.indices - 1] += prob
+        return pi
+
+    def weight_table(self, sample: SampleVector) -> np.ndarray:
+        """N times the joint inclusion probabilities of the sampled units."""
+        if np.any(sample.indices > self.n_population):
+            raise DesignInvalidError("sample indices exceed the population size")
+        return self.n_population * self.unit_inclusion_table()[:, sample.indices - 1]
+
+    def census(self) -> CensusCRD | None:
+        """The CensusCRD equivalent when every support sample is the full
+        population and the assignment marginal is uniform over all
+        rearrangements with a common arm-1 size."""
+        n = self.n_population
+        full = set(range(1, n + 1))
+        n1 = None
+        assignment_probs: dict = {}
+        for (s, t), prob in zip(self.support, self.probs):
+            if s.n != n or set(int(i) for i in s.indices) != full:
+                return None
+            # Re-express labels in unit order so permuted samples compare equal.
+            by_unit = np.empty(n, dtype=np.int8)
+            by_unit[s.indices - 1] = t.labels
+            if n1 is None:
+                n1 = int(np.sum(by_unit == 1))
+            elif int(np.sum(by_unit == 1)) != n1:
+                return None
+            key = by_unit.tobytes()
+            assignment_probs[key] = assignment_probs.get(key, 0.0) + float(prob)
+        if n1 is None or not (1 <= n1 <= n - 1):
+            return None
+        expected = binomial_coefficient(n, n1)
+        if len(assignment_probs) != expected:
+            return None
+        uniform = 1.0 / expected
+        if any(abs(p - uniform) > 1e-9 for p in assignment_probs.values()):
+            return None
+        return CensusCRD(n_population=n, n1=n1)
+
 
 def joint_first_order_inclusion(design: SelectionDesign, t: int, unit: int) -> float:
     """P(unit enters the sample and receives treatment t)."""
     if t not in (1, 2):
         raise DataValidationError("treatment label must be 1 or 2")
-    if isinstance(design, CensusCRD):
-        if not (1 <= unit <= design.n_population):
-            raise DataValidationError(f"unit {unit} outside 1..{design.n_population}")
-        n_t = design.n1 if t == 1 else design.n2
-        return n_t / design.n_population
-    if isinstance(design, ExplicitJoint):
-        if not (1 <= unit <= design.n_population):
-            raise DataValidationError(f"unit {unit} outside 1..{design.n_population}")
-        total = 0.0
-        for (s, tv), prob in zip(design.support, design.probs):
-            hit = (s.indices == unit) & (tv.labels == t)
-            if np.any(hit):
-                total += float(prob)
-        if total <= 0.0:
-            raise DesignInvalidError(
-                f"zero joint inclusion probability for treatment {t}, unit {unit}"
-            )
-        return total
-    raise DataValidationError(f"unknown design type {type(design).__name__}")
+    if not (1 <= unit <= design.n_population):
+        raise DataValidationError(f"unit {unit} outside 1..{design.n_population}")
+    pi = float(design.unit_inclusion_table()[t - 1, unit - 1])
+    if pi <= 0.0:
+        raise DesignInvalidError(
+            f"zero joint inclusion probability for treatment {t}, unit {unit}"
+        )
+    return pi
 
 
 def reduces_to_census(design: SelectionDesign) -> CensusCRD | None:
-    """CensusCRD equivalent of the design, or None if there is none.
-
-    An ExplicitJoint qualifies when every support sample is the full
-    population and the assignment marginal is uniform over all
-    rearrangements with a common arm-1 size.
-    """
-    if isinstance(design, CensusCRD):
-        return design
-    if not isinstance(design, ExplicitJoint):
-        return None
-    n = design.n_population
-    full = set(range(1, n + 1))
-    n1 = None
-    assignment_probs: dict = {}
-    for (s, t), prob in zip(design.support, design.probs):
-        if s.n != n or set(int(i) for i in s.indices) != full:
-            return None
-        # Re-express labels in unit order so permuted samples compare equal.
-        by_unit = np.empty(n, dtype=np.int8)
-        by_unit[s.indices - 1] = t.labels
-        if n1 is None:
-            n1 = int(np.sum(by_unit == 1))
-        elif int(np.sum(by_unit == 1)) != n1:
-            return None
-        key = by_unit.tobytes()
-        assignment_probs[key] = assignment_probs.get(key, 0.0) + float(prob)
-    if n1 is None or not (1 <= n1 <= n - 1):
-        return None
-    expected = binomial_coefficient(n, n1)
-    if len(assignment_probs) != expected:
-        return None
-    uniform = 1.0 / expected
-    if any(abs(p - uniform) > 1e-9 for p in assignment_probs.values()):
-        return None
-    return CensusCRD(n_population=n, n1=n1)
+    """CensusCRD equivalent of the design, or None if there is none."""
+    return design.census() if isinstance(design, SelectionDesign) else None

@@ -24,7 +24,6 @@ from .core import Hypothesis, ObservedExperiment
 from .designs import (
     ENUMERATION_CAP,
     AssignmentDesign,
-    Explicit,
     RngStream,
     SelectionDesign,
     UniformCRD,
@@ -295,10 +294,11 @@ def fisher_randomization_plan(
     difference statistic over the design's support."""
     _require_two_arms(observed)
     check_both_arm_inclusion(design)
-    _check_observed_in_support(observed, design)
     weights = resolve_weights(
         AssignmentInclusionWeights(design), observed.sample, observed.assignment
     )
+    if not design.contains(observed.assignment.labels):
+        raise DesignInvalidError(design.outside_support)
     return _difference_plan("fisher_rand", observed, design, weights)
 
 
@@ -365,22 +365,6 @@ def pooled_t_test(observed: ObservedExperiment) -> TestReport:
         n1=observed.n1,
         n2=observed.n2,
     )
-
-
-def _check_observed_in_support(observed: ObservedExperiment, design) -> None:
-    if isinstance(design, UniformCRD):
-        if design.n1 != observed.n1:
-            raise DesignInvalidError(
-                "observed arm sizes are impossible under the stated design"
-            )
-    elif isinstance(design, Explicit):
-        member = np.any(
-            np.all(design.label_matrix() == observed.assignment.labels, axis=1)
-        )
-        if not member:
-            raise DesignInvalidError(
-                "observed assignment is outside the design support"
-            )
 
 
 def fisher_randomization_test(

@@ -189,11 +189,12 @@ class CorrelatedBernoulliPair:
 ProcessLaw = Union[Normal, GammaLaw, UniformMixture, Bernoulli, CorrelatedBernoulliPair]
 
 
-def random_deviates(law: ProcessLaw, count: int, rng) -> np.ndarray:
-    """IID draws from a process law; pair laws return shape (2, count)."""
+def random_deviates(law: ProcessLaw, count: int, rng: RngStream) -> np.ndarray:
+    """IID draws from a process law, from the start of rng; pair laws
+    return shape (2, count)."""
     if count < 1:
         raise DataValidationError("count must be positive")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = rng.generator()
     if isinstance(law, CorrelatedBernoulliPair):
         return law.draw_pairs(gen, count)
     return law.draw(gen, count)
@@ -311,9 +312,8 @@ class Scenario:
         return isinstance(self.law, (Bernoulli, CorrelatedBernoulliPair))
 
 
-def generate_population(scenario: Scenario, rng) -> PotentialTable:
-    """One potential table drawn under the scenario's law and effect."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+def generate_population(scenario: Scenario, gen: np.random.Generator) -> PotentialTable:
+    """One potential table drawn on gen under the scenario's law and effect."""
     n = scenario.n_population
     if isinstance(scenario.law, CorrelatedBernoulliPair):
         for _ in range(_MAX_CONDITION_ATTEMPTS):
@@ -681,7 +681,8 @@ def _one_replicate(plan: _RowPlan, replicate: int) -> np.ndarray:
         assignment = sample_assignment(plan.design, plan.master.substream(2, replicate))
         table = plan.fixed_table
     else:
-        table = generate_population(plan.scenario, plan.master.substream(3, replicate))
+        gen = plan.master.substream(3, replicate).generator()
+        table = generate_population(plan.scenario, gen)
         assignment = plan.fixed_assignment
     responses = select_components(table, plan.sample, assignment)
     observed = ObservedExperiment(

@@ -15,28 +15,13 @@ t CDF loses a few digits to lgamma cancellation at very large df).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _FPMIN = 1e-300  # floor to keep Lentz denominators away from zero
 _EPS = 1e-16  # convergence threshold for series/continued fractions
+_MAX_ITERATIONS = 300  # cap on series terms and continued-fraction steps
 
 
-@dataclass(frozen=True)
-class SpecialFunctionConfig:
-    abs_tolerance: float = 1e-12
-    max_iterations: int = 300
-
-    def __post_init__(self):
-        if not (0.0 < self.abs_tolerance <= 1e-6):
-            raise ValueError("abs_tolerance must lie in (0, 1e-6]")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-
-
-_DEFAULT_CONFIG = SpecialFunctionConfig()
-
-
-def _lower_gamma_series(a: float, x: float, config: SpecialFunctionConfig) -> float:
+def _lower_gamma_series(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) by its power series (x < a+1)."""
     if x == 0.0:
         # P(a, 0) = 0; the series' closing exp(a log x) cannot express it
@@ -44,7 +29,7 @@ def _lower_gamma_series(a: float, x: float, config: SpecialFunctionConfig) -> fl
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(config.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         ap += 1.0
         term *= x / ap
         total += term
@@ -53,13 +38,13 @@ def _lower_gamma_series(a: float, x: float, config: SpecialFunctionConfig) -> fl
     raise ArithmeticError("incomplete gamma series failed to converge")
 
 
-def _upper_gamma_cf(a: float, x: float, config: SpecialFunctionConfig) -> float:
+def _upper_gamma_cf(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) by modified-Lentz CF (x >= a+1)."""
     b = x + 1.0 - a
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
-    for i in range(1, config.max_iterations + 1):
+    for i in range(1, _MAX_ITERATIONS + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -76,32 +61,32 @@ def _upper_gamma_cf(a: float, x: float, config: SpecialFunctionConfig) -> float:
     raise ArithmeticError("incomplete gamma continued fraction failed to converge")
 
 
-def erfc(x: float, config: SpecialFunctionConfig = _DEFAULT_CONFIG) -> float:
+def erfc(x: float) -> float:
     """Complementary error function via the incomplete gamma kernels."""
     if x < 0.0:
-        return 2.0 - erfc(-x, config)
+        return 2.0 - erfc(-x)
     if x == 0.0:
         return 1.0
     x2 = x * x
     if x2 < 1.5:
-        return 1.0 - _lower_gamma_series(0.5, x2, config)
-    return _upper_gamma_cf(0.5, x2, config)
+        return 1.0 - _lower_gamma_series(0.5, x2)
+    return _upper_gamma_cf(0.5, x2)
 
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def normal_cdf(x: float, config: SpecialFunctionConfig = _DEFAULT_CONFIG) -> float:
+def normal_cdf(x: float) -> float:
     """Standard normal CDF Phi(x)."""
     if not math.isfinite(x):
         raise ValueError("normal_cdf requires a finite argument")
     u = x / _SQRT2
     if x < 0.0:
-        return 0.5 * erfc(-u, config)
-    return 1.0 - 0.5 * erfc(u, config)
+        return 0.5 * erfc(-u)
+    return 1.0 - 0.5 * erfc(u)
 
 
-def _beta_cf(a: float, b: float, x: float, config: SpecialFunctionConfig) -> float:
+def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab = a + b
     qap = a + 1.0
@@ -112,7 +97,7 @@ def _beta_cf(a: float, b: float, x: float, config: SpecialFunctionConfig) -> flo
         d = _FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, config.max_iterations + 1):
+    for m in range(1, _MAX_ITERATIONS + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -138,9 +123,7 @@ def _beta_cf(a: float, b: float, x: float, config: SpecialFunctionConfig) -> flo
     raise ArithmeticError("incomplete beta continued fraction failed to converge")
 
 
-def regularized_incomplete_beta(
-    a: float, b: float, x: float, config: SpecialFunctionConfig = _DEFAULT_CONFIG
-) -> float:
+def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b), the regularized incomplete beta function.
 
     Uses the continued fraction directly when x is below the crossover
@@ -162,13 +145,11 @@ def regularized_incomplete_beta(
     )
     front = math.exp(log_front)
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x, config) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x, config) / b
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def student_t_cdf(
-    x: float, df: float, config: SpecialFunctionConfig = _DEFAULT_CONFIG
-) -> float:
+def student_t_cdf(x: float, df: float) -> float:
     """CDF of Student's t distribution with df > 0 degrees of freedom."""
     if df <= 0.0 or not math.isfinite(df):
         raise ValueError("degrees of freedom must be positive and finite")
@@ -176,7 +157,5 @@ def student_t_cdf(
         raise ValueError("student_t_cdf requires a finite argument")
     if x == 0.0:
         return 0.5
-    tail = 0.5 * regularized_incomplete_beta(
-        0.5 * df, 0.5, df / (df + x * x), config
-    )
+    tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + x * x))
     return tail if x < 0.0 else 1.0 - tail

@@ -17,14 +17,7 @@ from typing import Union
 import numpy as np
 
 from .core import AssignmentVector, ObservedExperiment, SampleVector
-from .designs import (
-    AssignmentDesign,
-    CensusCRD,
-    ExplicitJoint,
-    SelectionDesign,
-    UniformCRD,
-    inclusion_table,
-)
+from .designs import AssignmentDesign, SelectionDesign, UniformCRD, inclusion_table
 from .errors import (
     DataValidationError,
     DesignInvalidError,
@@ -81,33 +74,7 @@ def resolve_weights(
             )
         table = n * inclusion_table(design)
     elif isinstance(family, SelectionInclusionWeights):
-        design = family.design
-        table = np.empty((2, n))
-        if isinstance(design, CensusCRD):
-            if sorted(int(i) for i in sample.indices) != list(
-                range(1, design.n_population + 1)
-            ):
-                raise DesignInvalidError(
-                    "census design requires the sample to be the whole population"
-                )
-            table[0, :] = design.n1
-            table[1, :] = design.n2
-        elif isinstance(design, ExplicitJoint):
-            big_n = design.n_population
-            pi = np.zeros((2, n))
-            for (s, t), prob in zip(design.support, design.probs):
-                for j, unit in enumerate(sample.indices):
-                    hit = (s.indices == unit) & (t.labels == 1)
-                    if np.any(hit):
-                        pi[0, j] += float(prob)
-                    hit = (s.indices == unit) & (t.labels == 2)
-                    if np.any(hit):
-                        pi[1, j] += float(prob)
-            table = big_n * pi
-        else:
-            raise DataValidationError(
-                f"unknown selection design {type(design).__name__}"
-            )
+        table = family.design.weight_table(sample)
     else:
         raise DataValidationError(f"unknown weight family {type(family).__name__}")
     observed = table[assignment.labels - 1, np.arange(n)]

@@ -1,9 +1,11 @@
-"""Frozen high-precision reference values for the special functions.
+"""Independent references the implementations are checked against.
 
-Computed with an arbitrary-precision library (mpmath, 50 digits) and
-pasted here as literals before the implementations were written, so the
-implementations cannot influence their own acceptance targets.
+The special-function probes were computed with an arbitrary-precision
+library (mpmath, 50 digits) and pasted here as literals before the
+implementations were written, so the implementations cannot influence
+their own acceptance targets.
 """
+import numpy as np
 
 # (x, Phi(x)) pairs
 NORMAL_CDF_PROBES = [
@@ -53,3 +55,17 @@ STUDENT_T_CDF_PROBES = [
     (2.5758293035489004, 1000.0, 0.9949287020159513),
     (-1.2815515655446004, 1000000.0, 0.10000014857417512),
 ]
+
+
+def joint_inclusion_by_scan(design, sample):
+    """(2, n) table of P(unit s_j is sampled and gets treatment t) for an
+    ExplicitJoint design, by scanning every support point for every sampled
+    unit and adding the point's probability in support order: an O(M n^2)
+    loop kept as the reference for the design's own vectorized table."""
+    pi = np.zeros((2, sample.n))
+    for (s, t), prob in zip(design.support, design.probs):
+        for j, unit in enumerate(sample.indices):
+            for arm in (1, 2):
+                if np.any((s.indices == unit) & (t.labels == arm)):
+                    pi[arm - 1, j] += float(prob)
+    return pi

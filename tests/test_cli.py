@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import shutil
@@ -7,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import randcompare.cli
 import randcompare.inference
 from randcompare import (
     ExactEngine,
@@ -188,6 +190,20 @@ class TestTestCommand:
         assert json.loads(out)["engine"] == {
             "kind": "monte_carlo", "budget": 2000, "seed": 3
         }
+
+    @pytest.mark.parametrize("budget", ["0", "999"])
+    def test_mc_budget_below_floor_is_2(self, budget, capsys):
+        code, out = run_cli("test", "--data", "cellphone.csv", "--tests", "welch",
+                            "--mc", budget, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert ">= 1000" in capsys.readouterr().err
+
+    def test_mc_budget_at_floor_runs(self):
+        code, out = run_cli("test", "--data", "cellphone.csv", "--tests", "welch",
+                            "--mc", "1000", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["engine"]["budget"] == 1000
 
     def test_mc_flag_conflicts_with_exact(self, capsys):
         code, _ = run_cli(
@@ -462,6 +478,30 @@ class TestValidateCommand:
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+@pytest.mark.parametrize("argv", [
+    ("test", "--data", "cellphone", "--tests", "welch"),
+    ("simulate", "t3.sc1", "--replicates", "100"),
+    ("validate", "--data", "cellphone"),
+], ids=lambda argv: argv[0])
+def test_every_flag_is_read(tmp_path, argv):
+    """A flag whose value the command never reads does nothing."""
+    parser = randcompare.cli._build_parser()
+    args = parser.parse_args([*argv, "--out", str(tmp_path / "out")])
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    handlers = {"test": randcompare.cli.cmd_test, "simulate": randcompare.cli.cmd_simulate,
+                "validate": randcompare.cli.cmd_validate}
+    assert handlers[args.command](Recording(**vars(args))) == 0
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest for a in subparsers.choices[args.command]._actions} - {"help"}
+    assert sorted(flags - read) == []
 
 
 def test_module_entry_point(cli_process):

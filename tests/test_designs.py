@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import joint_inclusion_by_scan
 from randcompare import (
     AssignmentVector,
     CensusCRD,
@@ -24,10 +26,12 @@ from randcompare import (
     inclusion_table,
     joint_first_order_inclusion,
     reduces_to_census,
+    resolve_weights,
     sample_assignment,
     support_label_matrix,
 )
 from randcompare.designs import sample_assignment_batch
+from randcompare.stats import SelectionInclusionWeights
 
 
 class TestRngStream:
@@ -323,3 +327,142 @@ def test_explicit_inclusion_rows_sum_to_one(data):
     )
     table = inclusion_table(d)
     assert np.allclose(table.sum(axis=0), 1.0, atol=1e-9)
+
+
+# a non-uniform explicit design on 4 units, every unit assignable to both arms
+TILTED = Explicit(
+    support=(
+        AssignmentVector([1, 1, 2, 2]),
+        AssignmentVector([2, 1, 2, 1]),
+        AssignmentVector([1, 2, 1, 2]),
+        AssignmentVector([2, 2, 1, 1]),
+        AssignmentVector([1, 2, 2, 2]),
+    ),
+    probs=np.array([0.4, 0.25, 0.15, 0.12, 0.08]),
+)
+CONTRACT_DESIGNS = [UniformCRD(6, 3), UniformCRD(5, 1), TILTED]
+
+
+@pytest.mark.parametrize("design", CONTRACT_DESIGNS, ids=["crd6_3", "crd5_1", "explicit4"])
+class TestDesignContract:
+    """Every assignment design's views agree with each other."""
+
+    def test_inclusion_is_weighted_support_mean(self, design):
+        labels, probs = support_label_matrix(design)
+        assert len(labels) == len(probs) == design.support_size
+        expected = np.stack([probs @ (labels == 1), probs @ (labels == 2)])
+        assert np.allclose(inclusion_table(design), expected, rtol=0.0, atol=1e-12)
+
+    def test_sampled_rows_are_contained(self, design):
+        batch = sample_assignment_batch(design, 200, RngStream(6).generator())
+        assert batch.shape == (200, design.n)
+        assert all(design.contains(row) for row in batch)
+
+    def test_contains_exactly_the_support(self, design):
+        labels, _ = support_label_matrix(design)
+        support = {tuple(row) for row in labels}
+        for vector in itertools.product((1, 2), repeat=design.n):
+            assert design.contains(np.array(vector, np.int8)) == (vector in support)
+        assert not design.contains(labels[0][:-1])
+
+    def test_single_draw_is_first_batch_row(self, design):
+        root = RngStream(17)
+        for k in range(50):
+            stream = root.substream(k)
+            single = sample_assignment(design, stream)
+            batch = sample_assignment_batch(design, 1, stream.generator())
+            assert np.array_equal(single.labels, batch[0])
+
+    def test_single_draw_keeps_the_stream(self, design):
+        # the draws of substreams (1, 0) and (2, r) in the size/power
+        # harness: a shuffle of the sorted labels for a CRD, one categorical
+        # draw of a support row otherwise
+        root = RngStream(29)
+        for k in range(50):
+            gen = root.substream(k).generator()
+            if isinstance(design, UniformCRD):
+                expected = gen.permutation(np.repeat([1, 2], [design.n1, design.n2]))
+            else:
+                index = int(gen.choice(design.support_size, p=design.probs))
+                expected = design.support[index].labels
+            drawn = sample_assignment(design, root.substream(k))
+            assert np.array_equal(drawn.labels, expected)
+
+
+class TestExplicitEquality:
+    def test_equal_content_compares_and_hashes_equal(self):
+        a = explicit_from_json({"support": [[1, 2], [2, 1]], "probs": [0.3, 0.7]})
+        b = explicit_from_json({"support": [[1, 2], [2, 1]], "probs": [0.3, 0.7]})
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_content_differences(self):
+        a = explicit_from_json({"support": [[1, 2], [2, 1]], "probs": [0.3, 0.7]})
+        assert a != explicit_from_json({"support": [[1, 2], [2, 1]], "probs": [0.7, 0.3]})
+        assert a != explicit_from_json({"support": [[2, 1], [1, 2]], "probs": [0.3, 0.7]})
+        assert a != explicit_from_json({"support": [[1, 2, 2], [2, 1, 2]], "probs": [0.3, 0.7]})
+        assert a != UniformCRD(2, 1)
+
+    def test_explicit_joint(self):
+        def make(probs):
+            support = (
+                (SampleVector([1, 2]), AssignmentVector([1, 2])),
+                (SampleVector([2, 3]), AssignmentVector([1, 2])),
+            )
+            return ExplicitJoint(n_population=3, support=support, probs=np.array(probs))
+
+        assert make([0.5, 0.5]) == make([0.5, 0.5])
+        assert hash(make([0.5, 0.5])) == hash(make([0.5, 0.5]))
+        assert make([0.5, 0.5]) != make([0.6, 0.4])
+
+
+def random_joint_design(gen, n_population=6, points=7):
+    """An ExplicitJoint with samples of 2..4 units listed in random order."""
+    support = []
+    for _ in range(points):
+        size = int(gen.integers(2, 5))
+        units = gen.permutation(n_population)[:size] + 1
+        support.append((SampleVector(units), AssignmentVector(gen.integers(1, 3, size))))
+    probs = gen.random(points)
+    return ExplicitJoint(n_population=n_population, support=tuple(support),
+                         probs=probs / probs.sum())
+
+
+class TestSelectionTables:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_vectorized_table_equals_scan(self, seed):
+        design = random_joint_design(np.random.default_rng(seed))
+        everyone = SampleVector.first_n(design.n_population)
+        assert np.array_equal(
+            design.unit_inclusion_table(), joint_inclusion_by_scan(design, everyone)
+        )
+        for t in (1, 2):
+            for unit in range(1, design.n_population + 1):
+                expected = joint_inclusion_by_scan(design, everyone)[t - 1, unit - 1]
+                if expected > 0.0:
+                    assert joint_first_order_inclusion(design, t, unit) == expected
+                else:
+                    with pytest.raises(DesignInvalidError):
+                        joint_first_order_inclusion(design, t, unit)
+        for sample, assignment in design.support:
+            weights = resolve_weights(SelectionInclusionWeights(design), sample, assignment)
+            expected = design.n_population * joint_inclusion_by_scan(design, sample)
+            assert np.array_equal(weights, expected)
+
+    def test_census_weights_are_exact_arm_sizes(self):
+        # 25 * (7 / 25) is not 7.0 in floating point; the census keeps n1, n2
+        census = CensusCRD(25, 7)
+        table = census.weight_table(SampleVector(np.arange(25, 0, -1)))
+        assert table.tolist() == [[7.0] * 25, [18.0] * 25]
+        with pytest.raises(DesignInvalidError):
+            census.weight_table(SampleVector([1, 2, 3]))
+
+    def test_sample_beyond_population_is_invalid(self):
+        design = random_joint_design(np.random.default_rng(0), n_population=6)
+        with pytest.raises(DesignInvalidError):
+            resolve_weights(SelectionInclusionWeights(design),
+                            SampleVector([1, 7]), AssignmentVector([1, 2]))
+        with pytest.raises(DesignInvalidError):
+            design.weight_table(SampleVector([7]))

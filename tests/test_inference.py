@@ -26,6 +26,7 @@ from randcompare import (
     UnsupportedDesignError,
     add_one_pvalue,
     enumerate_support,
+    explicit_from_json,
     fisher_exact_2x2,
     fisher_randomization_test,
     fisher_selection_test,
@@ -39,7 +40,9 @@ from randcompare import (
     welch_t_test,
     wilcoxon_test,
 )
+import randcompare.inference
 from randcompare.designs import sample_assignment_batch
+from randcompare.inference import fisher_randomization_plan, run_resampling_plans
 
 
 def random_instance(gen, n_lo=4, n_hi=9):
@@ -281,6 +284,26 @@ class TestFisherRandomization:
         )
         with pytest.raises(DesignInvalidError):
             fisher_randomization_test(obs, design, ExactEngine())
+
+    @pytest.mark.parametrize("engine", [ExactEngine(), MonteCarloEngine(2000, RngStream(5))])
+    def test_equal_explicit_designs_share_one_kernel_call(self, monkeypatch, six_obs, engine):
+        doc = {"support": [[1, 1, 1, 2, 2, 2], [2, 2, 2, 1, 1, 1], [1, 2, 1, 2, 1, 2]],
+               "probs": [0.5, 0.3, 0.2]}
+        first, second = explicit_from_json(doc), explicit_from_json(doc)
+        alone = [run_resampling_plans([fisher_randomization_plan(six_obs, d)], engine)[0]
+                 for d in (first, second)]
+        calls = []
+        kernel = randcompare.inference.resample_tails
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(randcompare.inference, "resample_tails", counting)
+        plans = [fisher_randomization_plan(six_obs, d) for d in (first, second)]
+        together = run_resampling_plans(plans, engine)
+        assert len(calls) == 1
+        assert together == alone
 
     def test_nonuniform_explicit_design_changes_p(self):
         # same data, same support; tilting the atom probabilities moves p

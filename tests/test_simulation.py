@@ -172,27 +172,27 @@ class TestScenarioRegistry:
 
 class TestPopulations:
     def test_identity_scenarios_have_equal_potentials(self):
-        table = generate_population(get_scenario("t3.sc1"), RngStream(1))
+        table = generate_population(get_scenario("t3.sc1"), RngStream(1).generator())
         assert np.array_equal(table.y1, table.y2)
         assert table.n_units == 20
 
     def test_centered_noise_null(self):
         # equal potential means by construction, unequal units
-        table = generate_population(get_scenario("t3.sc4"), RngStream(2))
+        table = generate_population(get_scenario("t3.sc4"), RngStream(2).generator())
         assert table.y1.mean() == pytest.approx(table.y2.mean(), abs=1e-12)
         assert not np.array_equal(table.y1, table.y2)
 
     def test_scale_about_mean_null(self):
-        table = generate_population(get_scenario("t3.sc5"), RngStream(3))
+        table = generate_population(get_scenario("t3.sc5"), RngStream(3).generator())
         assert table.y1.mean() == pytest.approx(table.y2.mean(), abs=1e-12)
 
     def test_adjusted_binary_pair_null(self):
-        table = generate_population(get_scenario("t3.sc7"), RngStream(4))
+        table = generate_population(get_scenario("t3.sc7"), RngStream(4).generator())
         assert table.y1.sum() == table.y2.sum()  # integer-exact equal means
         assert set(np.unique(table.y1)) <= {0.0, 1.0}
 
     def test_power_scenario_construction(self):
-        table = generate_population(get_scenario("t4.sc1"), RngStream(5))
+        table = generate_population(get_scenario("t4.sc1"), RngStream(5).generator())
         assert np.allclose(table.y2, table.y1 + 2.0)
 
     def test_fixed_population_is_deterministic(self):
@@ -371,7 +371,7 @@ class TestKernelMatchesStandaloneTests:
         assignment = sample_assignment(design, master.substream(1, 0))
         counts = {t: 0 for t in ("permutation", "fisher_rand", "neyman_rand")}
         for r in range(100):
-            table = generate_population(scenario, master.substream(3, r))
+            table = generate_population(scenario, master.substream(3, r).generator())
             responses = select_components(table, sample, assignment)
             obs = ObservedExperiment(sample, assignment, responses)
             stream = _mc_stream(master, "process", r)

@@ -54,32 +54,39 @@ from .simulation import (
 DEFAULT_EXACT_LIMIT = 200_000
 DEFAULT_MC_BUDGET = 1_000_000
 
-# CLI spellings of the test procedures. "all" expands to the six
-# standard ones; the population sharp null is reported as a notice since
-# its distribution is never computable from data.
-_CLI_TESTS = (
-    "permutation",
-    "wilcoxon",
-    "welch",
-    "pooled",
-    "fisher-rand",
-    "neyman-rand",
-    "neyman-sel",
-    "fisher-sel",
-    "fisher-exact",
-)
+
+def _neyman_sel(observed, design, census):
+    if census is None:
+        raise UnsupportedDesignError(
+            "the population average test needs a census; it is only "
+            "available with --design crd"
+        )
+    return neyman_selection_test(observed, census)
+
+
+# Every test by CLI spelling: (report name, resampled, build(observed,
+# design, census)). A resampling test's build returns its plan, scored on
+# one kernel call with the plans that resample the same design (see
+# _resampled_together); the others return the report, or raise, as
+# fisher-sel always does (reported as a notice). Entries call each test
+# by its global name, so a rebinding of that name reaches them.
+_TESTS = {
+    "permutation": ("permutation", True, lambda obs, design, census: permutation_plan(obs)),
+    "wilcoxon": ("wilcoxon", True, lambda obs, design, census: wilcoxon_plan(obs)),
+    "welch": ("welch_t", False, lambda obs, design, census: welch_t_test(obs)),
+    "pooled": ("pooled_t", False, lambda obs, design, census: pooled_t_test(obs)),
+    "fisher-rand": ("fisher_rand", True,
+                    lambda obs, design, census: fisher_randomization_plan(obs, design)),
+    "neyman-rand": ("neyman_rand", False,
+                    lambda obs, design, census: neyman_randomization_test(obs, design)),
+    "neyman-sel": ("neyman_sel", False, _neyman_sel),
+    "fisher-sel": ("fisher_sel", False, lambda obs, design, census:
+                   fisher_selection_test(obs, census or CensusCRD(obs.n, obs.n1))),
+    "fisher-exact": ("fisher_exact", False, lambda obs, design, census: fisher_exact_2x2(obs)),
+}
 
 # report order for --tests all: the two difference statistics first
 _ALL_ORDER = ("fisher-rand", "neyman-rand", "permutation", "wilcoxon", "welch", "pooled")
-
-# The resampling tests. permutation and wilcoxon resample the uniform CRD
-# at the observed arm sizes, fisher-rand the --design, which under
-# --design crd is that same CRD.
-_PLANS = {
-    "permutation": lambda observed, design: permutation_plan(observed),
-    "wilcoxon": lambda observed, design: wilcoxon_plan(observed),
-    "fisher-rand": fisher_randomization_plan,
-}
 
 
 def _env_seed() -> int:
@@ -119,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument(
         "--tests",
         default="all",
-        help=f"comma list from {{{','.join(_CLI_TESTS)}}} or 'all'",
+        help=f"comma list from {{{','.join(_TESTS)}}} or 'all'",
     )
     test.add_argument("--design", default="crd", help="'crd' or a JSON design file")
     test.add_argument("--engine", choices=("exact", "mc", "asymptotic"), default=None)
@@ -211,9 +218,9 @@ def _parse_test_list(raw: str) -> list:
     if not names:
         raise DataValidationError("--tests must name at least one test")
     for name in names:
-        if name not in _CLI_TESTS:
+        if name not in _TESTS:
             raise DataValidationError(
-                f"unknown test {name!r}; known: {', '.join(_CLI_TESTS)}, all"
+                f"unknown test {name!r}; known: {', '.join(_TESTS)}, all"
             )
     return names
 
@@ -225,30 +232,7 @@ def _resampled_together(names: list, start: int, design) -> list:
         return name == "fisher-rand" and not isinstance(design, UniformCRD)
 
     return [i for i in range(start, len(names))
-            if names[i] in _PLANS and own_design(names[i]) == own_design(names[start])]
-
-
-def _run_one_test(name: str, observed, design, census):
-    if name == "welch":
-        return welch_t_test(observed)
-    if name == "pooled":
-        return pooled_t_test(observed)
-    if name == "neyman-rand":
-        return neyman_randomization_test(observed, design)
-    if name == "fisher-exact":
-        return fisher_exact_2x2(observed)
-    if name == "neyman-sel":
-        if census is None:
-            raise UnsupportedDesignError(
-                "the population average test needs a census; it is only "
-                "available with --design crd"
-            )
-        return neyman_selection_test(observed, census)
-    if name == "fisher-sel":
-        # always raises: the reference distribution is not identified
-        fisher_selection_test(observed, census or CensusCRD(observed.n, observed.n1))
-        raise AssertionError("unreachable")
-    raise DataValidationError(f"unknown test {name!r}")
+            if _TESTS[names[i]][1] and own_design(names[i]) == own_design(names[start])]
 
 
 def _engine_meta(engine) -> dict:
@@ -325,6 +309,8 @@ def _test_csv(reports: list) -> str:
 
 def cmd_test(args) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
+    if not (0.0 < args.alpha <= 1.0):
+        raise DataValidationError("alpha must lie in (0, 1]")
     path = _resolve_data_path(args.data)
     loaded = load_dataset(path)
     observed = loaded.observed
@@ -340,18 +326,19 @@ def cmd_test(args) -> int:
     # first test is reached, so errors still surface in --tests order.
     resampled = {}
     for i, name in enumerate(names):
-        if name in _PLANS:
+        report_name, is_resampled, build = _TESTS[name]
+        if is_resampled:
             if i not in resampled:
                 group = _resampled_together(names, i, design)
-                plans = [_PLANS[names[j]](observed, design) for j in group]
+                plans = [_TESTS[names[j]][2](observed, design, census) for j in group]
                 resampled.update(zip(group, run_resampling_plans(plans, engine)))
             reports.append(resampled.pop(i))
             continue
         try:
-            reports.append(_run_one_test(name, observed, design, census))
+            reports.append(build(observed, design, census))
         except NoncomputableDistributionError as exc:
             notices.append(
-                {"test": name.replace("-", "_"),
+                {"test": report_name,
                  "error": "noncomputable_distribution",
                  "message": str(exc)}
             )

@@ -35,6 +35,13 @@ def bundled_dataset_path(name: str = "cellphone") -> Path:
     return Path(str(path))
 
 
+def _decoded_lines(handle, path):
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
 def load_dataset(path) -> LoadedDataset:
     path = Path(path)
     try:
@@ -46,7 +53,7 @@ def load_dataset(path) -> LoadedDataset:
     responses: list = []
     seen: dict = {}
     with handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(_decoded_lines(handle, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -220,20 +220,26 @@ class Explicit(_EqualByContent, AssignmentDesign):
         return bool(np.any(np.all(self._labels == labels, axis=1)))
 
 
+def _load_json_file(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def explicit_from_json(doc) -> Explicit:
     """Build an Explicit design from {"support": [[1,2,...],...], "probs": [...]}.
 
     Accepts a parsed document, a JSON string, or a path to a JSON file.
     """
     if isinstance(doc, os.PathLike):
-        with open(doc, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _load_json_file(doc)
     elif isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
         except json.JSONDecodeError:
-            with open(doc, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = _load_json_file(doc)
     if not isinstance(doc, dict) or "support" not in doc or "probs" not in doc:
         raise DataValidationError(
             'explicit design document must have "support" and "probs" keys'

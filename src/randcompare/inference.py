@@ -132,6 +132,34 @@ class TestReport:
         }
 
 
+# Each test's report name -> the null it addresses and the codes of the
+# model assumptions it rests on. fisher_sel never yields a report: it
+# raises, because its reference distribution is not computable.
+TESTS = {
+    "permutation": (Hypothesis.DUP, ("A1", "A2", "A3")),
+    "wilcoxon": (Hypothesis.DUP, ("A1", "A2", "A3", "A4")),
+    "welch_t": (Hypothesis.EUP, ("A1", "A2", "A3", "A5")),
+    "pooled_t": (Hypothesis.EUP, ("A1", "A2", "A3", "A6")),
+    "fisher_rand": (Hypothesis.RUs, ("B1", "B2")),
+    "neyman_rand": (Hypothesis.RAs, ("B1", "B2")),
+    "neyman_sel": (Hypothesis.RAP, ("C1", "C2")),
+    "fisher_sel": (Hypothesis.RUP, ("C1", "C2")),
+    "fisher_exact": (Hypothesis.RUs, ("B1", "B2")),
+}
+
+
+def _report(test, observed, statistic, p_value, kind, mc_stderr=None,
+             degenerate=False) -> TestReport:
+    hypothesis, assumptions = TESTS[test]
+    return TestReport(test, hypothesis, statistic, p_value, kind, mc_stderr,
+                      assumptions, observed.n1, observed.n2, degenerate)
+
+
+def _two_sided_asymptotic(test, observed, statistic, cdf_at_abs) -> TestReport:
+    p = 2.0 * (1.0 - cdf_at_abs)
+    return _report(test, observed, statistic, min(1.0, max(0.0, p)), "asymptotic")
+
+
 def _require_two_arms(observed: ObservedExperiment) -> None:
     if observed.n1 < 1 or observed.n2 < 1:
         raise InsufficientDataError("both treatment arms must be nonempty")
@@ -192,11 +220,11 @@ def resample_tails(design, columns, *, support=None, budget=None, rng=None) -> l
     return totals.tolist()
 
 
-# report name -> (hypothesis, assumptions, name in engine errors)
-_RESAMPLING = {
-    "permutation": (Hypothesis.DUP, ("A1", "A2", "A3"), "permutation test"),
-    "wilcoxon": (Hypothesis.DUP, ("A1", "A2", "A3", "A4"), "rank-sum test"),
-    "fisher_rand": (Hypothesis.RUs, ("B1", "B2"), "randomization test"),
+# how engine errors name the resampling tests
+_ENGINE_ERROR_NAMES = {
+    "permutation": "permutation test",
+    "wilcoxon": "rank-sum test",
+    "fisher_rand": "randomization test",
 }
 
 
@@ -216,30 +244,24 @@ class ResamplingPlan:
     coef: np.ndarray
     offset: float
 
-    def report(self, tails, engine) -> TestReport:
-        """The TestReport once the kernel has scored this plan's column."""
+    def report(self, tails, budget) -> TestReport:
+        """The TestReport once the kernel has scored this plan's column:
+        tails are probability masses when budget is None (exact), else
+        hit counts over budget Monte Carlo draws."""
         p, upper, lower = tails
         stderr = None
-        if isinstance(engine, MonteCarloEngine):
+        if budget is not None:
             (p, stderr), (upper, se_up), (lower, se_lo) = (
-                add_one_pvalue(t, engine.budget) for t in tails
+                add_one_pvalue(t, budget) for t in tails
             )
         if self.test == "wilcoxon":
             p = min(1.0, 2.0 * min(upper, lower))
             if stderr is not None:
                 # stderr of the doubled smaller tail, before the cap at 1
                 stderr = 2.0 * (se_up if upper <= lower else se_lo)
-        hypothesis, assumptions, _ = _RESAMPLING[self.test]
-        return TestReport(
-            test=self.test,
-            hypothesis=hypothesis,
-            statistic=self.statistic,
-            p_value=p,
-            p_value_kind="exact" if isinstance(engine, ExactEngine) else "monte_carlo",
-            mc_stderr=stderr,
-            assumptions=assumptions,
-            n1=self.observed.n1,
-            n2=self.observed.n2,
+        return _report(
+            self.test, self.observed, self.statistic, p,
+            "exact" if budget is None else "monte_carlo", stderr,
             degenerate=bool(np.ptp(self.observed.responses) == 0.0),
         )
 
@@ -250,17 +272,17 @@ def run_resampling_plans(plans, engine: PValueEngine) -> list:
     design = plans[0].design
     if not isinstance(engine, (ExactEngine, MonteCarloEngine)):
         raise DataValidationError(
-            f"{_RESAMPLING[plans[0].test][2]} supports Exact or MonteCarlo engines"
+            f"{_ENGINE_ERROR_NAMES[plans[0].test]} supports Exact or MonteCarlo engines"
         )
     if any(plan.design != design for plan in plans):
         raise ValueError("plans scored together must share one design")
     columns = [(plan.coef, plan.offset, plan.statistic) for plan in plans]
     if isinstance(engine, ExactEngine):
-        support = support_mask(design, engine.enumeration_cap)
-        tails = resample_tails(design, columns, support=support)
+        support, budget, rng = support_mask(design, engine.enumeration_cap), None, None
     else:
-        tails = resample_tails(design, columns, budget=engine.budget, rng=engine.rng)
-    return [plan.report(t, engine) for plan, t in zip(plans, tails)]
+        support, budget, rng = None, engine.budget, engine.rng
+    tails = resample_tails(design, columns, support=support, budget=budget, rng=rng)
+    return [plan.report(t, budget) for plan, t in zip(plans, tails)]
 
 
 def _difference_plan(test, observed, design, weights) -> ResamplingPlan:
@@ -313,58 +335,30 @@ def wilcoxon_test(observed: ObservedExperiment, engine: PValueEngine) -> TestRep
     return run_resampling_plans([wilcoxon_plan(observed)], engine)[0]
 
 
-def welch_t_test(observed: ObservedExperiment) -> TestReport:
-    """Unequal-variance t test of equal treatment means."""
+def _t_test(test, observed, se_of, df_of) -> TestReport:
     arm1 = observed.arm_responses(1)
     arm2 = observed.arm_responses(2)
     if len(arm1) < 2 or len(arm2) < 2:
         raise InsufficientDataError("both arms need >= 2 observations")
     v1 = sample_variance(arm1)
     v2 = sample_variance(arm2)
-    se = welch_se(v1, len(arm1), v2, len(arm2))
+    se = se_of(v1, len(arm1), v2, len(arm2))
     if se == 0.0:
         raise DegenerateDataError("zero standard error: responses carry no variation")
     t = float(arm1.mean() - arm2.mean()) / se
-    df = welch_df(v1, len(arm1), v2, len(arm2))
-    p = 2.0 * (1.0 - student_t_cdf(abs(t), df))
-    return TestReport(
-        test="welch_t",
-        hypothesis=Hypothesis.EUP,
-        statistic=t,
-        p_value=min(1.0, max(0.0, p)),
-        p_value_kind="asymptotic",
-        mc_stderr=None,
-        assumptions=("A1", "A2", "A3", "A5"),
-        n1=observed.n1,
-        n2=observed.n2,
-    )
+    df = df_of(v1, len(arm1), v2, len(arm2))
+    return _two_sided_asymptotic(test, observed, t, student_t_cdf(abs(t), df))
+
+
+def welch_t_test(observed: ObservedExperiment) -> TestReport:
+    """Unequal-variance t test of equal treatment means."""
+    return _t_test("welch_t", observed, welch_se, welch_df)
 
 
 def pooled_t_test(observed: ObservedExperiment) -> TestReport:
     """Equal-variance two-sample t test of equal treatment means."""
-    arm1 = observed.arm_responses(1)
-    arm2 = observed.arm_responses(2)
-    if len(arm1) < 2 or len(arm2) < 2:
-        raise InsufficientDataError("both arms need >= 2 observations")
-    v1 = sample_variance(arm1)
-    v2 = sample_variance(arm2)
-    se = pooled_se(v1, len(arm1), v2, len(arm2))
-    if se == 0.0:
-        raise DegenerateDataError("zero standard error: responses carry no variation")
-    t = float(arm1.mean() - arm2.mean()) / se
-    df = float(len(arm1) + len(arm2) - 2)
-    p = 2.0 * (1.0 - student_t_cdf(abs(t), df))
-    return TestReport(
-        test="pooled_t",
-        hypothesis=Hypothesis.EUP,
-        statistic=t,
-        p_value=min(1.0, max(0.0, p)),
-        p_value_kind="asymptotic",
-        mc_stderr=None,
-        assumptions=("A1", "A2", "A3", "A6"),
-        n1=observed.n1,
-        n2=observed.n2,
-    )
+    return _t_test("pooled_t", observed, pooled_se,
+                   lambda v1, n1, v2, n2: float(n1 + n2 - 2))
 
 
 def fisher_randomization_test(
@@ -379,6 +373,14 @@ def fisher_randomization_test(
     return run_resampling_plans([fisher_randomization_plan(observed, design)], engine)[0]
 
 
+def _neyman_z(test, observed, weights, se) -> TestReport:
+    """The Neyman tests' common step: z = D / se against the normal."""
+    if se == 0.0:
+        raise DegenerateDataError("zero standard error: responses carry no variation")
+    z = d_statistic(observed.responses, observed.assignment, weights) / se
+    return _two_sided_asymptotic(test, observed, z, normal_cdf(abs(z)))
+
+
 def neyman_randomization_test(
     observed: ObservedExperiment, design: AssignmentDesign
 ) -> TestReport:
@@ -386,25 +388,10 @@ def neyman_randomization_test(
     variance-bound standard error."""
     _require_two_arms(observed)
     se = neyman_se(observed, design)
-    if se == 0.0:
-        raise DegenerateDataError("zero standard error: responses carry no variation")
     weights = resolve_weights(
         AssignmentInclusionWeights(design), observed.sample, observed.assignment
     )
-    d3 = d_statistic(observed.responses, observed.assignment, weights)
-    z = d3 / se
-    p = 2.0 * (1.0 - normal_cdf(abs(z)))
-    return TestReport(
-        test="neyman_rand",
-        hypothesis=Hypothesis.RAs,
-        statistic=z,
-        p_value=min(1.0, max(0.0, p)),
-        p_value_kind="asymptotic",
-        mc_stderr=None,
-        assumptions=("B1", "B2"),
-        n1=observed.n1,
-        n2=observed.n2,
-    )
+    return _neyman_z("neyman_rand", observed, weights, se)
 
 
 def neyman_selection_test(
@@ -426,23 +413,8 @@ def neyman_selection_test(
     weights = resolve_weights(
         SelectionInclusionWeights(design), observed.sample, observed.assignment
     )
-    d23 = d_statistic(observed.responses, observed.assignment, weights)
     se = neyman_se(observed, census.assignment_design())
-    if se == 0.0:
-        raise DegenerateDataError("zero standard error: responses carry no variation")
-    z = d23 / se
-    p = 2.0 * (1.0 - normal_cdf(abs(z)))
-    return TestReport(
-        test="neyman_sel",
-        hypothesis=Hypothesis.RAP,
-        statistic=z,
-        p_value=min(1.0, max(0.0, p)),
-        p_value_kind="asymptotic",
-        mc_stderr=None,
-        assumptions=("C1", "C2"),
-        n1=observed.n1,
-        n2=observed.n2,
-    )
+    return _neyman_z("neyman_sel", observed, weights, se)
 
 
 def fisher_selection_test(
@@ -487,15 +459,5 @@ def fisher_exact_2x2(observed: ObservedExperiment) -> TestReport:
     total = math.comb(n, n1)
     w_obs = weights[k_obs]
     numer = sum(w for w in weights.values() if w <= w_obs)
-    return TestReport(
-        test="fisher_exact",
-        hypothesis=Hypothesis.RUs,
-        statistic=float(k_obs),
-        p_value=numer / total,
-        p_value_kind="exact",
-        mc_stderr=None,
-        assumptions=("B1", "B2"),
-        n1=observed.n1,
-        n2=observed.n2,
-        degenerate=bool(np.ptp(r) == 0.0),
-    )
+    return _report("fisher_exact", observed, float(k_obs), numer / total, "exact",
+                   degenerate=bool(np.ptp(r) == 0.0))

@@ -13,6 +13,13 @@ replicate; the "process" row fixes the assignment and redraws the
 potential table. Rejection rates are reported in percent with the
 binomial standard error sqrt(r(100 - r) / replicates).
 
+Each replicate runs the library's own tests. The permutation and
+rank-sum plans are scored on one resample_tails call, over the cached
+support under exact_small or else one Monte Carlo batch, and read
+through ResamplingPlan.report. fisher_rand resamples the permutation
+statistic over the same uniform CRD and takes its p-value; binary
+scenarios read that p-value from an exact table and report no rank sum.
+
 Reproducibility contract: replicate r of the randomization row consumes
 substreams (2, r) for data and (4, 0, r) for the per-replicate Monte
 Carlo batch; the process row uses (3, r) and (4, 1, r); the fixed table
@@ -47,20 +54,13 @@ from .errors import (
 )
 from .inference import (
     MC_CHUNK,
-    add_one_pvalue,
     neyman_randomization_test,
+    permutation_plan,
     pooled_t_test,
     resample_tails,
     support_mask,
     welch_t_test,
-)
-from .stats import (
-    ArmSizeWeights,
-    d_affine_form,
-    d_statistic,
-    rank_midranks,
-    rank_sum_statistic,
-    resolve_weights,
+    wilcoxon_plan,
 )
 
 # Everything below 100 belongs to the bulk mixture component, everything
@@ -626,7 +626,6 @@ class _RowPlan:
     row: str
     design: UniformCRD
     sample: SampleVector
-    weight_table: np.ndarray
     alpha: float
     tests: tuple
     master: RngStream
@@ -637,43 +636,31 @@ class _RowPlan:
     fixed_assignment: Optional[AssignmentVector] = None
 
 
-def _resampling_pvalues(plan: _RowPlan, responses, assignment, replicate: int):
-    """p-values of the three resampling tests for one replicate.
-
-    Matches the standalone test functions exactly: both statistics are
-    scored by the same resampling kernel on one shared batch, drawn from
-    a fresh generator on substream (4, row, replicate), which is the same
-    construction MonteCarloEngine applies.
-    """
+def _resampling_pvalues(plan: _RowPlan, observed: ObservedExperiment, replicate: int) -> dict:
+    """p-values of the resampling tests for one replicate; the rank sum's
+    is None on binary responses. fisher_rand resamples the permutation
+    statistic over the same uniform CRD, so the two share a p-value."""
     if plan.scenario.binary:
-        p_d = _binary_exact_pvalue(responses, assignment.labels, plan.design.n1)
-        return p_d, None
-    d_obs = d_statistic(responses, assignment, plan.weight_table)
-    coef, offset = d_affine_form(responses, plan.weight_table)
-    ranks = rank_midranks(responses)
-    w_obs = rank_sum_statistic(ranks, assignment)
-    columns = ((coef, offset, d_obs), (ranks, 0.0, w_obs))
-    if plan.support is not None:
-        tails = resample_tails(plan.design, columns, support=plan.support)
-    else:
-        row_code = 0 if plan.row == "randomization" else 1
-        rng = plan.master.substream(4, row_code, replicate)
-        counts = resample_tails(plan.design, columns, budget=plan.mc_budget, rng=rng)
-        tails = [[add_one_pvalue(c, plan.mc_budget)[0] for c in col] for col in counts]
-    (p_d, _, _), (_, up, lo) = tails
-    return p_d, min(1.0, 2.0 * min(up, lo))
+        p_d = _binary_exact_pvalue(
+            observed.responses, observed.assignment.labels, plan.design.n1
+        )
+        return {"permutation": p_d, "fisher_rand": p_d, "wilcoxon": None}
+    plans = (permutation_plan(observed), wilcoxon_plan(observed))
+    columns = [(p.coef, p.offset, p.statistic) for p in plans]
+    budget = None if plan.support is not None else plan.mc_budget
+    rng = plan.master.substream(4, 0 if plan.row == "randomization" else 1, replicate)
+    tails = resample_tails(plan.design, columns, support=plan.support, budget=budget, rng=rng)
+    p_d, p_w = (p.report(t, budget).p_value for p, t in zip(plans, tails))
+    return {"permutation": p_d, "fisher_rand": p_d, "wilcoxon": p_w}
 
 
-def _closed_form_pvalue(kind: str, observed: ObservedExperiment, design) -> float:
-    # degenerate draws (constant responses) cannot reject
-    try:
-        if kind == "welch_t":
-            return welch_t_test(observed).p_value
-        if kind == "pooled_t":
-            return pooled_t_test(observed).p_value
-        return neyman_randomization_test(observed, design).p_value
-    except DegenerateDataError:
-        return 1.0
+# The closed-form tests of the suite. Each entry calls the test through
+# this module's global name, so a rebinding of that name reaches it.
+_CLOSED_FORM = {
+    "welch_t": lambda observed, design: welch_t_test(observed),
+    "pooled_t": lambda observed, design: pooled_t_test(observed),
+    "neyman_rand": lambda observed, design: neyman_randomization_test(observed, design),
+}
 
 
 def _one_replicate(plan: _RowPlan, replicate: int) -> np.ndarray:
@@ -688,21 +675,17 @@ def _one_replicate(plan: _RowPlan, replicate: int) -> np.ndarray:
     observed = ObservedExperiment(
         sample=plan.sample, assignment=assignment, responses=responses
     )
-    p_d, p_w = _resampling_pvalues(plan, responses, assignment, replicate)
+    resampled = _resampling_pvalues(plan, observed, replicate)
     out = np.zeros(len(plan.tests), dtype=np.int8)
     for i, test in enumerate(plan.tests):
-        if test in ("permutation", "fisher_rand"):
-            p = p_d
-        elif test == "wilcoxon":
-            if p_w is None:
-                out[i] = -1
-                continue
-            p = p_w
-        elif test in ("welch_t", "pooled_t", "neyman_rand"):
-            p = _closed_form_pvalue(test, observed, plan.design)
+        if test in _CLOSED_FORM:
+            try:
+                p = _CLOSED_FORM[test](observed, plan.design).p_value
+            except DegenerateDataError:
+                p = 1.0  # a draw with no variation cannot reject
         else:
-            raise DataValidationError(f"unknown test name {test!r}")
-        out[i] = 1 if p <= plan.alpha else 0
+            p = resampled[test]
+        out[i] = -1 if p is None else p <= plan.alpha
     return out
 
 
@@ -736,6 +719,8 @@ def run_size_power(
     for test in test_suite:
         if test not in DEFAULT_TEST_SUITE:
             raise DataValidationError(f"unknown test name {test!r}")
+    if threads < 1:
+        raise DataValidationError("threads must be >= 1")
     if rng is None:
         raise DataValidationError("a seeded RngStream is required")
     master = rng
@@ -746,8 +731,6 @@ def run_size_power(
     if budget > MC_CHUNK:
         raise DataValidationError(f"per-replicate budget above {MC_CHUNK} unsupported")
     support = support_mask(design) if exact_small and not scenario.binary else None
-    probe = AssignmentVector.two_arms(scenario.n1, scenario.n2)
-    weight_table = resolve_weights(ArmSizeWeights(), sample, probe)
 
     estimates: list = []
     for row in rows:
@@ -756,7 +739,6 @@ def run_size_power(
             row=row,
             design=design,
             sample=sample,
-            weight_table=weight_table,
             alpha=alpha,
             tests=tuple(test_suite),
             master=master,
@@ -888,6 +870,13 @@ def _toml_subset_loads(text, path):
     return doc
 
 
+def _integer(value, key, path) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise DataValidationError(f"{path}: {key} must be an integer, got {value!r}") from None
+
+
 def load_scenario_file(path) -> Scenario:
     """A scenario from a declarative JSON or TOML key-value file."""
     path = Path(path)
@@ -918,15 +907,19 @@ def load_scenario_file(path) -> Scenario:
         raise DataValidationError(f"{path}: top level must be a mapping")
     try:
         name = doc["name"]
-        n1 = int(doc["n1"])
-        n2 = int(doc["n2"])
+        n1 = _integer(doc["n1"], "n1", path)
+        n2 = _integer(doc["n2"], "n2", path)
         law = _build_from_spec(doc["law"], _LAW_KINDS, "law")
     except KeyError as exc:
         raise DataValidationError(f"{path}: missing required key {exc}") from None
     effect = None
     if "effect" in doc:
         effect = _build_from_spec(doc["effect"], _EFFECT_KINDS, "effect")
-    truth = tuple(Hypothesis(tag) for tag in doc.get("hypothesis_truth", ()))
+    try:
+        truth = tuple(Hypothesis(tag) for tag in doc.get("hypothesis_truth", ()))
+    except ValueError as exc:
+        known = ", ".join(h.value for h in Hypothesis)
+        raise DataValidationError(f"{path}: {exc}; known: {known}") from None
     fixed_y = None
     if "fixed_y" in doc:
         block = doc["fixed_y"]

@@ -331,6 +331,10 @@ class TestGroupedResampling:
         assert "rank-sum test supports" in capsys.readouterr().err
 
 
+SCENARIO = {"name": "demo", "n1": 5, "n2": 5, "law": {"kind": "normal", "mean": 0, "sd": 1},
+            "effect": {"kind": "identity"}}
+
+
 class TestExitCodes:
     def test_duplicate_unit_id_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -352,6 +356,41 @@ class TestExitCodes:
                           "--alpha", "1.5")
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_2(self, threads, capsys):
+        code, out = run_cli("simulate", "t3.sc1", "--replicates", "100",
+                            "--threads", threads, "--format", "json")
+        assert (code, out) == (2, "")
+        assert "threads must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["0", "-0.5", "1.5", "7", "nan"])
+    def test_test_alpha_outside_unit_interval_is_2(self, alpha, capsys):
+        code, out = run_cli("test", "--data", "cellphone", "--tests", "welch",
+                            "--alpha", alpha, "--format", "json")
+        assert (code, out) == (2, "")
+        assert "alpha must lie in (0, 1]" in capsys.readouterr().err
+
+    def test_test_alpha_one_runs(self):
+        code, out = run_cli("test", "--data", "cellphone", "--tests", "welch",
+                            "--alpha", "1", "--format", "json")
+        assert code == 0
+        jsonschema.validate(json.loads(out), SCHEMAS["test_report"])
+
+    @pytest.mark.parametrize("filename, content, command", [
+        ("design.json", b'{"support": [[1, 2]', ("test", "--data", "cellphone", "--design")),
+        ("data.csv", b"unit_id,treatment,response\n1,1,3\n2,2,\xff\n", ("test", "--data")),
+        ("n1.json", json.dumps({**SCENARIO, "n1": "five"}).encode(),
+         ("simulate", "--replicates", "100")),
+        ("truth.json", json.dumps({**SCENARIO, "hypothesis_truth": ["UP", "XX"]}).encode(),
+         ("simulate", "--replicates", "100")),
+    ], ids=["design_not_json", "data_not_utf8", "n1_not_integer", "unknown_hypothesis"])
+    def test_malformed_input_file_is_2(self, tmp_path, capsys, filename, content, command):
+        path = tmp_path / filename
+        path.write_bytes(content)
+        code, _ = run_cli(*command, str(path))
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_unknown_test_name_is_2(self, capsys):
         code, _ = run_cli("test", "--data", "cellphone.csv", "--tests", "anova")
@@ -475,6 +514,20 @@ class TestValidateCommand:
         code, _ = run_cli("validate", "--data", str(bad))
         assert code == 2
         assert "treatment" in capsys.readouterr().err
+
+
+def test_table_names_each_report(tmp_path):
+    """Each CLI spelling yields a report, or a notice, under its report name."""
+    data = tmp_path / "binary.csv"
+    data.write_text("unit_id,treatment,response\n1,1,1\n2,1,0\n3,1,1\n"
+                    "4,2,0\n5,2,0\n6,2,1\n")
+    for spelling, (report_name, _, _) in randcompare.cli._TESTS.items():
+        code, out = run_cli("test", "--data", str(data), "--tests", spelling,
+                            "--format", "json")
+        assert code == 0, spelling
+        doc = json.loads(out)
+        [entry] = doc["reports"] + doc["notices"]
+        assert entry["test"] == report_name
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

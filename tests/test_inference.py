@@ -40,9 +40,17 @@ from randcompare import (
     welch_t_test,
     wilcoxon_test,
 )
+import randcompare.cli
 import randcompare.inference
 from randcompare.designs import sample_assignment_batch
-from randcompare.inference import fisher_randomization_plan, run_resampling_plans
+from randcompare.inference import (
+    TESTS,
+    fisher_randomization_plan,
+    permutation_plan,
+    run_resampling_plans,
+    wilcoxon_plan,
+)
+from randcompare.simulation import DEFAULT_TEST_SUITE
 
 
 def random_instance(gen, n_lo=4, n_hi=9):
@@ -416,3 +424,56 @@ class TestFisherExact2x2:
         assert doc["hypothesis"] == "DUP"
         assert doc["p_value"] == report.p_value
         assert doc["assumptions"] == ["A1", "A2", "A3"]
+
+
+class TestCatalogue:
+    """Each test's null and assumptions are written once, in TESTS."""
+
+    def test_every_report_carries_its_entry(self, six_obs):
+        design = UniformCRD(6, 3)
+        census = CensusCRD(6, 3)
+        binary = ObservedExperiment.from_arms([1.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+        engines = (ExactEngine(), MonteCarloEngine(1000, RngStream(0)))
+        reports = [
+            *(permutation_test(six_obs, e) for e in engines),
+            *(wilcoxon_test(six_obs, e) for e in engines),
+            *(fisher_randomization_test(six_obs, design, e) for e in engines),
+            welch_t_test(six_obs),
+            pooled_t_test(six_obs),
+            neyman_randomization_test(six_obs, design),
+            neyman_selection_test(six_obs, census),
+            fisher_exact_2x2(binary),
+        ]
+        assert {r.test for r in reports} == set(TESTS) - {"fisher_sel"}
+        for report in reports:
+            assert (report.hypothesis, report.assumptions) == TESTS[report.test]
+        with pytest.raises(NoncomputableDistributionError):
+            fisher_selection_test(six_obs, census)
+
+    def test_suites_name_only_catalogue_tests(self):
+        cli_tests = randcompare.cli._TESTS
+        assert set(DEFAULT_TEST_SUITE) <= set(TESTS)
+        assert {cli_tests[name][0] for name in randcompare.cli._ALL_ORDER} <= set(TESTS)
+        assert {report_name for report_name, _, _ in cli_tests.values()} == set(TESTS)
+
+    # p-values and stderrs of the reports at the parent commit, whose
+    # report() took the engine instead of its budget
+    @pytest.mark.parametrize("engine, budget, expected", [
+        (MonteCarloEngine(2000, RngStream(7)), 2000,
+         {"permutation": (0.5092453773113443, 0.011178428400235226),
+          "wilcoxon": (0.5087456271864068, 0.019476513306949002)}),
+        (ExactEngine(), None, {"permutation": (0.5, None), "wilcoxon": (0.5, None)}),
+    ], ids=["monte_carlo", "exact"])
+    def test_plan_report_takes_the_budget(self, six_obs, engine, budget, expected):
+        plans = [permutation_plan(six_obs), wilcoxon_plan(six_obs)]
+        design = plans[0].design
+        columns = [(p.coef, p.offset, p.statistic) for p in plans]
+        if budget is None:
+            tails = resample_tails(design, columns, support=support_mask(design))
+        else:
+            tails = resample_tails(design, columns, budget=budget, rng=RngStream(7))
+        reports = [plan.report(t, budget) for plan, t in zip(plans, tails)]
+        assert reports == run_resampling_plans(plans, engine)
+        for report in reports:
+            assert (report.p_value, report.mc_stderr) == expected[report.test]
+            assert report.p_value_kind == ("exact" if budget is None else "monte_carlo")

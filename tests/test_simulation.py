@@ -268,6 +268,11 @@ class TestRunSizePower:
         with pytest.raises(UnknownScenarioError):
             run_size_power("t3.sc99", replicates=100, rng=RngStream(0))
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one(self, threads):
+        with pytest.raises(DataValidationError, match="threads must be >= 1"):
+            run_size_power("t3.sc1", replicates=100, rng=RngStream(0), threads=threads)
+
     def test_estimate_bookkeeping(self):
         estimates = run_size_power("t3.sc1", replicates=100, rng=RngStream(3))
         assert len(estimates) == 12  # 6 tests x 2 rows
@@ -316,7 +321,8 @@ def _mc_stream(master, row, replicate):
 
 
 class TestKernelMatchesStandaloneTests:
-    """The harness's inlined per-replicate p-values must agree with the
+    """The harness scores the tests' own plans on its cached support or
+    its own substreams; its per-replicate p-values must agree with the
     public test functions replicate by replicate, not just on average."""
 
     def test_randomization_row_mc(self):

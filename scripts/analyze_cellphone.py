@@ -3,8 +3,10 @@
 
 Runs every applicable procedure on the 64-participant dataset with a
 seeded million-draw resampling engine and prints one line per test.
-The two resampling tests share one label stream, so their p-values
-coincide exactly; this is a property of the design, not a shortcut.
+The three resampling tests are scored on one set of draws, as
+`randcompare test --tests all` scores them, so the Fisher randomization
+and permutation p-values coincide exactly; this is a property of the
+design, not a shortcut.
 """
 import argparse
 import sys
@@ -15,13 +17,16 @@ from randcompare import (
     RngStream,
     UniformCRD,
     bundled_dataset_path,
-    fisher_randomization_test,
     load_dataset,
     neyman_randomization_test,
-    permutation_test,
     pooled_t_test,
     welch_t_test,
-    wilcoxon_test,
+)
+from randcompare.inference import (
+    fisher_randomization_plan,
+    permutation_plan,
+    run_resampling_plans,
+    wilcoxon_plan,
 )
 from randcompare.stats import ArmSizeWeights, d_statistic, neyman_se, resolve_weights
 
@@ -55,11 +60,15 @@ def main(argv=None):
 
     engine = MonteCarloEngine(args.mc, RngStream(args.seed))
     t0 = time.perf_counter()
+    fisher, permutation, wilcoxon = run_resampling_plans(
+        [fisher_randomization_plan(obs, design), permutation_plan(obs), wilcoxon_plan(obs)],
+        engine,
+    )
     reports = [
-        fisher_randomization_test(obs, design, engine),
+        fisher,
         neyman_randomization_test(obs, design),
-        permutation_test(obs, engine),
-        wilcoxon_test(obs, engine),
+        permutation,
+        wilcoxon,
         welch_t_test(obs),
         pooled_t_test(obs),
     ]

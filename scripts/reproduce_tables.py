@@ -11,9 +11,13 @@ import argparse
 import csv
 import sys
 
-from randcompare import REFERENCE_RATES, RngStream, known_scenarios, run_size_power
-
-TESTS = ("permutation", "wilcoxon", "welch_t", "pooled_t", "fisher_rand", "neyman_rand")
+from randcompare import (
+    DEFAULT_TEST_SUITE,
+    REFERENCE_RATES,
+    RngStream,
+    known_scenarios,
+    run_size_power,
+)
 
 
 def build_parser():
@@ -52,9 +56,9 @@ def main(argv=None):
         )
         by_key = {(e.row, e.test_name): e for e in estimates}
         print(f"\n{sid}  ({args.replicates} replicates, seed {args.seed})")
-        print(f"{'row':<15}{'':<6}" + "".join(f"{t:>13}" for t in TESTS))
+        print(f"{'row':<15}{'':<6}" + "".join(f"{t:>13}" for t in DEFAULT_TEST_SUITE))
         for row in ("randomization", "process"):
-            got = [by_key[(row, t)].rejection_rate for t in TESTS]
+            got = [by_key[(row, t)].rejection_rate for t in DEFAULT_TEST_SUITE]
             ref = REFERENCE_RATES[sid][row]
             diff = [
                 None if (g is None or r is None) else g - r
@@ -65,7 +69,7 @@ def main(argv=None):
             print(f"{'':<15}{'diff':<6}" + "".join(
                 "           NA" if d is None else f"{d:+13.1f}" for d in diff
             ))
-            for test, g, r in zip(TESTS, got, ref):
+            for test, g, r in zip(DEFAULT_TEST_SUITE, got, ref):
                 csv_rows.append({
                     "scenario": sid, "row": row, "test": test,
                     "rate": "" if g is None else g,

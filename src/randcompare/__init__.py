@@ -26,12 +26,7 @@ from .designs import (
     UniformCRD,
     binomial_coefficient,
     check_both_arm_inclusion,
-    enumerate_support,
     explicit_from_json,
-    first_order_inclusion,
-    inclusion_table,
-    joint_first_order_inclusion,
-    reduces_to_census,
     sample_assignment,
     support_label_matrix,
 )
@@ -93,8 +88,6 @@ from .simulation import (
 from .special import erfc, normal_cdf, regularized_incomplete_beta, student_t_cdf
 from .stats import (
     ArmSizeWeights,
-    AssignmentInclusionWeights,
-    SelectionInclusionWeights,
     d_affine_form,
     d_statistic,
     neyman_se,

@@ -225,11 +225,11 @@ def _parse_test_list(raw: str) -> list:
     return names
 
 
-def _resampled_together(names: list, start: int, design) -> list:
+def _resampled_together(names: list, start: int, crd: bool) -> list:
     """Positions, from start on, of the resampling tests that resample the
     same design as names[start] and so share one kernel call."""
     def own_design(name):
-        return name == "fisher-rand" and not isinstance(design, UniformCRD)
+        return name == "fisher-rand" and not crd
 
     return [i for i in range(start, len(names))
             if _TESTS[names[i]][1] and own_design(names[i]) == own_design(names[start])]
@@ -314,10 +314,9 @@ def cmd_test(args) -> int:
     path = _resolve_data_path(args.data)
     loaded = load_dataset(path)
     observed = loaded.observed
+    crd = args.design == "crd"
     design = _resolve_design(args.design, observed)
-    census = (
-        CensusCRD(observed.n, observed.n1) if isinstance(design, UniformCRD) else None
-    )
+    census = CensusCRD(observed.n, observed.n1) if crd else None
     engine = _resolve_engine(args, design, seed)
     names = _parse_test_list(args.tests)
     reports = []
@@ -329,7 +328,7 @@ def cmd_test(args) -> int:
         report_name, is_resampled, build = _TESTS[name]
         if is_resampled:
             if i not in resampled:
-                group = _resampled_together(names, i, design)
+                group = _resampled_together(names, i, crd)
                 plans = [_TESTS[names[j]][2](observed, design, census) for j in group]
                 resampled.update(zip(group, run_resampling_plans(plans, engine)))
             reports.append(resampled.pop(i))

@@ -4,8 +4,7 @@ randomization- and selection-based inference.
 An assignment design is the distribution of the treatment-label vector
 T given the sample; a selection design is the joint distribution of
 (sample, assignment). Each design class carries its own views: inclusion
-probabilities, the enumerated support and seeded draws. The module
-functions below are the entry points the tests go through.
+probabilities, weight tables, the enumerated support and seeded draws.
 """
 from __future__ import annotations
 
@@ -102,6 +101,15 @@ class AssignmentDesign:
     """
 
     n: int
+
+    def weight_table(self, sample: SampleVector) -> np.ndarray:
+        """n times the inclusion probabilities: the (2, n) weights that
+        make D unbiased for the sample-level effect."""
+        if self.n != sample.n:
+            raise DesignInvalidError(
+                f"design is for n={self.n} but the data have n={sample.n}"
+            )
+        return sample.n * self.inclusion_table()
 
 
 @dataclass(frozen=True)
@@ -248,32 +256,9 @@ def explicit_from_json(doc) -> Explicit:
     return Explicit(support=support, probs=np.asarray(doc["probs"], float))
 
 
-def first_order_inclusion(design: AssignmentDesign, t: int, j: int) -> float:
-    """P(position j receives treatment t) under the design; j is 1-based."""
-    if t not in (1, 2):
-        raise DataValidationError("treatment label must be 1 or 2")
-    if not (1 <= j <= design.n):
-        raise DataValidationError(f"position {j} outside 1..{design.n}")
-    pi = float(design.inclusion_table()[t - 1, j - 1])
-    if pi <= 0.0:
-        raise DesignInvalidError(
-            f"zero inclusion probability for treatment {t} at position {j}"
-        )
-    return pi
-
-
-def inclusion_table(design: AssignmentDesign) -> np.ndarray:
-    """(2, n) table of first-order inclusion probabilities.
-
-    Unlike first_order_inclusion this does not raise on zeros; callers
-    that need strict positivity check it themselves.
-    """
-    return design.inclusion_table()
-
-
 def check_both_arm_inclusion(design: AssignmentDesign) -> None:
     """Raise unless every position can receive either treatment."""
-    table = inclusion_table(design)
+    table = design.inclusion_table()
     if np.any(table <= 0.0):
         t, j = np.argwhere(table <= 0.0)[0]
         raise DesignInvalidError(
@@ -293,13 +278,6 @@ def support_label_matrix(design: AssignmentDesign, cap: int = ENUMERATION_CAP):
             cap=cap,
         )
     return design.support_labels()
-
-
-def enumerate_support(design: AssignmentDesign, cap: int = ENUMERATION_CAP):
-    """Yield every (AssignmentVector, probability) support point once."""
-    labels, probs = support_label_matrix(design, cap)
-    for row, prob in zip(labels, probs):
-        yield AssignmentVector(row), float(prob)
 
 
 def sample_assignment(design: AssignmentDesign, rng: RngStream) -> AssignmentVector:
@@ -442,22 +420,3 @@ class ExplicitJoint(_EqualByContent, SelectionDesign):
         if any(abs(p - uniform) > 1e-9 for p in assignment_probs.values()):
             return None
         return CensusCRD(n_population=n, n1=n1)
-
-
-def joint_first_order_inclusion(design: SelectionDesign, t: int, unit: int) -> float:
-    """P(unit enters the sample and receives treatment t)."""
-    if t not in (1, 2):
-        raise DataValidationError("treatment label must be 1 or 2")
-    if not (1 <= unit <= design.n_population):
-        raise DataValidationError(f"unit {unit} outside 1..{design.n_population}")
-    pi = float(design.unit_inclusion_table()[t - 1, unit - 1])
-    if pi <= 0.0:
-        raise DesignInvalidError(
-            f"zero joint inclusion probability for treatment {t}, unit {unit}"
-        )
-    return pi
-
-
-def reduces_to_census(design: SelectionDesign) -> CensusCRD | None:
-    """CensusCRD equivalent of the design, or None if there is none."""
-    return design.census() if isinstance(design, SelectionDesign) else None

@@ -28,7 +28,6 @@ from .designs import (
     SelectionDesign,
     UniformCRD,
     check_both_arm_inclusion,
-    reduces_to_census,
     sample_assignment_batch,
     support_label_matrix,
 )
@@ -43,8 +42,6 @@ from .errors import (
 from .special import normal_cdf, student_t_cdf
 from .stats import (
     ArmSizeWeights,
-    AssignmentInclusionWeights,
-    SelectionInclusionWeights,
     d_affine_form,
     d_statistic,
     neyman_se,
@@ -316,9 +313,7 @@ def fisher_randomization_plan(
     difference statistic over the design's support."""
     _require_two_arms(observed)
     check_both_arm_inclusion(design)
-    weights = resolve_weights(
-        AssignmentInclusionWeights(design), observed.sample, observed.assignment
-    )
+    weights = resolve_weights(design, observed.sample, observed.assignment)
     if not design.contains(observed.assignment.labels):
         raise DesignInvalidError(design.outside_support)
     return _difference_plan("fisher_rand", observed, design, weights)
@@ -388,9 +383,7 @@ def neyman_randomization_test(
     variance-bound standard error."""
     _require_two_arms(observed)
     se = neyman_se(observed, design)
-    weights = resolve_weights(
-        AssignmentInclusionWeights(design), observed.sample, observed.assignment
-    )
+    weights = resolve_weights(design, observed.sample, observed.assignment)
     return _neyman_z("neyman_rand", observed, weights, se)
 
 
@@ -404,15 +397,13 @@ def neyman_selection_test(
     and the statistic coincides with the randomization-based one.
     """
     _require_two_arms(observed)
-    census = reduces_to_census(design)
+    census = design.census() if isinstance(design, SelectionDesign) else None
     if census is None:
         raise UnsupportedDesignError(
             "the selection-based variance estimator is only defined for "
             "designs that reduce to a census with uniform CRD assignment"
         )
-    weights = resolve_weights(
-        SelectionInclusionWeights(design), observed.sample, observed.assignment
-    )
+    weights = resolve_weights(design, observed.sample, observed.assignment)
     se = neyman_se(observed, census.assignment_design())
     return _neyman_z("neyman_sel", observed, weights, se)
 
@@ -435,6 +426,15 @@ def fisher_selection_test(
     )
 
 
+def hypergeometric_counts(n: int, n1: int, m: int) -> dict:
+    """{k: C(m, k) * C(n - m, n1 - k)}, k increasing: how many of the C(n, n1)
+    arm-1 sets hold k of the m successes among n units."""
+    return {
+        k: math.comb(m, k) * math.comb(n - m, n1 - k)
+        for k in range(max(0, m - (n - n1)), min(n1, m) + 1)
+    }
+
+
 def fisher_exact_2x2(observed: ObservedExperiment) -> TestReport:
     """Exact-conditional test for binary responses via the hypergeometric
     law of the arm-1 success count.
@@ -451,11 +451,7 @@ def fisher_exact_2x2(observed: ObservedExperiment) -> TestReport:
     n1 = observed.n1
     m = int(round(float(r.sum())))
     k_obs = int(round(float(observed.arm_responses(1).sum())))
-    k_lo = max(0, n1 - (n - m))
-    k_hi = min(n1, m)
-    weights = {
-        k: math.comb(m, k) * math.comb(n - m, n1 - k) for k in range(k_lo, k_hi + 1)
-    }
+    weights = hypergeometric_counts(n, n1, m)
     total = math.comb(n, n1)
     w_obs = weights[k_obs]
     numer = sum(w for w in weights.values() if w <= w_obs)

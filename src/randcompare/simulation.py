@@ -54,6 +54,7 @@ from .errors import (
 )
 from .inference import (
     MC_CHUNK,
+    hypergeometric_counts,
     neyman_randomization_test,
     permutation_plan,
     pooled_t_test,
@@ -597,19 +598,14 @@ def _binary_abs_tail(n: int, n1: int, m: int) -> tuple:
     |statistic| ordering is an exact integer ordering and the tail mass
     is a ratio of binomial-coefficient sums; no roundoff enters.
     """
-    n2 = n - n1
-    k_lo = max(0, m - n2)
-    k_hi = min(n1, m)
-    weights = {
-        k: math.comb(m, k) * math.comb(n - m, n1 - k) for k in range(k_lo, k_hi + 1)
-    }
+    weights = hypergeometric_counts(n, n1, m)
     total = math.comb(n, n1)
-    out = {}
+    tails = []
     for k0 in weights:
         c0 = abs(k0 * n - m * n1)
         numer = sum(w for k, w in weights.items() if abs(k * n - m * n1) >= c0)
-        out[k0] = numer / total
-    return (k_lo, tuple(out[k] for k in range(k_lo, k_hi + 1)))
+        tails.append(numer / total)
+    return (min(weights), tuple(tails))
 
 
 def _binary_exact_pvalue(responses: np.ndarray, labels: np.ndarray, n1: int) -> float:
@@ -675,7 +671,9 @@ def _one_replicate(plan: _RowPlan, replicate: int) -> np.ndarray:
     observed = ObservedExperiment(
         sample=plan.sample, assignment=assignment, responses=responses
     )
-    resampled = _resampling_pvalues(plan, observed, replicate)
+    resampled = {}
+    if not set(plan.tests) <= _CLOSED_FORM.keys():
+        resampled = _resampling_pvalues(plan, observed, replicate)
     out = np.zeros(len(plan.tests), dtype=np.int8)
     for i, test in enumerate(plan.tests):
         if test in _CLOSED_FORM:
@@ -809,7 +807,17 @@ _EFFECT_KINDS = {
 }
 
 
-def _build_from_spec(table, kinds, what):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _expect(ok, path, key, kind, value) -> None:
+    """Unless ok, raise that key in the scenario file at path must be of kind."""
+    if not ok:
+        raise DataValidationError(f"{path}: {key} must be {kind}, got {value!r}")
+
+
+def _build_from_spec(table, kinds, what, path):
     if not isinstance(table, dict) or "kind" not in table:
         raise DataValidationError(f"{what} must be a mapping with a 'kind' key")
     kind = table["kind"]
@@ -824,6 +832,8 @@ def _build_from_spec(table, kinds, what):
     missing = [p for p in params if p not in table]
     if missing:
         raise DataValidationError(f"{what} {kind!r} missing parameters: {missing}")
+    for p in params:
+        _expect(_is_number(table[p]), path, f"{what} parameter {p!r}", "a number", table[p])
     return cls(**{p: table[p] for p in params})
 
 
@@ -871,10 +881,9 @@ def _toml_subset_loads(text, path):
 
 
 def _integer(value, key, path) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise DataValidationError(f"{path}: {key} must be an integer, got {value!r}") from None
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    _expect(integral and not isinstance(value, bool), path, key, "an integer", value)
+    return int(value)
 
 
 def load_scenario_file(path) -> Scenario:
@@ -909,14 +918,16 @@ def load_scenario_file(path) -> Scenario:
         name = doc["name"]
         n1 = _integer(doc["n1"], "n1", path)
         n2 = _integer(doc["n2"], "n2", path)
-        law = _build_from_spec(doc["law"], _LAW_KINDS, "law")
+        law = _build_from_spec(doc["law"], _LAW_KINDS, "law", path)
     except KeyError as exc:
         raise DataValidationError(f"{path}: missing required key {exc}") from None
     effect = None
     if "effect" in doc:
-        effect = _build_from_spec(doc["effect"], _EFFECT_KINDS, "effect")
+        effect = _build_from_spec(doc["effect"], _EFFECT_KINDS, "effect", path)
+    tags = doc.get("hypothesis_truth", [])
+    _expect(isinstance(tags, list), path, "hypothesis_truth", "a list", tags)
     try:
-        truth = tuple(Hypothesis(tag) for tag in doc.get("hypothesis_truth", ()))
+        truth = tuple(Hypothesis(tag) for tag in tags)
     except ValueError as exc:
         known = ", ".join(h.value for h in Hypothesis)
         raise DataValidationError(f"{path}: {exc}; known: {known}") from None
@@ -925,7 +936,15 @@ def load_scenario_file(path) -> Scenario:
         block = doc["fixed_y"]
         if not isinstance(block, dict) or "y1" not in block or "y2" not in block:
             raise DataValidationError(f"{path}: fixed_y needs 'y1' and 'y2' arrays")
+        for key in ("y1", "y2"):
+            _expect(isinstance(block[key], list) and all(map(_is_number, block[key])),
+                    path, f"fixed_y {key}", "an array of numbers", block[key])
         fixed_y = _table(block["y1"], block["y2"])
+    large_count = doc.get("fixed_large_count")
+    if large_count is not None:
+        large_count = _integer(large_count, "fixed_large_count", path)
+    adjust = doc.get("adjust_equal_means", False)
+    _expect(isinstance(adjust, bool), path, "adjust_equal_means", "true or false", adjust)
     return Scenario(
         name=name,
         n1=n1,
@@ -934,7 +953,7 @@ def load_scenario_file(path) -> Scenario:
         effect=effect,
         hypothesis_truth=truth,
         fixed_y=fixed_y,
-        fixed_large_count=doc.get("fixed_large_count"),
-        adjust_equal_means=bool(doc.get("adjust_equal_means", False)),
+        fixed_large_count=large_count,
+        adjust_equal_means=adjust,
         description=doc.get("description", ""),
     )

@@ -3,21 +3,21 @@ and the variance/standard-error estimators behind the tests.
 
 The central statistic is a difference of inclusion-weighted response
 sums: D = sum_{j: t_j=1} y_j/w(1,j) - sum_{j: t_j=2} y_j/w(2,j). The
-weight family decides what D estimates: arm sizes give a difference of
-arm means; n times assignment-inclusion probabilities make D unbiased
-for the sample-level effect over the randomization distribution; N times
-joint inclusion probabilities make it unbiased for the population-level
+weights decide what D estimates: arm sizes give a difference of arm
+means; an assignment design's weight table, n times its inclusion
+probabilities, makes D unbiased for the sample-level effect over the
+randomization distribution; a selection design's, N times its joint
+inclusion probabilities, makes it unbiased for the population-level
 effect over the selection distribution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .core import AssignmentVector, ObservedExperiment, SampleVector
-from .designs import AssignmentDesign, SelectionDesign, UniformCRD, inclusion_table
+from .designs import AssignmentDesign, UniformCRD
 from .errors import (
     DataValidationError,
     DesignInvalidError,
@@ -32,32 +32,16 @@ class ArmSizeWeights:
     """w(t, j) = n_t: D becomes the difference of unweighted arm means."""
 
 
-@dataclass(frozen=True)
-class AssignmentInclusionWeights:
-    """w(t, j) = n * P(position j gets treatment t) under the design."""
-
-    design: AssignmentDesign
-
-
-@dataclass(frozen=True)
-class SelectionInclusionWeights:
-    """w(t, j) = N * P(unit s_j is sampled with treatment t)."""
-
-    design: SelectionDesign
-
-
-WeightFamily = Union[ArmSizeWeights, AssignmentInclusionWeights, SelectionInclusionWeights]
-
-
 def resolve_weights(
-    family: WeightFamily, sample: SampleVector, assignment: AssignmentVector
+    family, sample: SampleVector, assignment: AssignmentVector
 ) -> np.ndarray:
     """Per-observation weight table, shape (2, n); row t-1 holds w(t, j).
 
-    Entries may be zero at (t, j) pairs the design can never produce;
-    d_statistic skips such terms by the 0/0 convention. A zero weight at
-    an observed label means the data are impossible under the design and
-    raises.
+    family is ArmSizeWeights() or a design, whose weight_table(sample)
+    gives the inclusion weights. Entries may be zero at (t, j) pairs the
+    design can never produce; d_statistic skips such terms by the 0/0
+    convention. A zero weight at an observed label means the data are
+    impossible under the design and raises.
     """
     n = assignment.n
     if sample.n != n:
@@ -66,17 +50,8 @@ def resolve_weights(
         table = np.empty((2, n))
         table[0, :] = assignment.n1
         table[1, :] = assignment.n2
-    elif isinstance(family, AssignmentInclusionWeights):
-        design = family.design
-        if design.n != n:
-            raise DesignInvalidError(
-                f"design is for n={design.n} but the data have n={n}"
-            )
-        table = n * inclusion_table(design)
-    elif isinstance(family, SelectionInclusionWeights):
-        table = family.design.weight_table(sample)
     else:
-        raise DataValidationError(f"unknown weight family {type(family).__name__}")
+        table = family.weight_table(sample)
     observed = table[assignment.labels - 1, np.arange(n)]
     if np.any(observed == 0.0):
         j = int(np.argmax(observed == 0.0))

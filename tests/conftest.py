@@ -49,14 +49,14 @@ def six_obs():
 
 
 @pytest.fixture(scope="session")
-def cli_process():
-    """Run the command line in a child interpreter: ``run(*args)``.
+def python_process():
+    """Run a child interpreter: ``run(*args)`` runs ``python *args``.
 
-    The child runs ``python -m randcompare.cli *args``. The directory
-    holding the imported ``randcompare`` goes first on the child's
-    PYTHONPATH, so the child runs the same source as this process whether
-    or not the package is installed and wherever pytest was started.
-    Returns the ``subprocess.CompletedProcess`` with text stdout and stderr.
+    The directory holding the imported ``randcompare`` goes first on the
+    child's PYTHONPATH, so the child runs the same source as this process
+    whether or not the package is installed and wherever pytest was
+    started. Returns the ``subprocess.CompletedProcess`` with text stdout
+    and stderr.
     """
     source_root = str(Path(randcompare.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -66,8 +66,14 @@ def cli_process():
 
     def run(*args):
         return subprocess.run(
-            [sys.executable, "-m", "randcompare.cli", *args],
-            capture_output=True, text=True, env=env,
+            [sys.executable, *args], capture_output=True, text=True, env=env,
         )
 
     return run
+
+
+@pytest.fixture(scope="session")
+def cli_process(python_process):
+    """Run the command line in a child interpreter: ``run(*args)`` runs
+    ``python -m randcompare.cli *args`` through python_process."""
+    return lambda *args: python_process("-m", "randcompare.cli", *args)

@@ -20,7 +20,6 @@ from randcompare import (
     RngStream,
     SampleVector,
     UniformCRD,
-    enumerate_support,
     fisher_exact_2x2,
     fisher_randomization_test,
     neyman_randomization_test,
@@ -28,6 +27,7 @@ from randcompare import (
     pooled_t_test,
     run_size_power,
     select_components,
+    support_label_matrix,
     welch_t_test,
     wilcoxon_test,
 )
@@ -143,7 +143,8 @@ def _random_table(gen, n):
 def _exact_mean_of_difference(table, design):
     sample = SampleVector.first_n(design.n)
     total = 0.0
-    for assignment, prob in enumerate_support(design):
+    for labels, prob in zip(*support_label_matrix(design)):
+        assignment = AssignmentVector(labels)
         responses = select_components(table, sample, assignment)
         weights = resolve_weights(ArmSizeWeights(), sample, assignment)
         total += prob * d_statistic(responses, assignment, weights)
@@ -248,14 +249,15 @@ def test_criterion_6_exact_size_by_double_enumeration(capsys):
     n, n1, alpha = 8, 4, 0.05
     design = UniformCRD(n, n1)
     sample = SampleVector.first_n(n)
-    support = list(enumerate_support(design))
+    support_labels, support_probs = support_label_matrix(design)
     gen = RngStream(606).generator()
     worst = 0.0
     for _ in range(20):
         y = np.round(gen.normal(0.0, 10.0, n), 1)
         table = PotentialTable(y, y)  # sharp null holds
         size = 0.0
-        for assignment, prob in support:
+        for labels, prob in zip(support_labels, support_probs):
+            assignment = AssignmentVector(labels)
             obs = ObservedExperiment(
                 sample, assignment, select_components(table, sample, assignment)
             )
@@ -265,7 +267,7 @@ def test_criterion_6_exact_size_by_double_enumeration(capsys):
     ok = worst <= alpha
     _verdict(
         capsys, 6, ok,
-        f"double enumeration over {len(support)} assignments x 20 null tables: "
+        f"double enumeration over {len(support_labels)} assignments x 20 null tables: "
         f"worst exact size {worst:.4f} <= {alpha}",
     )
     assert ok

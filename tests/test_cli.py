@@ -384,7 +384,24 @@ class TestExitCodes:
          ("simulate", "--replicates", "100")),
         ("truth.json", json.dumps({**SCENARIO, "hypothesis_truth": ["UP", "XX"]}).encode(),
          ("simulate", "--replicates", "100")),
-    ], ids=["design_not_json", "data_not_utf8", "n1_not_integer", "unknown_hypothesis"])
+        ("sd.json", json.dumps({**SCENARIO, "law": {"kind": "normal", "mean": 0, "sd": "2"}})
+         .encode(), ("simulate", "--replicates", "100")),
+        ("delta.json", json.dumps({**SCENARIO, "effect": {"kind": "shift", "delta": True}})
+         .encode(), ("simulate", "--replicates", "100")),
+        ("truth_int.json", json.dumps({**SCENARIO, "hypothesis_truth": 5}).encode(),
+         ("simulate", "--replicates", "100")),
+        ("n1_float.json", json.dumps({**SCENARIO, "n1": 10.7}).encode(),
+         ("simulate", "--replicates", "100")),
+        ("adjust.json", json.dumps({**SCENARIO, "adjust_equal_means": "false"}).encode(),
+         ("simulate", "--replicates", "100")),
+        ("count.json", json.dumps({**SCENARIO, "fixed_large_count": "1", "law": {
+            "kind": "uniform_mixture", "weight": 0.9, "lo1": 0, "hi1": 20, "lo2": 200,
+            "hi2": 201}}).encode(), ("simulate", "--replicates", "100")),
+        ("fixed_y.json", json.dumps({**SCENARIO, "fixed_y": {"y1": [0] * 10, "y2": "ab"}})
+         .encode(), ("simulate", "--replicates", "100")),
+    ], ids=["design_not_json", "data_not_utf8", "n1_not_integer", "unknown_hypothesis",
+            "law_parameter_string", "effect_parameter_bool", "hypothesis_truth_not_list",
+            "n1_not_integral", "flag_not_bool", "count_string", "fixed_y_not_numbers"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, filename, content, command):
         path = tmp_path / filename
         path.write_bytes(content)

@@ -20,18 +20,12 @@ from randcompare import (
     UniformCRD,
     binomial_coefficient,
     check_both_arm_inclusion,
-    enumerate_support,
     explicit_from_json,
-    first_order_inclusion,
-    inclusion_table,
-    joint_first_order_inclusion,
-    reduces_to_census,
     resolve_weights,
     sample_assignment,
     support_label_matrix,
 )
 from randcompare.designs import sample_assignment_batch
-from randcompare.stats import SelectionInclusionWeights
 
 
 class TestRngStream:
@@ -97,36 +91,31 @@ class TestUniformCRD:
 
     def test_inclusion(self):
         d = UniformCRD(6, 2)
-        table = inclusion_table(d)
+        table = d.inclusion_table()
         assert np.allclose(table[0], 2 / 6)
         assert np.allclose(table[1], 4 / 6)
-        assert first_order_inclusion(d, 1, 3) == pytest.approx(2 / 6)
-        assert first_order_inclusion(d, 2, 1) == pytest.approx(4 / 6)
-        with pytest.raises(DataValidationError):
-            first_order_inclusion(d, 1, 7)
-        with pytest.raises(DataValidationError):
-            first_order_inclusion(d, 3, 1)
 
     def test_enumeration(self):
         d = UniformCRD(5, 2)
-        points = list(enumerate_support(d))
-        assert len(points) == 10
-        seen = {tuple(v.labels) for v, _ in points}
+        labels, probs = support_label_matrix(d)
+        assert len(labels) == len(probs) == 10
+        seen = {tuple(row) for row in labels}
         assert len(seen) == 10
-        assert all(v.n1 == 2 for v, _ in points)
-        assert sum(p for _, p in points) == pytest.approx(1.0, abs=1e-12)
+        assert all(AssignmentVector(row).n1 == 2 for row in labels)
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_label_matrix_matches_enumeration(self):
         d = UniformCRD(6, 3)
         labels, probs = support_label_matrix(d)
-        listed = [tuple(v.labels) for v, _ in enumerate_support(d)]
+        listed = [tuple(1 if j in ones else 2 for j in range(6))
+                  for ones in itertools.combinations(range(6), 3)]
         assert [tuple(row) for row in labels] == listed
         assert np.allclose(probs, 1.0 / 20)
 
     def test_enumeration_cap(self):
         d = UniformCRD(30, 15)
         with pytest.raises(EnumerationTooLargeError) as exc:
-            list(enumerate_support(d, cap=1000))
+            support_label_matrix(d, cap=1000)
         assert exc.value.size == 155117520
         assert exc.value.cap == 1000
 
@@ -143,17 +132,15 @@ class TestExplicit:
         )
 
     def test_inclusion_from_probs(self):
-        d = self.make()
-        assert first_order_inclusion(d, 1, 1) == pytest.approx(0.75)
-        assert first_order_inclusion(d, 2, 3) == pytest.approx(0.5)
-        table = inclusion_table(d)
+        table = self.make().inclusion_table()
+        assert table[0, 0] == pytest.approx(0.75)
+        assert table[1, 2] == pytest.approx(0.5)
         assert np.allclose(table.sum(axis=0), 1.0)
 
     def test_zero_inclusion_detected(self):
         d = Explicit(support=(AssignmentVector([1, 2]),), probs=np.array([1.0]))
         # position 1 can never receive treatment 2
-        with pytest.raises(DesignInvalidError):
-            first_order_inclusion(d, 2, 1)
+        assert d.inclusion_table()[1, 0] == 0.0
         with pytest.raises(DesignInvalidError):
             check_both_arm_inclusion(d)
 
@@ -183,7 +170,7 @@ class TestExplicit:
         d4 = explicit_from_json(path)
         for d in (d1, d2, d3, d4):
             assert d.support_size == 3
-            assert first_order_inclusion(d, 1, 1) == pytest.approx(0.75)
+            assert d.inclusion_table()[0, 0] == pytest.approx(0.75)
 
     def test_from_json_bad_doc(self):
         with pytest.raises(DataValidationError):
@@ -236,10 +223,8 @@ class TestSelectionDesigns:
         c = CensusCRD(10, 4)
         assert c.n2 == 6
         assert c.assignment_design() == UniformCRD(10, 4)
-        assert joint_first_order_inclusion(c, 1, 3) == pytest.approx(0.4)
-        assert joint_first_order_inclusion(c, 2, 10) == pytest.approx(0.6)
-        with pytest.raises(DataValidationError):
-            joint_first_order_inclusion(c, 1, 11)
+        assert c.unit_inclusion_table()[0, 2] == pytest.approx(0.4)
+        assert c.unit_inclusion_table()[1, 9] == pytest.approx(0.6)
         with pytest.raises(DesignInvalidError):
             CensusCRD(5, 0)
 
@@ -262,7 +247,7 @@ class TestSelectionDesigns:
         d = ExplicitJoint(
             n_population=n, support=tuple(support), probs=np.full(3, 1 / 3)
         )
-        assert reduces_to_census(d) == CensusCRD(3, 1)
+        assert d.census() == CensusCRD(3, 1)
 
     def test_reduces_to_census_permuted_sample_order(self):
         # the same census written with the sample listed in another order
@@ -273,7 +258,7 @@ class TestSelectionDesigns:
         d = ExplicitJoint(
             n_population=2, support=support, probs=np.array([0.5, 0.5])
         )
-        assert reduces_to_census(d) == CensusCRD(2, 1)
+        assert d.census() == CensusCRD(2, 1)
 
     def test_reduces_to_census_negative(self):
         # missing one assignment from the support: not uniform-complete
@@ -284,7 +269,7 @@ class TestSelectionDesigns:
         d = ExplicitJoint(
             n_population=3, support=support, probs=np.array([0.5, 0.5])
         )
-        assert reduces_to_census(d) is None
+        assert d.census() is None
 
         # proper subsample: not a census
         support = (
@@ -294,11 +279,11 @@ class TestSelectionDesigns:
         d = ExplicitJoint(
             n_population=3, support=support, probs=np.array([0.5, 0.5])
         )
-        assert reduces_to_census(d) is None
+        assert d.census() is None
 
     def test_census_passthrough(self):
         c = CensusCRD(6, 3)
-        assert reduces_to_census(c) is c
+        assert c.census() is c
 
 
 @given(st.data())
@@ -325,7 +310,7 @@ def test_explicit_inclusion_rows_sum_to_one(data):
     d = Explicit(
         support=tuple(AssignmentVector(list(v)) for v in vectors), probs=probs
     )
-    table = inclusion_table(d)
+    table = d.inclusion_table()
     assert np.allclose(table.sum(axis=0), 1.0, atol=1e-9)
 
 
@@ -351,7 +336,7 @@ class TestDesignContract:
         labels, probs = support_label_matrix(design)
         assert len(labels) == len(probs) == design.support_size
         expected = np.stack([probs @ (labels == 1), probs @ (labels == 2)])
-        assert np.allclose(inclusion_table(design), expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(design.inclusion_table(), expected, rtol=0.0, atol=1e-12)
 
     def test_sampled_rows_are_contained(self, design):
         batch = sample_assignment_batch(design, 200, RngStream(6).generator())
@@ -438,16 +423,8 @@ class TestSelectionTables:
         assert np.array_equal(
             design.unit_inclusion_table(), joint_inclusion_by_scan(design, everyone)
         )
-        for t in (1, 2):
-            for unit in range(1, design.n_population + 1):
-                expected = joint_inclusion_by_scan(design, everyone)[t - 1, unit - 1]
-                if expected > 0.0:
-                    assert joint_first_order_inclusion(design, t, unit) == expected
-                else:
-                    with pytest.raises(DesignInvalidError):
-                        joint_first_order_inclusion(design, t, unit)
         for sample, assignment in design.support:
-            weights = resolve_weights(SelectionInclusionWeights(design), sample, assignment)
+            weights = resolve_weights(design, sample, assignment)
             expected = design.n_population * joint_inclusion_by_scan(design, sample)
             assert np.array_equal(weights, expected)
 
@@ -462,7 +439,6 @@ class TestSelectionTables:
     def test_sample_beyond_population_is_invalid(self):
         design = random_joint_design(np.random.default_rng(0), n_population=6)
         with pytest.raises(DesignInvalidError):
-            resolve_weights(SelectionInclusionWeights(design),
-                            SampleVector([1, 7]), AssignmentVector([1, 2]))
+            resolve_weights(design, SampleVector([1, 7]), AssignmentVector([1, 2]))
         with pytest.raises(DesignInvalidError):
             design.weight_table(SampleVector([7]))

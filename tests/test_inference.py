@@ -25,7 +25,6 @@ from randcompare import (
     UniformCRD,
     UnsupportedDesignError,
     add_one_pvalue,
-    enumerate_support,
     explicit_from_json,
     fisher_exact_2x2,
     fisher_randomization_test,
@@ -36,6 +35,7 @@ from randcompare import (
     permutation_test,
     pooled_t_test,
     resample_tails,
+    support_label_matrix,
     support_mask,
     welch_t_test,
     wilcoxon_test,
@@ -316,7 +316,7 @@ class TestFisherRandomization:
     def test_nonuniform_explicit_design_changes_p(self):
         # same data, same support; tilting the atom probabilities moves p
         obs = ObservedExperiment.from_arms([1.0, 2.0], [3.0, 4.0])
-        vectors = tuple(v for v, _ in enumerate_support(UniformCRD(4, 2)))
+        vectors = tuple(support_label_matrix(UniformCRD(4, 2))[0])
         uniform = Explicit(support=vectors, probs=np.full(6, 1 / 6))
         tilted_probs = np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
         tilted = Explicit(support=vectors, probs=tilted_probs)
@@ -361,6 +361,14 @@ class TestNeyman:
         design = ExplicitJoint(
             n_population=3, support=support, probs=np.array([0.5, 0.5])
         )
+        with pytest.raises(UnsupportedDesignError):
+            neyman_selection_test(obs, design)
+
+    @pytest.mark.parametrize("design", [UniformCRD(4, 2), Explicit(
+        support=(AssignmentVector([1, 1, 2, 2]), AssignmentVector([2, 2, 1, 1])),
+        probs=np.array([0.5, 0.5]))], ids=["crd", "explicit"])
+    def test_selection_refuses_an_assignment_design(self, design):
+        obs = ObservedExperiment.from_arms([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(UnsupportedDesignError):
             neyman_selection_test(obs, design)
 

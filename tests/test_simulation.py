@@ -44,6 +44,7 @@ from randcompare import (
     welch_t_test,
     wilcoxon_test,
 )
+import randcompare.inference
 from randcompare.simulation import _toml_subset_loads
 
 BIG = 200_000
@@ -306,6 +307,22 @@ class TestRunSizePower:
             scenario, replicates=100, rng=RngStream(1), rows=("process",)
         )
         assert len(estimates) == 6
+
+    def test_closed_form_suite_draws_nothing(self, monkeypatch):
+        kwargs = dict(replicates=100, rng=RngStream(5))
+        default = run_size_power("t3.sc1", **kwargs)
+        rows = []
+        batch = randcompare.inference.sample_assignment_batch
+
+        def counting(design, size, gen):
+            rows.append(size)
+            return batch(design, size, gen)
+
+        monkeypatch.setattr(randcompare.inference, "sample_assignment_batch", counting)
+        welch = run_size_power("t3.sc1", test_suite=("welch_t",), **kwargs)
+        assert sum(rows) == 0
+        assert [(e.row, e.rejections) for e in welch] == [
+            (e.row, e.rejections) for e in default if e.test_name == "welch_t"]
 
     def test_exact_small_close_to_mc(self):
         kwargs = dict(replicates=200, rows=("randomization",))

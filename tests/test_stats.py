@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from randcompare import (
     ArmSizeWeights,
-    AssignmentInclusionWeights,
     AssignmentVector,
     CensusCRD,
     DataValidationError,
@@ -16,11 +15,9 @@ from randcompare import (
     ObservedExperiment,
     PotentialTable,
     SampleVector,
-    SelectionInclusionWeights,
     UniformCRD,
     UnsupportedDesignError,
     d_statistic,
-    enumerate_support,
     neyman_se,
     pooled_se,
     rank_midranks,
@@ -29,6 +26,7 @@ from randcompare import (
     resolve_weights,
     sample_variance,
     select_components,
+    support_label_matrix,
     welch_df,
     welch_se,
 )
@@ -44,16 +42,12 @@ class TestResolveWeights:
         # under uniform CRD, n * pi(t, j) = n_t: the two weight families agree
         obs = ObservedExperiment.from_arms([1.0, 2.0, 3.0], [4.0, 5.0])
         w1 = resolve_weights(ArmSizeWeights(), obs.sample, obs.assignment)
-        w3 = resolve_weights(
-            AssignmentInclusionWeights(UniformCRD(5, 3)), obs.sample, obs.assignment
-        )
+        w3 = resolve_weights(UniformCRD(5, 3), obs.sample, obs.assignment)
         assert np.allclose(w1, w3, rtol=1e-15)
 
     def test_census_selection_weights(self):
         obs = ObservedExperiment.from_arms([1.0, 2.0], [3.0, 4.0])
-        w = resolve_weights(
-            SelectionInclusionWeights(CensusCRD(4, 2)), obs.sample, obs.assignment
-        )
+        w = resolve_weights(CensusCRD(4, 2), obs.sample, obs.assignment)
         assert np.all(w[0] == 2.0)
         assert np.all(w[1] == 2.0)
 
@@ -61,7 +55,7 @@ class TestResolveWeights:
         sample = SampleVector([1, 2, 4])
         assignment = AssignmentVector([1, 2, 2])
         with pytest.raises(DesignInvalidError):
-            resolve_weights(SelectionInclusionWeights(CensusCRD(4, 1)), sample, assignment)
+            resolve_weights(CensusCRD(4, 1), sample, assignment)
 
     def test_explicit_joint_weights(self):
         # unit 1 is always sampled; it gets treatment 1 w.p. 0.75
@@ -75,7 +69,7 @@ class TestResolveWeights:
         )
         sample = SampleVector([1, 2])
         assignment = AssignmentVector([1, 2])
-        w = resolve_weights(SelectionInclusionWeights(design), sample, assignment)
+        w = resolve_weights(design, sample, assignment)
         assert w[0, 0] == pytest.approx(3 * 0.75)
         assert w[1, 0] == pytest.approx(3 * 0.25)
         assert w[0, 1] == pytest.approx(3 * 0.25)
@@ -86,7 +80,12 @@ class TestResolveWeights:
         sample = SampleVector([1, 2])
         observed = AssignmentVector([2, 1])  # impossible under the design
         with pytest.raises(DesignInvalidError):
-            resolve_weights(AssignmentInclusionWeights(design), sample, observed)
+            resolve_weights(design, sample, observed)
+
+    def test_design_for_another_n(self):
+        obs = ObservedExperiment.from_arms([1.0, 2.0, 3.0], [4.0, 5.0])
+        with pytest.raises(DesignInvalidError, match="design is for n=6 but the data have n=5"):
+            resolve_weights(UniformCRD(6, 3), obs.sample, obs.assignment)
 
 
 class TestDStatistic:
@@ -117,9 +116,10 @@ def _ht_expectation(table, design):
     """E[D] over the design, with inclusion weights, by full enumeration."""
     sample = SampleVector.first_n(design.n)
     total = 0.0
-    for assignment, prob in enumerate_support(design):
+    for labels, prob in zip(*support_label_matrix(design)):
+        assignment = AssignmentVector(labels)
         responses = select_components(table, sample, assignment)
-        w = resolve_weights(AssignmentInclusionWeights(design), sample, assignment)
+        w = resolve_weights(design, sample, assignment)
         total += prob * d_statistic(responses, assignment, w)
     return total
 
@@ -139,7 +139,7 @@ class TestHorvitzThompsonUnbiasedness:
     def test_nonuniform_explicit_design(self):
         # unequal atom probabilities, every position assignable to both arms
         gen = np.random.default_rng(7)
-        vectors = [v for v, _ in enumerate_support(UniformCRD(4, 2))]
+        vectors = list(support_label_matrix(UniformCRD(4, 2))[0])
         raw = gen.uniform(0.2, 1.0, size=len(vectors))
         design = Explicit(support=tuple(vectors), probs=raw / raw.sum())
         table = PotentialTable(gen.normal(size=4), gen.normal(size=4))
@@ -149,8 +149,8 @@ class TestHorvitzThompsonUnbiasedness:
     def test_varying_arm_size_design(self):
         # mix C(4,1) and C(4,3) atoms: arm sizes differ across the support
         gen = np.random.default_rng(13)
-        vectors = [v for v, _ in enumerate_support(UniformCRD(4, 1))]
-        vectors += [v for v, _ in enumerate_support(UniformCRD(4, 3))]
+        vectors = list(support_label_matrix(UniformCRD(4, 1))[0])
+        vectors += list(support_label_matrix(UniformCRD(4, 3))[0])
         raw = gen.uniform(0.2, 1.0, size=len(vectors))
         design = Explicit(support=tuple(vectors), probs=raw / raw.sum())
         table = PotentialTable(gen.normal(size=4), gen.normal(size=4))
@@ -238,7 +238,7 @@ class TestStandardErrors:
 
     def test_neyman_se_requires_uniform_crd(self, six_obs):
         design = Explicit(
-            support=tuple(v for v, _ in enumerate_support(UniformCRD(6, 3))),
+            support=tuple(support_label_matrix(UniformCRD(6, 3))[0]),
             probs=np.full(20, 1 / 20),
         )
         with pytest.raises(UnsupportedDesignError):

@@ -28,7 +28,7 @@ from randcompare.inference import (
     run_resampling_plans,
     wilcoxon_plan,
 )
-from randcompare.stats import ArmSizeWeights, d_statistic, neyman_se, resolve_weights
+from randcompare.stats import d_statistic, neyman_se, resolve_weights
 
 
 def build_parser():
@@ -49,7 +49,7 @@ def main(argv=None):
     obs = loaded.observed
     design = UniformCRD(obs.n, obs.n1)
 
-    weights = resolve_weights(ArmSizeWeights(), obs.sample, obs.assignment)
+    weights = resolve_weights(design, obs.sample, obs.assignment)
     d_obs = d_statistic(obs.responses, obs.assignment, weights)
     se = neyman_se(obs, design)
     print(f"dataset: {path}")

@@ -87,7 +87,6 @@ from .simulation import (
 )
 from .special import erfc, normal_cdf, regularized_incomplete_beta, student_t_cdf
 from .stats import (
-    ArmSizeWeights,
     d_affine_form,
     d_statistic,
     neyman_se,

@@ -429,20 +429,16 @@ def _sim_csv(rows: list) -> str:
 def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
     if args.all_tables:
-        names = list(known_scenarios())
+        scenarios = [get_scenario(name) for name in known_scenarios()]
     elif args.scenario is None:
         raise DataValidationError("name a scenario or pass --all-tables")
-    elif args.scenario in known_scenarios():
-        names = [args.scenario]
-    elif Path(args.scenario).is_file():
-        names = [load_scenario_file(args.scenario)]
+    elif args.scenario not in known_scenarios() and Path(args.scenario).is_file():
+        scenarios = [load_scenario_file(args.scenario)]
     else:
-        # not a known id and not a file: raise with the list of known ids
-        get_scenario(args.scenario)
-        raise AssertionError("unreachable")
+        # a known id, or neither an id nor a file: raises with the known ids
+        scenarios = [get_scenario(args.scenario)]
     rows = []
-    for item in names:
-        scenario = get_scenario(item) if isinstance(item, str) else item
+    for scenario in scenarios:
         estimates = run_size_power(
             scenario,
             replicates=args.replicates,

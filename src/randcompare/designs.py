@@ -109,7 +109,10 @@ class AssignmentDesign:
             raise DesignInvalidError(
                 f"design is for n={self.n} but the data have n={sample.n}"
             )
-        return sample.n * self.inclusion_table()
+        return self._weights()
+
+    def _weights(self) -> np.ndarray:
+        return self.n * self.inclusion_table()
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,10 @@ class UniformCRD(AssignmentDesign):
 
     def inclusion_table(self) -> np.ndarray:
         return np.repeat([[self.n1 / self.n], [self.n2 / self.n]], self.n, axis=1)
+
+    def _weights(self) -> np.ndarray:
+        # the arm sizes exactly: n * (n1 / n) can miss n1 in its last bit
+        return np.repeat([[float(self.n1)], [float(self.n2)]], self.n, axis=1)
 
     def support_labels(self) -> tuple:
         """Every placement of the ones, in itertools.combinations order."""
@@ -330,14 +337,14 @@ class CensusCRD(SelectionDesign):
         return self.assignment_design().inclusion_table()
 
     def weight_table(self, sample: SampleVector) -> np.ndarray:
-        """The exact arm sizes n1 and n2; the sample must be the whole
-        population."""
+        """Its uniform CRD's weights, the arm sizes n1 and n2; the sample
+        must be the whole population."""
         everyone = np.arange(1, self.n_population + 1)
         if not np.array_equal(np.sort(sample.indices), everyone):
             raise DesignInvalidError(
                 "census design requires the sample to be the whole population"
             )
-        return np.repeat([[float(self.n1)], [float(self.n2)]], sample.n, axis=1)
+        return self.assignment_design().weight_table(sample)
 
     def census(self) -> "CensusCRD":
         return self

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .special import normal_cdf, student_t_cdf
 from .stats import (
-    ArmSizeWeights,
     d_affine_form,
     d_statistic,
     neyman_se,
@@ -293,7 +292,7 @@ def permutation_plan(observed: ObservedExperiment) -> ResamplingPlan:
     relabelings at fixed arm sizes."""
     _require_two_arms(observed)
     design = UniformCRD(observed.n, observed.n1)
-    weights = resolve_weights(ArmSizeWeights(), observed.sample, observed.assignment)
+    weights = resolve_weights(design, observed.sample, observed.assignment)
     return _difference_plan("permutation", observed, design, weights)
 
 

@@ -15,10 +15,11 @@ binomial standard error sqrt(r(100 - r) / replicates).
 
 Each replicate runs the library's own tests. The permutation and
 rank-sum plans are scored on one resample_tails call, over the cached
-support under exact_small or else one Monte Carlo batch, and read
-through ResamplingPlan.report. fisher_rand resamples the permutation
-statistic over the same uniform CRD and takes its p-value; binary
-scenarios read that p-value from an exact table and report no rank sum.
+support under exact_small when it fits the enumeration cap or else one
+Monte Carlo batch, and read through ResamplingPlan.report. fisher_rand
+resamples the permutation statistic over the same uniform CRD and takes
+its p-value; binary scenarios read that p-value from an exact table and
+report no rank sum.
 
 Reproducibility contract: replicate r of the randomization row consumes
 substreams (2, r) for data and (4, 0, r) for the per-replicate Monte
@@ -39,17 +40,17 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (
-    AssignmentVector,
     Hypothesis,
     ObservedExperiment,
     PotentialTable,
     SampleVector,
     select_components,
 )
-from .designs import RngStream, UniformCRD, sample_assignment
+from .designs import ENUMERATION_CAP, RngStream, UniformCRD, sample_assignment
 from .errors import (
     DataValidationError,
     DegenerateDataError,
+    EnumerationTooLargeError,
     UnknownScenarioError,
 )
 from .inference import (
@@ -578,16 +579,6 @@ class PowerEstimate:
         ):
             raise DataValidationError("rejection rate must lie in [0, 100]")
 
-    def to_dict(self) -> dict:
-        return {
-            "test": self.test_name,
-            "row": self.row,
-            "rejection_rate": self.rejection_rate,
-            "replicates": self.replicates,
-            "mc_stderr": self.mc_stderr,
-            "rejections": self.rejections,
-        }
-
 
 @lru_cache(maxsize=None)
 def _binary_abs_tail(n: int, n1: int, m: int) -> tuple:
@@ -608,48 +599,6 @@ def _binary_abs_tail(n: int, n1: int, m: int) -> tuple:
     return (min(weights), tuple(tails))
 
 
-def _binary_exact_pvalue(responses: np.ndarray, labels: np.ndarray, n1: int) -> float:
-    n = len(responses)
-    m = int(round(float(responses.sum())))
-    k = int(round(float(responses[labels == 1].sum())))
-    k_lo, table = _binary_abs_tail(n, n1, m)
-    return table[k - k_lo]
-
-
-@dataclass(frozen=True)
-class _RowPlan:
-    scenario: Scenario
-    row: str
-    design: UniformCRD
-    sample: SampleVector
-    alpha: float
-    tests: tuple
-    master: RngStream
-    mc_budget: int
-    # exact-mode support cache; None means per-replicate Monte Carlo
-    support: Optional[tuple] = None
-    fixed_table: Optional[PotentialTable] = None
-    fixed_assignment: Optional[AssignmentVector] = None
-
-
-def _resampling_pvalues(plan: _RowPlan, observed: ObservedExperiment, replicate: int) -> dict:
-    """p-values of the resampling tests for one replicate; the rank sum's
-    is None on binary responses. fisher_rand resamples the permutation
-    statistic over the same uniform CRD, so the two share a p-value."""
-    if plan.scenario.binary:
-        p_d = _binary_exact_pvalue(
-            observed.responses, observed.assignment.labels, plan.design.n1
-        )
-        return {"permutation": p_d, "fisher_rand": p_d, "wilcoxon": None}
-    plans = (permutation_plan(observed), wilcoxon_plan(observed))
-    columns = [(p.coef, p.offset, p.statistic) for p in plans]
-    budget = None if plan.support is not None else plan.mc_budget
-    rng = plan.master.substream(4, 0 if plan.row == "randomization" else 1, replicate)
-    tails = resample_tails(plan.design, columns, support=plan.support, budget=budget, rng=rng)
-    p_d, p_w = (p.report(t, budget).p_value for p, t in zip(plans, tails))
-    return {"permutation": p_d, "fisher_rand": p_d, "wilcoxon": p_w}
-
-
 # The closed-form tests of the suite. Each entry calls the test through
 # this module's global name, so a rebinding of that name reaches it.
 _CLOSED_FORM = {
@@ -657,34 +606,6 @@ _CLOSED_FORM = {
     "pooled_t": lambda observed, design: pooled_t_test(observed),
     "neyman_rand": lambda observed, design: neyman_randomization_test(observed, design),
 }
-
-
-def _one_replicate(plan: _RowPlan, replicate: int) -> np.ndarray:
-    if plan.row == "randomization":
-        assignment = sample_assignment(plan.design, plan.master.substream(2, replicate))
-        table = plan.fixed_table
-    else:
-        gen = plan.master.substream(3, replicate).generator()
-        table = generate_population(plan.scenario, gen)
-        assignment = plan.fixed_assignment
-    responses = select_components(table, plan.sample, assignment)
-    observed = ObservedExperiment(
-        sample=plan.sample, assignment=assignment, responses=responses
-    )
-    resampled = {}
-    if not set(plan.tests) <= _CLOSED_FORM.keys():
-        resampled = _resampling_pvalues(plan, observed, replicate)
-    out = np.zeros(len(plan.tests), dtype=np.int8)
-    for i, test in enumerate(plan.tests):
-        if test in _CLOSED_FORM:
-            try:
-                p = _CLOSED_FORM[test](observed, plan.design).p_value
-            except DegenerateDataError:
-                p = 1.0  # a draw with no variation cannot reject
-        else:
-            p = resampled[test]
-        out[i] = -1 if p is None else p <= plan.alpha
-    return out
 
 
 def run_size_power(
@@ -721,59 +642,81 @@ def run_size_power(
         raise DataValidationError("threads must be >= 1")
     if rng is None:
         raise DataValidationError("a seeded RngStream is required")
-    master = rng
     n = scenario.n_population
     design = UniformCRD(n, scenario.n1)
     sample = SampleVector.first_n(n)
     budget = mc_budget if mc_budget is not None else (10_000 if n <= 20 else 4_000)
     if budget > MC_CHUNK:
         raise DataValidationError(f"per-replicate budget above {MC_CHUNK} unsupported")
-    support = support_mask(design) if exact_small and not scenario.binary else None
+    resampling = not set(test_suite) <= _CLOSED_FORM.keys()
+    support = None
+    if resampling and exact_small and not scenario.binary:
+        try:
+            fits = design.support_size <= ENUMERATION_CAP
+        except EnumerationTooLargeError:
+            fits = False
+        if fits:
+            support, budget = support_mask(design), None
+
+    def resampled(observed, stream) -> dict:
+        """p-values of the resampling tests; the rank sum's is None on
+        binary responses. fisher_rand resamples the permutation statistic
+        over the same uniform CRD, so the two share a p-value."""
+        if scenario.binary:
+            m = int(round(float(observed.responses.sum())))
+            k = int(round(float(observed.arm_responses(1).sum())))
+            k_lo, tails = _binary_abs_tail(n, design.n1, m)
+            return {"permutation": tails[k - k_lo], "fisher_rand": tails[k - k_lo],
+                    "wilcoxon": None}
+        plans = (permutation_plan(observed), wilcoxon_plan(observed))
+        columns = [(p.coef, p.offset, p.statistic) for p in plans]
+        tails = resample_tails(design, columns, support=support, budget=budget, rng=stream)
+        p_d, p_w = (p.report(t, budget).p_value for p, t in zip(plans, tails))
+        return {"permutation": p_d, "fisher_rand": p_d, "wilcoxon": p_w}
 
     estimates: list = []
     for row in rows:
-        plan = _RowPlan(
-            scenario=scenario,
-            row=row,
-            design=design,
-            sample=sample,
-            alpha=alpha,
-            tests=tuple(test_suite),
-            master=master,
-            mc_budget=budget,
-            support=support,
-            fixed_table=(
-                draw_fixed_population(scenario, master)
-                if row == "randomization"
-                else None
-            ),
-            fixed_assignment=(
-                sample_assignment(design, master.substream(1, 0))
-                if row == "process"
-                else None
-            ),
-        )
+        row_key = 0 if row == "randomization" else 1
+        if row_key == 0:
+            fixed = draw_fixed_population(scenario, rng)
+        else:
+            fixed = sample_assignment(design, rng.substream(1, 0))
+
+        def replicate(r) -> list:
+            """Each test's decision on replicate r: True to reject, None
+            where the test does not apply."""
+            if row_key == 0:
+                table, assignment = fixed, sample_assignment(design, rng.substream(2, r))
+            else:
+                table = generate_population(scenario, rng.substream(3, r).generator())
+                assignment = fixed
+            responses = select_components(table, sample, assignment)
+            observed = ObservedExperiment(sample=sample, assignment=assignment,
+                                          responses=responses)
+            pvalues = resampled(observed, rng.substream(4, row_key, r)) if resampling else {}
+            decisions = []
+            for test in test_suite:
+                if test in _CLOSED_FORM:
+                    try:
+                        p = _CLOSED_FORM[test](observed, design).p_value
+                    except DegenerateDataError:
+                        p = 1.0  # a draw with no variation cannot reject
+                else:
+                    p = pvalues[test]
+                decisions.append(None if p is None else p <= alpha)
+            return decisions
+
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(lambda r: _one_replicate(plan, r), range(replicates))
-                )
+                results = list(pool.map(replicate, range(replicates)))
         else:
-            results = [_one_replicate(plan, r) for r in range(replicates)]
-        stacked = np.vstack(results)
-        for i, test in enumerate(plan.tests):
-            column = stacked[:, i]
-            if np.any(column < 0):
-                estimates.append(
-                    PowerEstimate(
-                        test_name=test, row=row, rejection_rate=None,
-                        replicates=replicates, mc_stderr=None, rejections=None,
-                    )
-                )
-                continue
-            rejections = int(column.sum())
-            rate = 100.0 * rejections / replicates
-            stderr = math.sqrt(rate * (100.0 - rate) / replicates)
+            results = [replicate(r) for r in range(replicates)]
+        for test, decisions in zip(test_suite, zip(*results)):
+            rate = stderr = rejections = None
+            if None not in decisions:
+                rejections = decisions.count(True)
+                rate = 100.0 * rejections / replicates
+                stderr = math.sqrt(rate * (100.0 - rate) / replicates)
             estimates.append(
                 PowerEstimate(
                     test_name=test, row=row, rejection_rate=rate,
@@ -921,6 +864,7 @@ def load_scenario_file(path) -> Scenario:
         law = _build_from_spec(doc["law"], _LAW_KINDS, "law", path)
     except KeyError as exc:
         raise DataValidationError(f"{path}: missing required key {exc}") from None
+    _expect(isinstance(name, str), path, "name", "a string", name)
     effect = None
     if "effect" in doc:
         effect = _build_from_spec(doc["effect"], _EFFECT_KINDS, "effect", path)

@@ -1,18 +1,17 @@
-"""The weighted difference statistic, weight families, rank statistics,
-and the variance/standard-error estimators behind the tests.
+"""The weighted difference statistic, rank statistics, and the
+variance/standard-error estimators behind the tests.
 
 The central statistic is a difference of inclusion-weighted response
 sums: D = sum_{j: t_j=1} y_j/w(1,j) - sum_{j: t_j=2} y_j/w(2,j). The
-weights decide what D estimates: arm sizes give a difference of arm
-means; an assignment design's weight table, n times its inclusion
-probabilities, makes D unbiased for the sample-level effect over the
-randomization distribution; a selection design's, N times its joint
-inclusion probabilities, makes it unbiased for the population-level
-effect over the selection distribution.
+design gives the weights and so decides what D estimates. A uniform
+CRD's are its arm sizes, which make D the difference of arm means. An
+assignment design's weight table, n times its inclusion probabilities,
+makes D unbiased for the sample-level effect over the randomization
+distribution; a selection design's, N times its joint inclusion
+probabilities, makes it unbiased for the population-level effect over
+the selection distribution.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,31 +26,20 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class ArmSizeWeights:
-    """w(t, j) = n_t: D becomes the difference of unweighted arm means."""
-
-
 def resolve_weights(
-    family, sample: SampleVector, assignment: AssignmentVector
+    design, sample: SampleVector, assignment: AssignmentVector
 ) -> np.ndarray:
     """Per-observation weight table, shape (2, n); row t-1 holds w(t, j).
 
-    family is ArmSizeWeights() or a design, whose weight_table(sample)
-    gives the inclusion weights. Entries may be zero at (t, j) pairs the
-    design can never produce; d_statistic skips such terms by the 0/0
-    convention. A zero weight at an observed label means the data are
-    impossible under the design and raises.
+    The design's weight_table(sample) gives the weights. Entries may be
+    zero at (t, j) pairs the design can never produce; d_statistic skips
+    such terms by the 0/0 convention. A zero weight at an observed label
+    means the data are impossible under the design and raises.
     """
     n = assignment.n
     if sample.n != n:
         raise DataValidationError("sample and assignment must have equal length")
-    if isinstance(family, ArmSizeWeights):
-        table = np.empty((2, n))
-        table[0, :] = assignment.n1
-        table[1, :] = assignment.n2
-    else:
-        table = family.weight_table(sample)
+    table = design.weight_table(sample)
     observed = table[assignment.labels - 1, np.arange(n)]
     if np.any(observed == 0.0):
         j = int(np.argmax(observed == 0.0))

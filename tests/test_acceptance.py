@@ -31,7 +31,7 @@ from randcompare import (
     welch_t_test,
     wilcoxon_test,
 )
-from randcompare.stats import d_statistic, neyman_se, resolve_weights, ArmSizeWeights
+from randcompare.stats import d_statistic, neyman_se, resolve_weights
 
 from _oracles import NORMAL_CDF_PROBES, STUDENT_T_CDF_PROBES
 
@@ -45,7 +45,7 @@ def test_criterion_1_field_study_reproduction(cellphone, capsys):
     obs = cellphone.observed
     design = UniformCRD(obs.n, obs.n1)
 
-    weights = resolve_weights(ArmSizeWeights(), obs.sample, obs.assignment)
+    weights = resolve_weights(design, obs.sample, obs.assignment)
     d_obs = d_statistic(obs.responses, obs.assignment, weights)
     nse = neyman_se(obs, design)
     z = d_obs / nse
@@ -146,7 +146,7 @@ def _exact_mean_of_difference(table, design):
     for labels, prob in zip(*support_label_matrix(design)):
         assignment = AssignmentVector(labels)
         responses = select_components(table, sample, assignment)
-        weights = resolve_weights(ArmSizeWeights(), sample, assignment)
+        weights = resolve_weights(design, sample, assignment)
         total += prob * d_statistic(responses, assignment, weights)
     return total
 

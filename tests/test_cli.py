@@ -399,9 +399,12 @@ class TestExitCodes:
             "hi2": 201}}).encode(), ("simulate", "--replicates", "100")),
         ("fixed_y.json", json.dumps({**SCENARIO, "fixed_y": {"y1": [0] * 10, "y2": "ab"}})
          .encode(), ("simulate", "--replicates", "100")),
+        ("name.json", json.dumps({**SCENARIO, "name": 5}).encode(),
+         ("simulate", "--replicates", "100")),
     ], ids=["design_not_json", "data_not_utf8", "n1_not_integer", "unknown_hypothesis",
             "law_parameter_string", "effect_parameter_bool", "hypothesis_truth_not_list",
-            "n1_not_integral", "flag_not_bool", "count_string", "fixed_y_not_numbers"])
+            "n1_not_integral", "flag_not_bool", "count_string", "fixed_y_not_numbers",
+            "name_not_string"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, filename, content, command):
         path = tmp_path / filename
         path.write_bytes(content)
@@ -506,6 +509,13 @@ class TestSimulateCommand:
         code, out = run_cli(
             "simulate", "t3.sc1", "--replicates", "100", "--seed", "11",
             "--exact-small", "--format", "json",
+        )
+        assert code == 0
+        jsonschema.validate(json.loads(out), SCHEMAS["simulation"])
+
+    def test_exact_small_past_the_cap_runs(self):
+        code, out = run_cli(
+            "simulate", "t5.sc1", "--replicates", "100", "--exact-small", "--format", "json",
         )
         assert code == 0
         jsonschema.validate(json.loads(out), SCHEMAS["simulation"])

@@ -266,6 +266,28 @@ class TestFisherRandomization:
         ).p_value
         assert p1 == p2
 
+    @given(st.integers(22, 60), st.data())
+    def test_plan_equals_permutation_plan_bit_for_bit(self, n, data):
+        # the uniform CRD's weights are its arm sizes, so the two plans
+        # agree at every arm size, not only where n * (n1 / n) == n1
+        n1 = data.draw(st.integers(1, n - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        gen = np.random.default_rng(seed)
+        labels = np.full(n, 2, np.int8)
+        labels[gen.permutation(n)[:n1]] = 1
+        obs = ObservedExperiment(
+            SampleVector.first_n(n), AssignmentVector(labels), gen.normal(size=n).round(3)
+        )
+        perm = permutation_plan(obs)
+        fisher = fisher_randomization_plan(obs, UniformCRD(n, n1))
+        assert np.array_equal(perm.coef, fisher.coef)
+        assert (perm.offset, perm.statistic) == (fisher.offset, fisher.statistic)
+        p_perm, p_fisher = (
+            run_resampling_plans([plan], MonteCarloEngine(1000, RngStream(seed)))[0].p_value
+            for plan in (perm, fisher)
+        )
+        assert p_perm == p_fisher
+
     def test_report_fields(self, six_obs):
         report = fisher_randomization_test(six_obs, UniformCRD(6, 3), ExactEngine())
         assert report.hypothesis is Hypothesis.RUs
@@ -344,13 +366,16 @@ class TestNeyman:
         assert neyman_se(obs, design) == pytest.approx(19.30325916028131, abs=1e-10)
 
     def test_selection_census_identical(self, cellphone):
-        obs = cellphone.observed
-        rand = neyman_randomization_test(obs, UniformCRD(obs.n, obs.n1))
-        sel = neyman_selection_test(obs, CensusCRD(obs.n, obs.n1))
-        assert sel.statistic == rand.statistic
-        assert sel.p_value == rand.p_value
-        assert sel.hypothesis is Hypothesis.RAP
-        assert sel.assumptions == ("C1", "C2")
+        # also at arms of 15 and 7, where 22 * (15 / 22) rounds away from 15
+        gen = np.random.default_rng(4)
+        uneven = ObservedExperiment.from_arms(gen.normal(size=15), gen.normal(size=7))
+        for obs in (cellphone.observed, uneven):
+            rand = neyman_randomization_test(obs, UniformCRD(obs.n, obs.n1))
+            sel = neyman_selection_test(obs, CensusCRD(obs.n, obs.n1))
+            assert sel.statistic == rand.statistic
+            assert sel.p_value == rand.p_value
+            assert sel.hypothesis is Hypothesis.RAP
+            assert sel.assumptions == ("C1", "C2")
 
     def test_selection_requires_census(self):
         obs = ObservedExperiment.from_arms([1.0, 2.0], [3.0, 4.0])

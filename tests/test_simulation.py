@@ -45,6 +45,7 @@ from randcompare import (
     wilcoxon_test,
 )
 import randcompare.inference
+import randcompare.simulation
 from randcompare.simulation import _toml_subset_loads
 
 BIG = 200_000
@@ -318,11 +319,30 @@ class TestRunSizePower:
             rows.append(size)
             return batch(design, size, gen)
 
+        supports = []
+        mask = randcompare.simulation.support_mask
+
+        def counting_support(design):
+            supports.append(design)
+            return mask(design)
+
         monkeypatch.setattr(randcompare.inference, "sample_assignment_batch", counting)
+        monkeypatch.setattr(randcompare.simulation, "support_mask", counting_support)
         welch = run_size_power("t3.sc1", test_suite=("welch_t",), **kwargs)
+        exact = run_size_power("t3.sc1", test_suite=("welch_t",), exact_small=True, **kwargs)
         assert sum(rows) == 0
-        assert [(e.row, e.rejections) for e in welch] == [
-            (e.row, e.rejections) for e in default if e.test_name == "welch_t"]
+        assert supports == []
+        expected = [(e.row, e.rejections) for e in default if e.test_name == "welch_t"]
+        assert [(e.row, e.rejections) for e in welch] == expected
+        assert [(e.row, e.rejections) for e in exact] == expected
+
+    def test_exact_small_past_the_cap_runs_monte_carlo(self):
+        # C(100, 50) assignments do not fit the enumeration cap
+        kwargs = dict(replicates=100, rng=RngStream(5))
+        mc = run_size_power("t5.sc1", **kwargs)
+        exact = run_size_power("t5.sc1", exact_small=True, **kwargs)
+        assert [(e.row, e.test_name, e.rejections) for e in exact] == [
+            (e.row, e.test_name, e.rejections) for e in mc]
 
     def test_exact_small_close_to_mc(self):
         kwargs = dict(replicates=200, rows=("randomization",))

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from randcompare import (
-    ArmSizeWeights,
     AssignmentVector,
     CensusCRD,
     DataValidationError,
@@ -34,16 +33,16 @@ from randcompare import (
 
 class TestResolveWeights:
     def test_arm_sizes(self, six_obs):
-        w = resolve_weights(ArmSizeWeights(), six_obs.sample, six_obs.assignment)
+        w = resolve_weights(UniformCRD(6, 3), six_obs.sample, six_obs.assignment)
         assert np.all(w[0] == 3.0)
         assert np.all(w[1] == 3.0)
 
     def test_crd_inclusion_equals_arm_sizes(self):
-        # under uniform CRD, n * pi(t, j) = n_t: the two weight families agree
-        obs = ObservedExperiment.from_arms([1.0, 2.0, 3.0], [4.0, 5.0])
-        w1 = resolve_weights(ArmSizeWeights(), obs.sample, obs.assignment)
-        w3 = resolve_weights(UniformCRD(5, 3), obs.sample, obs.assignment)
-        assert np.allclose(w1, w3, rtol=1e-15)
+        # under uniform CRD, n * pi(t, j) = n_t exactly, also where
+        # 22 * (7 / 22) rounds away from 7
+        obs = ObservedExperiment.from_arms(np.arange(7.0), np.arange(15.0))
+        w = resolve_weights(UniformCRD(22, 7), obs.sample, obs.assignment)
+        assert np.array_equal(w, np.repeat([[7.0], [15.0]], 22, axis=1))
 
     def test_census_selection_weights(self):
         obs = ObservedExperiment.from_arms([1.0, 2.0], [3.0, 4.0])
@@ -90,7 +89,7 @@ class TestResolveWeights:
 
 class TestDStatistic:
     def test_equals_mean_difference_with_arm_sizes(self, six_obs):
-        w = resolve_weights(ArmSizeWeights(), six_obs.sample, six_obs.assignment)
+        w = resolve_weights(UniformCRD(6, 3), six_obs.sample, six_obs.assignment)
         d = d_statistic(six_obs.responses, six_obs.assignment, w)
         assert d == pytest.approx(np.mean([3, 1, 4]) - np.mean([1, 5, 9]), abs=1e-12)
 

@@ -16,10 +16,11 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .datasets import bundled_dataset_path, dataset_summary, load_dataset
-from .designs import CensusCRD, RngStream, UniformCRD, explicit_from_json
+from .designs import ENUMERATION_CAP, CensusCRD, RngStream, UniformCRD, explicit_from_json
 from .errors import (
     DataValidationError,
     EnumerationTooLargeError,
@@ -31,6 +32,7 @@ from .inference import (
     AsymptoticEngine,
     ExactEngine,
     MonteCarloEngine,
+    TestReport,
     fisher_exact_2x2,
     fisher_randomization_plan,
     fisher_selection_test,
@@ -237,7 +239,7 @@ def _resampled_together(names: list, start: int, crd: bool) -> list:
 
 def _engine_meta(engine) -> dict:
     if isinstance(engine, ExactEngine):
-        return {"kind": "exact", "enumeration_cap": engine.enumeration_cap}
+        return {"kind": "exact", "enumeration_cap": ENUMERATION_CAP}
     if isinstance(engine, MonteCarloEngine):
         return {"kind": "monte_carlo", "budget": engine.budget,
                 "seed": engine.rng.seed}
@@ -289,21 +291,20 @@ def _test_table(meta: dict, reports: list, notices: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _test_csv(reports: list) -> str:
+def _csv(header, rows: list) -> str:
+    """CSV of rows of dicts, one column per header key: a missing value
+    is written empty, a list joined with '|' and a flag as 0/1."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, list):
+            return "|".join(value)
+        return int(value) if isinstance(value, bool) else value
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["test", "hypothesis", "statistic", "p_value", "p_value_kind",
-         "mc_stderr", "assumptions", "n1", "n2", "degenerate"]
-    )
-    for rep in reports:
-        writer.writerow(
-            [rep.test, rep.hypothesis.value, repr(rep.statistic),
-             repr(rep.p_value), rep.p_value_kind,
-             "" if rep.mc_stderr is None else repr(rep.mc_stderr),
-             "|".join(rep.assumptions), rep.n1, rep.n2,
-             int(rep.degenerate)]
-        )
+    writer.writerow(header)
+    writer.writerows([cell(row[key]) for key in header] for row in rows)
     return buf.getvalue()
 
 
@@ -362,28 +363,24 @@ def cmd_test(args) -> int:
         doc["notices"] = notices
         text = json.dumps(doc, indent=2) + "\n"
     elif args.fmt == "csv":
-        text = _test_csv(reports)
+        text = _csv([f.name for f in fields(TestReport)],
+                    [rep.to_dict() for rep in reports])
     else:
         text = _test_table(meta, reports, notices)
     _write_output(text, args.out)
     return 0
 
 
+_SIM_FIELDS = ("scenario", "row", "test", "rejection_rate", "mc_stderr",
+               "rejections", "replicates")
+
+
 def _sim_rows(scenario_name: str, estimates: list) -> list:
-    rows = []
-    for est in estimates:
-        rows.append(
-            {
-                "scenario": scenario_name,
-                "row": est.row,
-                "test": est.test_name,
-                "rejection_rate": est.rejection_rate,
-                "mc_stderr": est.mc_stderr,
-                "rejections": est.rejections,
-                "replicates": est.replicates,
-            }
-        )
-    return rows
+    return [
+        dict(zip(_SIM_FIELDS, (scenario_name, est.row, est.test_name, est.rejection_rate,
+                               est.mc_stderr, est.rejections, est.replicates)))
+        for est in estimates
+    ]
 
 
 def _sim_table(meta: dict, rows: list) -> str:
@@ -406,24 +403,6 @@ def _sim_table(meta: dict, rows: list) -> str:
             f"{rate:>9}{err:>8}{rej:>12}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _sim_csv(rows: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["scenario", "row", "test", "rejection_rate", "mc_stderr",
-         "rejections", "replicates"]
-    )
-    for row in rows:
-        writer.writerow(
-            [row["scenario"], row["row"], row["test"],
-             "NA" if row["rejection_rate"] is None else repr(row["rejection_rate"]),
-             "" if row["mc_stderr"] is None else repr(row["mc_stderr"]),
-             "" if row["rejections"] is None else row["rejections"],
-             row["replicates"]]
-        )
-    return buf.getvalue()
 
 
 def cmd_simulate(args) -> int:
@@ -461,7 +440,9 @@ def cmd_simulate(args) -> int:
         doc["estimates"] = rows
         text = json.dumps(doc, indent=2) + "\n"
     elif args.fmt == "csv":
-        text = _sim_csv(rows)
+        text = _csv(_SIM_FIELDS, [
+            row if row["rejection_rate"] is not None else {**row, "rejection_rate": "NA"}
+            for row in rows])
     else:
         text = _sim_table(meta, rows)
     _write_output(text, args.out)

@@ -221,26 +221,9 @@ _DIRECT_IMPLICATIONS = {
 }
 
 
-def _transitive_closure():
-    closure = {h: set(_DIRECT_IMPLICATIONS[h]) for h in Hypothesis}
-    changed = True
-    while changed:
-        changed = False
-        for h in Hypothesis:
-            for child in list(closure[h]):
-                new = closure[child] - closure[h]
-                if new:
-                    closure[h] |= new
-                    changed = True
-    return closure
-
-
-_IMPLIES = _transitive_closure()
-
-
 def hypothesis_implies(a: Hypothesis, b: Hypothesis) -> bool:
     """True iff null a logically entails null b (reflexive, transitive)."""
-    return a is b or b in _IMPLIES[a]
+    return a is b or any(hypothesis_implies(c, b) for c in _DIRECT_IMPLICATIONS[a])
 
 
 def select_components(

@@ -15,14 +15,13 @@ statistics, the doubled smaller tail (capped at 1) for the rank sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NoReturn, Optional, Union
 
 import numpy as np
 
 from .core import Hypothesis, ObservedExperiment
 from .designs import (
-    ENUMERATION_CAP,
     AssignmentDesign,
     RngStream,
     SelectionDesign,
@@ -61,12 +60,20 @@ REL_TOL = 1e-9
 # Monte Carlo draws are made and scored in batches of at most this many.
 MC_CHUNK = 100_000
 
+# The smallest Monte Carlo budget any engine or the harness accepts.
+MIN_MC_BUDGET = 1000
+
+
+def check_mc_budget(budget: int) -> None:
+    """Refuse a Monte Carlo budget below MIN_MC_BUDGET."""
+    if budget < MIN_MC_BUDGET:
+        raise DataValidationError(f"Monte Carlo budget must be >= {MIN_MC_BUDGET}")
+
 
 @dataclass(frozen=True)
 class ExactEngine:
-    """Full-support enumeration; p-values are exact tail probabilities."""
-
-    enumeration_cap: int = ENUMERATION_CAP
+    """Full-support enumeration, up to ENUMERATION_CAP assignments;
+    p-values are exact tail probabilities."""
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,7 @@ class MonteCarloEngine:
     rng: RngStream
 
     def __post_init__(self):
-        if self.budget < 1000:
-            raise DataValidationError("Monte Carlo budget must be >= 1000")
+        check_mc_budget(self.budget)
 
 
 @dataclass(frozen=True)
@@ -114,18 +120,9 @@ class TestReport:
             raise DataValidationError("p-value must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "hypothesis": self.hypothesis.value,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "p_value_kind": self.p_value_kind,
-            "mc_stderr": self.mc_stderr,
-            "assumptions": list(self.assumptions),
-            "n1": self.n1,
-            "n2": self.n2,
-            "degenerate": self.degenerate,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "hypothesis": self.hypothesis.value,
+                "assumptions": list(self.assumptions)}
 
 
 # Each test's report name -> the null it addresses and the codes of the
@@ -168,10 +165,10 @@ def add_one_pvalue(hits: int, budget: int) -> tuple:
     return p, math.sqrt(p * (1.0 - p) / budget)
 
 
-def support_mask(design: AssignmentDesign, cap: int = ENUMERATION_CAP) -> tuple:
+def support_mask(design: AssignmentDesign) -> tuple:
     """(arm-1 indicator mask (M, n) float64, probs (M,)) over the design's
     enumerated support: the prebuilt support resample_tails scores."""
-    labels, probs = support_label_matrix(design, cap)
+    labels, probs = support_label_matrix(design)
     return (labels == 1).astype(np.float64), probs
 
 
@@ -206,8 +203,7 @@ def resample_tails(design, columns, *, support=None, budget=None, rng=None) -> l
     if support is not None:
         mask, probs = support
         return _column_tails(mask, columns, probs)
-    if budget < 1:
-        raise DataValidationError("Monte Carlo budget must be positive")
+    check_mc_budget(budget)
     gen = rng.generator()
     totals = np.zeros((len(columns), 3), dtype=np.int64)
     for start in range(0, budget, MC_CHUNK):
@@ -274,7 +270,7 @@ def run_resampling_plans(plans, engine: PValueEngine) -> list:
         raise ValueError("plans scored together must share one design")
     columns = [(plan.coef, plan.offset, plan.statistic) for plan in plans]
     if isinstance(engine, ExactEngine):
-        support, budget, rng = support_mask(design, engine.enumeration_cap), None, None
+        support, budget, rng = support_mask(design), None, None
     else:
         support, budget, rng = None, engine.budget, engine.rng
     tails = resample_tails(design, columns, support=support, budget=budget, rng=rng)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
@@ -54,7 +54,7 @@ from .errors import (
     UnknownScenarioError,
 )
 from .inference import (
-    MC_CHUNK,
+    check_mc_budget,
     hypergeometric_counts,
     neyman_randomization_test,
     permutation_plan,
@@ -280,7 +280,7 @@ class Scenario:
     randomization row. fixed_large_count conditions the one-off fixed
     draw of a mixture population on its count of rare-component values.
     adjust_equal_means redraws paired binary populations until the two
-    potential columns have equal means.
+    potential columns have equal means; single-column laws refuse it.
     """
 
     name: str
@@ -302,8 +302,14 @@ class Scenario:
             raise DataValidationError("paired laws draw both columns; effect must be None")
         if not paired and self.effect is None:
             raise DataValidationError("single-column laws need an effect")
+        if not paired and self.adjust_equal_means:
+            raise DataValidationError("adjust_equal_means applies only to paired laws")
         if self.fixed_y is not None and self.fixed_y.n_units != self.n_population:
             raise DataValidationError("fixed table size must match the population")
+        if self.fixed_large_count is not None and not (
+            0 <= self.fixed_large_count <= self.n_population
+        ):
+            raise DataValidationError("fixed_large_count must lie in 0..n1+n2")
 
     @property
     def n_population(self) -> int:
@@ -311,7 +317,14 @@ class Scenario:
 
     @property
     def binary(self) -> bool:
-        return isinstance(self.law, (Bernoulli, CorrelatedBernoulliPair))
+        """True when every potential value is 0 or 1: a 0/1 law left
+        unchanged by its effect, and a 0/1 fixed table if there is one."""
+        table = self.fixed_y
+        return (
+            isinstance(self.law, (Bernoulli, CorrelatedBernoulliPair))
+            and self.effect in (None, Identity())
+            and (table is None or bool(np.isin([table.y1, table.y2], (0.0, 1.0)).all()))
+        )
 
 
 def generate_population(scenario: Scenario, gen: np.random.Generator) -> PotentialTable:
@@ -325,8 +338,9 @@ def generate_population(scenario: Scenario, gen: np.random.Generator) -> Potenti
             if int(pairs[0].sum()) == int(pairs[1].sum()):
                 break
         else:
-            raise RuntimeError(
-                "gave up adjusting a paired binary population to equal means"
+            raise DataValidationError(
+                f"scenario {scenario.name!r}: gave up adjusting a paired binary "
+                f"population to equal means after {_MAX_CONDITION_ATTEMPTS} draws"
             )
         return PotentialTable(y1=pairs[0], y2=pairs[1])
     y1 = scenario.law.draw(gen, n)
@@ -347,7 +361,10 @@ def draw_fixed_population(scenario: Scenario, rng: RngStream) -> PotentialTable:
         count = int(np.count_nonzero(table.y1 > LARGE_OBSERVATION_THRESHOLD))
         if count == scenario.fixed_large_count:
             return table
-    raise RuntimeError("gave up conditioning the fixed population draw")
+    raise DataValidationError(
+        f"scenario {scenario.name!r}: gave up conditioning the fixed population "
+        f"draw after {_MAX_CONDITION_ATTEMPTS} draws"
+    )
 
 
 def _table(y1, y2) -> PotentialTable:
@@ -622,8 +639,9 @@ def run_size_power(
     """Monte Carlo rejection rates for one scenario, both conditioning rows.
 
     mc_budget defaults to 10000 resamples per replicate for populations
-    of 20 units and 4000 for larger ones. exact_small switches the
-    resampling tests to full enumeration when the support fits the cap.
+    of 20 units and 4000 for larger ones; like MonteCarloEngine, it
+    refuses a budget below 1000. exact_small switches the resampling
+    tests to full enumeration when the support fits the cap.
     Returns one PowerEstimate per (row, test), rows outermost.
     """
     if isinstance(scenario, str):
@@ -646,11 +664,11 @@ def run_size_power(
     design = UniformCRD(n, scenario.n1)
     sample = SampleVector.first_n(n)
     budget = mc_budget if mc_budget is not None else (10_000 if n <= 20 else 4_000)
-    if budget > MC_CHUNK:
-        raise DataValidationError(f"per-replicate budget above {MC_CHUNK} unsupported")
+    check_mc_budget(budget)
+    binary = scenario.binary
     resampling = not set(test_suite) <= _CLOSED_FORM.keys()
     support = None
-    if resampling and exact_small and not scenario.binary:
+    if resampling and exact_small and not binary:
         try:
             fits = design.support_size <= ENUMERATION_CAP
         except EnumerationTooLargeError:
@@ -662,7 +680,7 @@ def run_size_power(
         """p-values of the resampling tests; the rank sum's is None on
         binary responses. fisher_rand resamples the permutation statistic
         over the same uniform CRD, so the two share a p-value."""
-        if scenario.binary:
+        if binary:
             m = int(round(float(observed.responses.sum())))
             k = int(round(float(observed.arm_responses(1).sum())))
             k_lo, tails = _binary_abs_tail(n, design.n1, m)
@@ -729,24 +747,22 @@ def run_size_power(
 # ------------------------------------------------------- scenario files
 
 
+# Each kind's parameters are its class's fields, in declaration order.
 _LAW_KINDS = {
-    "normal": (Normal, ("mean", "sd")),
-    "gamma": (GammaLaw, ("shape", "scale")),
-    "uniform_mixture": (UniformMixture, ("weight", "lo1", "hi1", "lo2", "hi2")),
-    "bernoulli": (Bernoulli, ("p",)),
-    "correlated_bernoulli_pair": (
-        CorrelatedBernoulliPair,
-        ("p1", "p2", "correlation"),
-    ),
+    "normal": Normal,
+    "gamma": GammaLaw,
+    "uniform_mixture": UniformMixture,
+    "bernoulli": Bernoulli,
+    "correlated_bernoulli_pair": CorrelatedBernoulliPair,
 }
 
 _EFFECT_KINDS = {
-    "identity": (Identity, ()),
-    "shift": (Shift, ("delta",)),
-    "shift_centered_noise": (ShiftWithCenteredNoise, ("delta", "sd")),
-    "scale": (Scale, ("factor",)),
-    "scale_about_mean": (ScaleAboutMean, ("factor",)),
-    "scale_noise": (ScaleWithNoise, ("factor", "sd")),
+    "identity": Identity,
+    "shift": Shift,
+    "shift_centered_noise": ShiftWithCenteredNoise,
+    "scale": Scale,
+    "scale_about_mean": ScaleAboutMean,
+    "scale_noise": ScaleWithNoise,
 }
 
 
@@ -768,7 +784,8 @@ def _build_from_spec(table, kinds, what, path):
         raise DataValidationError(
             f"unknown {what} kind {kind!r}; known: {', '.join(kinds)}"
         )
-    cls, params = kinds[kind]
+    cls = kinds[kind]
+    params = [f.name for f in fields(cls)]
     extra = set(table) - {"kind"} - set(params)
     if extra:
         raise DataValidationError(f"unknown {what} parameters: {sorted(extra)}")

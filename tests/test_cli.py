@@ -3,6 +3,7 @@ import importlib
 import json
 import shutil
 import subprocess
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -10,10 +11,12 @@ import pytest
 
 import randcompare.cli
 import randcompare.inference
+import randcompare.simulation
 from randcompare import (
     ExactEngine,
     MonteCarloEngine,
     RngStream,
+    TestReport as Report,
     UniformCRD,
     explicit_from_json,
     fisher_randomization_test,
@@ -191,10 +194,13 @@ class TestTestCommand:
             "kind": "monte_carlo", "budget": 2000, "seed": 3
         }
 
-    @pytest.mark.parametrize("budget", ["0", "999"])
-    def test_mc_budget_below_floor_is_2(self, budget, capsys):
-        code, out = run_cli("test", "--data", "cellphone.csv", "--tests", "welch",
-                            "--mc", budget, "--format", "json")
+    @pytest.mark.parametrize("argv", [
+        ("test", "--data", "cellphone.csv", "--tests", "welch", "--mc", "0"),
+        ("test", "--data", "cellphone.csv", "--tests", "welch", "--mc", "999"),
+        ("simulate", "t3.sc1", "--replicates", "100", "--mc", "999"),
+    ], ids=["0", "999", "simulate_999"])
+    def test_mc_budget_below_floor_is_2(self, argv, capsys):
+        code, out = run_cli(*argv, "--format", "json")
         assert code == 2
         assert out == ""
         assert ">= 1000" in capsys.readouterr().err
@@ -412,6 +418,26 @@ class TestExitCodes:
         assert code == 2
         assert str(path) in capsys.readouterr().err
 
+    def test_unmet_conditioning_is_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(randcompare.simulation, "_MAX_CONDITION_ATTEMPTS", 10)
+        path = tmp_path / "never.json"
+        path.write_text(json.dumps({**SCENARIO, "fixed_large_count": 1}))
+        code, _ = run_cli("simulate", "--replicates", "100", str(path))
+        assert code == 2
+        assert "'demo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"fixed_large_count": 11}, "fixed_large_count"),
+        ({"adjust_equal_means": True}, "adjust_equal_means"),
+    ])
+    def test_scenario_file_refused_by_scenario_is_2(self, tmp_path, capsys, extra, message):
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps({**SCENARIO, **extra}))
+        code, out = run_cli("simulate", "--replicates", "100", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in capsys.readouterr().err
+
     def test_unknown_test_name_is_2(self, capsys):
         code, _ = run_cli("test", "--data", "cellphone.csv", "--tests", "anova")
         assert code == 2
@@ -519,6 +545,21 @@ class TestSimulateCommand:
         )
         assert code == 0
         jsonschema.validate(json.loads(out), SCHEMAS["simulation"])
+
+
+def test_csv_headers_match_fields_and_schemas():
+    """The test report's fields, the test CSV header and the report schema
+    name the same fields in the same order; likewise the simulate CSV
+    header and the schema's estimate items."""
+    names = [f.name for f in fields(Report)]
+    _, out = run_cli("test", "--data", "cellphone.csv", "--tests", "welch", "--format", "csv")
+    report = SCHEMAS["test_report"]["$defs"]["report"]
+    assert out.splitlines()[0].split(",") == names
+    assert list(report["properties"]) == names
+    assert report["required"] == names
+    _, out = run_cli("simulate", "t3.sc1", "--replicates", "100", "--format", "csv")
+    item = SCHEMAS["simulation"]["properties"]["estimates"]["items"]
+    assert out.splitlines()[0].split(",") == list(item["properties"]) == item["required"]
 
 
 class TestValidateCommand:

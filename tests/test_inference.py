@@ -131,9 +131,10 @@ class TestEngines:
         assert (p_abs, upper, lower) == pytest.approx((4 / 6, 4 / 6, 4 / 6))
 
     def test_kernel_budget_must_be_positive(self):
-        with pytest.raises(DataValidationError):
-            resample_tails(UniformCRD(4, 2), [(np.ones(4), 0.0, 1.0)],
-                           budget=0, rng=RngStream(0))
+        for budget in (0, 999):
+            with pytest.raises(DataValidationError, match=">= 1000"):
+                resample_tails(UniformCRD(4, 2), [(np.ones(4), 0.0, 1.0)],
+                               budget=budget, rng=RngStream(0))
 
     def test_report_validates_p(self):
         with pytest.raises(DataValidationError):

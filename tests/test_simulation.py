@@ -15,6 +15,7 @@ from randcompare import (
     MonteCarloEngine,
     Normal,
     ObservedExperiment,
+    PotentialTable,
     REFERENCE_RATES,
     RngStream,
     SampleVector,
@@ -166,6 +167,29 @@ class TestScenarioRegistry:
             )
         with pytest.raises(DataValidationError):
             Scenario(name="bad", n1=5, n2=5, law=Normal(0.0, 1.0), effect=None)
+        with pytest.raises(DataValidationError, match="adjust_equal_means"):
+            Scenario(name="bad", n1=5, n2=5, law=Normal(0.0, 1.0), effect=Identity(),
+                     adjust_equal_means=True)
+
+    @pytest.mark.parametrize("count, ok", [(-1, False), (0, True), (10, True), (11, False)])
+    def test_fixed_large_count_within_population(self, count, ok):
+        def build():
+            return Scenario(name="mix", n1=5, n2=5, law=UniformMixture(0.9, 0, 20, 200, 201),
+                            effect=Identity(), fixed_large_count=count)
+        if ok:
+            assert build().fixed_large_count == count
+        else:
+            with pytest.raises(DataValidationError, match="fixed_large_count"):
+                build()
+
+    def test_binary_means_all_potentials_zero_or_one(self):
+        assert [s for s in known_scenarios() if get_scenario(s).binary] == [
+            "t3.sc6", "t3.sc7", "t4.sc6", "t5.sc6", "t5.sc7", "t6.sc6"]
+        bern = dict(name="b", n1=10, n2=10, law=Bernoulli(0.3))
+        assert Scenario(effect=Identity(), **bern).binary
+        assert not Scenario(effect=Shift(1.0), **bern).binary
+        assert not Scenario(effect=Identity(), fixed_y=PotentialTable(
+            np.full(20, 2.0), np.full(20, 2.0)), **bern).binary
 
     def test_sizes(self):
         assert get_scenario("t3.sc1").n_population == 20
@@ -203,6 +227,17 @@ class TestPopulations:
         assert np.array_equal(a.y1, b.y1)
         c = draw_fixed_population(get_scenario("t3.sc1"), RngStream(12))
         assert not np.array_equal(a.y1, c.y1)
+
+    def test_unmet_conditioning_names_the_scenario(self, monkeypatch):
+        monkeypatch.setattr(randcompare.simulation, "_MAX_CONDITION_ATTEMPTS", 10)
+        normal = Scenario(name="never", n1=5, n2=5, law=Normal(0.0, 1.0),
+                          effect=Identity(), fixed_large_count=1)
+        with pytest.raises(DataValidationError, match="'never'"):
+            draw_fixed_population(normal, RngStream(0))
+        pair = Scenario(name="apart", n1=5, n2=5, effect=None, adjust_equal_means=True,
+                        law=CorrelatedBernoulliPair(0.05, 0.95, 0.0))
+        with pytest.raises(DataValidationError, match="'apart'"):
+            generate_population(pair, RngStream(0).generator())
 
     def test_fixed_mixture_conditions_on_large_count(self):
         for seed in (1, 2, 3):
@@ -269,6 +304,8 @@ class TestRunSizePower:
             )
         with pytest.raises(UnknownScenarioError):
             run_size_power("t3.sc99", replicates=100, rng=RngStream(0))
+        with pytest.raises(DataValidationError, match=">= 1000"):
+            run_size_power("t3.sc1", replicates=100, rng=RngStream(0), mc_budget=999)
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one(self, threads):
@@ -343,6 +380,13 @@ class TestRunSizePower:
         exact = run_size_power("t5.sc1", exact_small=True, **kwargs)
         assert [(e.row, e.test_name, e.rejections) for e in exact] == [
             (e.row, e.test_name, e.rejections) for e in mc]
+
+    def test_budget_above_a_chunk_with_exact_small(self):
+        kwargs = dict(replicates=100, exact_small=True)
+        default = run_size_power("t3.sc1", rng=RngStream(6), **kwargs)
+        big = run_size_power("t3.sc1", rng=RngStream(6), mc_budget=200_000, **kwargs)
+        assert [(e.row, e.test_name, e.rejections) for e in big] == [
+            (e.row, e.test_name, e.rejections) for e in default]
 
     def test_exact_small_close_to_mc(self):
         kwargs = dict(replicates=200, rows=("randomization",))
@@ -461,6 +505,33 @@ class TestKernelMatchesStandaloneTests:
         by_name = {e.test_name: e for e in estimates}
         assert by_name["fisher_rand"].rejections == counts["fisher_rand"]
         assert by_name["neyman_rand"].rejections == counts["neyman_rand"]
+
+
+    def test_bernoulli_law_with_shift_is_resampled(self):
+        # responses of 0, 1 and 2: not binary, so no hypergeometric shortcut
+        scenario = Scenario(name="b", n1=10, n2=10, law=Bernoulli(0.3), effect=Shift(1.0))
+        estimates = run_size_power(
+            scenario, replicates=100, rng=RngStream(3), rows=("randomization",)
+        )
+        master = RngStream(3)
+        design = UniformCRD(20, 10)
+        sample = SampleVector.first_n(20)
+        table = draw_fixed_population(scenario, master)
+        counts = {t: 0 for t in ("permutation", "wilcoxon", "fisher_rand")}
+        for r in range(100):
+            assignment = sample_assignment(design, master.substream(2, r))
+            responses = select_components(table, sample, assignment)
+            obs = ObservedExperiment(sample, assignment, responses)
+            engine = MonteCarloEngine(10_000, _mc_stream(master, "randomization", r))
+            counts["permutation"] += permutation_test(obs, engine).p_value <= 0.05
+            counts["wilcoxon"] += wilcoxon_test(obs, engine).p_value <= 0.05
+            counts["fisher_rand"] += (
+                fisher_randomization_test(obs, design, engine).p_value <= 0.05
+            )
+        by_name = {e.test_name: e for e in estimates}
+        assert by_name["wilcoxon"].rejection_rate is not None
+        for name, expected in counts.items():
+            assert by_name[name].rejections == expected, name
 
 
 class TestScenarioFiles:

@@ -1,8 +1,9 @@
 """Tests of no treatment effect in two-treatment comparative experiments.
 
 Process-based, randomization-based and selection-based procedures over
-potential-outcome tables, with exact, Monte Carlo and asymptotic
-p-value engines, plus a size/power simulation harness.
+potential-outcome tables: resampling tests with exact and Monte Carlo
+p-value engines, closed-form tests with asymptotic p-values, plus a
+size/power simulation harness.
 """
 from .core import (
     AssignmentVector,
@@ -43,7 +44,6 @@ from .errors import (
     UnsupportedDesignError,
 )
 from .inference import (
-    AsymptoticEngine,
     ExactEngine,
     MonteCarloEngine,
     TestReport,
@@ -55,8 +55,6 @@ from .inference import (
     neyman_selection_test,
     permutation_test,
     pooled_t_test,
-    resample_tails,
-    support_mask,
     welch_t_test,
     wilcoxon_test,
 )

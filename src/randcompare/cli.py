@@ -29,7 +29,6 @@ from .errors import (
     UnsupportedDesignError,
 )
 from .inference import (
-    AsymptoticEngine,
     ExactEngine,
     MonteCarloEngine,
     TestReport,
@@ -131,7 +130,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma list from {{{','.join(_TESTS)}}} or 'all'",
     )
     test.add_argument("--design", default="crd", help="'crd' or a JSON design file")
-    test.add_argument("--engine", choices=("exact", "mc", "asymptotic"), default=None)
+    test.add_argument(
+        "--engine", choices=("exact", "mc"), default=None,
+        help="p-value engine of the resampling tests: exact enumeration or Monte "
+             f"Carlo. Default: exact up to {DEFAULT_EXACT_LIMIT:,} assignments, else mc "
+             f"with {DEFAULT_MC_BUDGET:,} draws. exact exits 4 past {ENUMERATION_CAP:,} "
+             "assignments",
+    )
     test.add_argument("--mc", type=int, default=None, metavar="BUDGET",
                       help="Monte Carlo budget (implies --engine mc)")
     test.add_argument("--seed", type=_parse_seed, default=None)
@@ -194,7 +199,7 @@ def _resolve_design(raw: str, observed):
 
 
 def _resolve_engine(args, design, seed):
-    if args.mc is not None and args.engine not in (None, "mc"):
+    if args.mc is not None and args.engine == "exact":
         raise DataValidationError("--mc only applies to the Monte Carlo engine")
     choice = args.engine
     if choice is None and args.mc is not None:
@@ -207,10 +212,8 @@ def _resolve_engine(args, design, seed):
         choice = "exact" if small else "mc"
     if choice == "exact":
         return ExactEngine()
-    if choice == "mc":
-        budget = DEFAULT_MC_BUDGET if args.mc is None else args.mc
-        return MonteCarloEngine(budget, RngStream(seed))
-    return AsymptoticEngine()
+    budget = DEFAULT_MC_BUDGET if args.mc is None else args.mc
+    return MonteCarloEngine(budget, RngStream(seed))
 
 
 def _parse_test_list(raw: str) -> list:
@@ -235,15 +238,6 @@ def _resampled_together(names: list, start: int, crd: bool) -> list:
 
     return [i for i in range(start, len(names))
             if _TESTS[names[i]][1] and own_design(names[i]) == own_design(names[start])]
-
-
-def _engine_meta(engine) -> dict:
-    if isinstance(engine, ExactEngine):
-        return {"kind": "exact", "enumeration_cap": ENUMERATION_CAP}
-    if isinstance(engine, MonteCarloEngine):
-        return {"kind": "monte_carlo", "budget": engine.budget,
-                "seed": engine.rng.seed}
-    return {"kind": "asymptotic"}
 
 
 def _write_output(text: str, out) -> None:
@@ -353,7 +347,7 @@ def cmd_test(args) -> int:
         "arm2_mean": summary["arm2_mean"],
         "mean_difference": summary["mean_difference"],
         "design": args.design,
-        "engine": _engine_meta(engine),
+        "engine": engine.to_dict(),
         "alpha": args.alpha,
         "seed": seed,
     }

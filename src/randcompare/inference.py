@@ -1,5 +1,5 @@
-"""The test procedures and the exact / Monte Carlo / asymptotic p-value
-engines.
+"""The test procedures and the exact and Monte Carlo p-value engines of
+the resampling tests; the closed-form tests read asymptotic p-values.
 
 Each procedure reports the hypothesis it addresses and the assumptions
 it needs, because the same arithmetic can mean different things: the
@@ -15,13 +15,15 @@ statistics, the doubled smaller tail (capped at 1) for the rank sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import threading
+from dataclasses import dataclass, field, fields
 from typing import NoReturn, Optional, Union
 
 import numpy as np
 
 from .core import Hypothesis, ObservedExperiment
 from .designs import (
+    ENUMERATION_CAP,
     AssignmentDesign,
     RngStream,
     SelectionDesign,
@@ -70,10 +72,50 @@ def check_mc_budget(budget: int) -> None:
         raise DataValidationError(f"Monte Carlo budget must be >= {MIN_MC_BUDGET}")
 
 
+def _column_tails(mask, columns, probs=None) -> list:
+    """[abs, upper, lower] tails of each (coef, offset, observed) column
+    over the arm-1 indicator rows of mask: hit counts, or with probs the
+    probability masses of those rows."""
+    tails = []
+    for coef, offset, observed in columns:
+        stats = mask @ coef + offset
+        thr = abs(observed) * (1.0 - REL_TOL)
+        tol = REL_TOL * max(1.0, abs(observed))
+        hits = (np.abs(stats) >= thr, stats >= observed - tol, stats <= observed + tol)
+        if probs is None:
+            tails.append([int(np.count_nonzero(h)) for h in hits])
+        else:
+            # a tail spanning the whole support can sum to 1 + O(eps)
+            tails.append([min(float(probs[h].sum()), 1.0) for h in hits])
+    return tails
+
+
 @dataclass(frozen=True)
 class ExactEngine:
     """Full-support enumeration, up to ENUMERATION_CAP assignments;
-    p-values are exact tail probabilities."""
+    p-values are exact tail probabilities. An engine enumerates a design
+    once and reuses that support while it is called on an equal design."""
+
+    budget = None  # tails are probability masses, not hit counts
+    _support: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  repr=False, compare=False)
+
+    def tails(self, design: AssignmentDesign, columns) -> list:
+        """The resampling kernel: for each column (coef, offset, observed),
+        whose statistic at an assignment with arm-1 indicator row m is
+        m @ coef + offset, the support's probability masses [abs, upper,
+        lower] of |stat| >= |observed|, stat >= observed, stat <= observed."""
+        with self._lock:
+            if design not in self._support:
+                self._support.clear()
+                labels, probs = support_label_matrix(design)
+                self._support[design] = (labels == 1).astype(np.float64), probs
+            mask, probs = self._support[design]
+        return _column_tails(mask, columns, probs)
+
+    def to_dict(self) -> dict:
+        return {"kind": "exact", "enumeration_cap": ENUMERATION_CAP}
 
 
 @dataclass(frozen=True)
@@ -86,13 +128,22 @@ class MonteCarloEngine:
     def __post_init__(self):
         check_mc_budget(self.budget)
 
+    def tails(self, design: AssignmentDesign, columns) -> list:
+        """ExactEngine.tails as hit counts over budget draws from design on
+        rng.generator(), made in chunks of MC_CHUNK and shared by every
+        column."""
+        gen = self.rng.generator()
+        totals = np.zeros((len(columns), 3), dtype=np.int64)
+        for start in range(0, self.budget, MC_CHUNK):
+            labels = sample_assignment_batch(design, min(MC_CHUNK, self.budget - start), gen)
+            totals += _column_tails((labels == 1).astype(np.float64), columns)
+        return totals.tolist()
 
-@dataclass(frozen=True)
-class AsymptoticEngine:
-    """Reference-distribution approximation; no resampling."""
+    def to_dict(self) -> dict:
+        return {"kind": "monte_carlo", "budget": self.budget, "seed": self.rng.seed}
 
 
-PValueEngine = Union[ExactEngine, MonteCarloEngine, AsymptoticEngine]
+PValueEngine = Union[ExactEngine, MonteCarloEngine]
 
 
 @dataclass(frozen=True)
@@ -165,61 +216,6 @@ def add_one_pvalue(hits: int, budget: int) -> tuple:
     return p, math.sqrt(p * (1.0 - p) / budget)
 
 
-def support_mask(design: AssignmentDesign) -> tuple:
-    """(arm-1 indicator mask (M, n) float64, probs (M,)) over the design's
-    enumerated support: the prebuilt support resample_tails scores."""
-    labels, probs = support_label_matrix(design)
-    return (labels == 1).astype(np.float64), probs
-
-
-def _column_tails(mask, columns, probs=None) -> list:
-    tails = []
-    for coef, offset, observed in columns:
-        stats = mask @ coef + offset
-        thr = abs(observed) * (1.0 - REL_TOL)
-        tol = REL_TOL * max(1.0, abs(observed))
-        hits = (np.abs(stats) >= thr, stats >= observed - tol, stats <= observed + tol)
-        if probs is None:
-            tails.append([int(np.count_nonzero(h)) for h in hits])
-        else:
-            # a tail spanning the whole support can sum to 1 + O(eps)
-            tails.append([min(float(probs[h].sum()), 1.0) for h in hits])
-    return tails
-
-
-def resample_tails(design, columns, *, support=None, budget=None, rng=None) -> list:
-    """The resampling kernel: abs, upper and lower tails of k statistics.
-
-    Each column is (coef, offset, observed); its statistic under an
-    assignment with arm-1 indicator row m is m @ coef + offset. With
-    support, a (mask, probs) pair from support_mask, the tails are
-    probability masses of |stat| >= |observed|, stat >= observed and
-    stat <= observed over it. Otherwise budget assignments are drawn from
-    design on rng.generator(), in chunks of MC_CHUNK, and the tails are
-    hit counts: every column is scored on the same batch, and the float
-    mask is built once per chunk. Returns one [abs, upper, lower] per
-    column.
-    """
-    if support is not None:
-        mask, probs = support
-        return _column_tails(mask, columns, probs)
-    check_mc_budget(budget)
-    gen = rng.generator()
-    totals = np.zeros((len(columns), 3), dtype=np.int64)
-    for start in range(0, budget, MC_CHUNK):
-        labels = sample_assignment_batch(design, min(MC_CHUNK, budget - start), gen)
-        totals += _column_tails((labels == 1).astype(np.float64), columns)
-    return totals.tolist()
-
-
-# how engine errors name the resampling tests
-_ENGINE_ERROR_NAMES = {
-    "permutation": "permutation test",
-    "wilcoxon": "rank-sum test",
-    "fisher_rand": "randomization test",
-}
-
-
 @dataclass(frozen=True)
 class ResamplingPlan:
     """A resampling test up to its tails: the design it resamples and its
@@ -259,22 +255,13 @@ class ResamplingPlan:
 
 
 def run_resampling_plans(plans, engine: PValueEngine) -> list:
-    """Reports of resampling tests that share one design, from one kernel
-    call: one enumeration, or one set of draws from engine.rng."""
+    """Reports of resampling tests that share one design, from one
+    engine.tails call: one enumeration, or one set of draws from engine.rng."""
     design = plans[0].design
-    if not isinstance(engine, (ExactEngine, MonteCarloEngine)):
-        raise DataValidationError(
-            f"{_ENGINE_ERROR_NAMES[plans[0].test]} supports Exact or MonteCarlo engines"
-        )
     if any(plan.design != design for plan in plans):
         raise ValueError("plans scored together must share one design")
-    columns = [(plan.coef, plan.offset, plan.statistic) for plan in plans]
-    if isinstance(engine, ExactEngine):
-        support, budget, rng = support_mask(design), None, None
-    else:
-        support, budget, rng = None, engine.budget, engine.rng
-    tails = resample_tails(design, columns, support=support, budget=budget, rng=rng)
-    return [plan.report(t, budget) for plan, t in zip(plans, tails)]
+    tails = engine.tails(design, [(plan.coef, plan.offset, plan.statistic) for plan in plans])
+    return [plan.report(t, engine.budget) for plan, t in zip(plans, tails)]
 
 
 def _difference_plan(test, observed, design, weights) -> ResamplingPlan:

@@ -14,9 +14,10 @@ potential table. Rejection rates are reported in percent with the
 binomial standard error sqrt(r(100 - r) / replicates).
 
 Each replicate runs the library's own tests. The permutation and
-rank-sum plans are scored on one resample_tails call, over the cached
-support under exact_small when it fits the enumeration cap or else one
-Monte Carlo batch, and read through ResamplingPlan.report. fisher_rand
+rank-sum plans are scored together by run_resampling_plans, the call the
+test functions make: under exact_small, when the support fits the
+enumeration cap, on one ExactEngine that enumerates the design once per
+call; otherwise on a MonteCarloEngine per replicate. fisher_rand
 resamples the permutation statistic over the same uniform CRD and takes
 its p-value; binary scenarios read that p-value from an exact table and
 report no rank sum.
@@ -54,13 +55,14 @@ from .errors import (
     UnknownScenarioError,
 )
 from .inference import (
+    ExactEngine,
+    MonteCarloEngine,
     check_mc_budget,
     hypergeometric_counts,
     neyman_randomization_test,
     permutation_plan,
     pooled_t_test,
-    resample_tails,
-    support_mask,
+    run_resampling_plans,
     welch_t_test,
     wilcoxon_plan,
 )
@@ -297,6 +299,8 @@ class Scenario:
     def __post_init__(self):
         if self.n1 < 2 or self.n2 < 2:
             raise DataValidationError("scenario arms need n1, n2 >= 2")
+        if self.n_population > np.iinfo(np.intp).max:  # past numpy's index range
+            raise DataValidationError(f"n1 + n2 must be at most {np.iinfo(np.intp).max}")
         paired = isinstance(self.law, CorrelatedBernoulliPair)
         if paired and self.effect is not None:
             raise DataValidationError("paired laws draw both columns; effect must be None")
@@ -667,14 +671,14 @@ def run_size_power(
     check_mc_budget(budget)
     binary = scenario.binary
     resampling = not set(test_suite) <= _CLOSED_FORM.keys()
-    support = None
-    if resampling and exact_small and not binary:
+    exact = None
+    if exact_small:
         try:
             fits = design.support_size <= ENUMERATION_CAP
         except EnumerationTooLargeError:
             fits = False
         if fits:
-            support, budget = support_mask(design), None
+            exact = ExactEngine()
 
     def resampled(observed, stream) -> dict:
         """p-values of the resampling tests; the rank sum's is None on
@@ -686,10 +690,9 @@ def run_size_power(
             k_lo, tails = _binary_abs_tail(n, design.n1, m)
             return {"permutation": tails[k - k_lo], "fisher_rand": tails[k - k_lo],
                     "wilcoxon": None}
-        plans = (permutation_plan(observed), wilcoxon_plan(observed))
-        columns = [(p.coef, p.offset, p.statistic) for p in plans]
-        tails = resample_tails(design, columns, support=support, budget=budget, rng=stream)
-        p_d, p_w = (p.report(t, budget).p_value for p, t in zip(plans, tails))
+        engine = exact or MonteCarloEngine(budget, stream)
+        plans = [permutation_plan(observed), wilcoxon_plan(observed)]
+        p_d, p_w = (report.p_value for report in run_resampling_plans(plans, engine))
         return {"permutation": p_d, "fisher_rand": p_d, "wilcoxon": p_w}
 
     estimates: list = []
@@ -770,13 +773,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _expect(ok, path, key, kind, value) -> None:
-    """Unless ok, raise that key in the scenario file at path must be of kind."""
+def _expect(ok, key, kind, value) -> None:
+    """Unless ok, raise that key in the scenario file must be of kind."""
     if not ok:
-        raise DataValidationError(f"{path}: {key} must be {kind}, got {value!r}")
+        raise DataValidationError(f"{key} must be {kind}, got {value!r}")
 
 
-def _build_from_spec(table, kinds, what, path):
+def _build_from_spec(table, kinds, what):
     if not isinstance(table, dict) or "kind" not in table:
         raise DataValidationError(f"{what} must be a mapping with a 'kind' key")
     kind = table["kind"]
@@ -793,7 +796,7 @@ def _build_from_spec(table, kinds, what, path):
     if missing:
         raise DataValidationError(f"{what} {kind!r} missing parameters: {missing}")
     for p in params:
-        _expect(_is_number(table[p]), path, f"{what} parameter {p!r}", "a number", table[p])
+        _expect(_is_number(table[p]), f"{what} parameter {p!r}", "a number", table[p])
     return cls(**{p: table[p] for p in params})
 
 
@@ -840,14 +843,15 @@ def _toml_subset_loads(text, path):
     return doc
 
 
-def _integer(value, key, path) -> int:
+def _integer(value, key) -> int:
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    _expect(integral and not isinstance(value, bool), path, key, "an integer", value)
+    _expect(integral and not isinstance(value, bool), key, "an integer", value)
     return int(value)
 
 
 def load_scenario_file(path) -> Scenario:
-    """A scenario from a declarative JSON or TOML key-value file."""
+    """A scenario from a declarative JSON or TOML key-value file; every
+    error names the file."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -872,40 +876,48 @@ def load_scenario_file(path) -> Scenario:
             doc = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return _scenario_from_doc(doc)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from None
+
+
+def _scenario_from_doc(doc) -> Scenario:
+    """The scenario a parsed scenario file describes."""
     if not isinstance(doc, dict):
-        raise DataValidationError(f"{path}: top level must be a mapping")
+        raise DataValidationError("top level must be a mapping")
     try:
         name = doc["name"]
-        n1 = _integer(doc["n1"], "n1", path)
-        n2 = _integer(doc["n2"], "n2", path)
-        law = _build_from_spec(doc["law"], _LAW_KINDS, "law", path)
+        n1 = _integer(doc["n1"], "n1")
+        n2 = _integer(doc["n2"], "n2")
+        law = _build_from_spec(doc["law"], _LAW_KINDS, "law")
     except KeyError as exc:
-        raise DataValidationError(f"{path}: missing required key {exc}") from None
-    _expect(isinstance(name, str), path, "name", "a string", name)
+        raise DataValidationError(f"missing required key {exc}") from None
+    _expect(isinstance(name, str), "name", "a string", name)
     effect = None
     if "effect" in doc:
-        effect = _build_from_spec(doc["effect"], _EFFECT_KINDS, "effect", path)
+        effect = _build_from_spec(doc["effect"], _EFFECT_KINDS, "effect")
     tags = doc.get("hypothesis_truth", [])
-    _expect(isinstance(tags, list), path, "hypothesis_truth", "a list", tags)
+    _expect(isinstance(tags, list), "hypothesis_truth", "a list", tags)
     try:
         truth = tuple(Hypothesis(tag) for tag in tags)
     except ValueError as exc:
         known = ", ".join(h.value for h in Hypothesis)
-        raise DataValidationError(f"{path}: {exc}; known: {known}") from None
+        raise DataValidationError(f"{exc}; known: {known}") from None
     fixed_y = None
     if "fixed_y" in doc:
         block = doc["fixed_y"]
         if not isinstance(block, dict) or "y1" not in block or "y2" not in block:
-            raise DataValidationError(f"{path}: fixed_y needs 'y1' and 'y2' arrays")
+            raise DataValidationError("fixed_y needs 'y1' and 'y2' arrays")
         for key in ("y1", "y2"):
             _expect(isinstance(block[key], list) and all(map(_is_number, block[key])),
-                    path, f"fixed_y {key}", "an array of numbers", block[key])
+                    f"fixed_y {key}", "an array of numbers", block[key])
         fixed_y = _table(block["y1"], block["y2"])
     large_count = doc.get("fixed_large_count")
     if large_count is not None:
-        large_count = _integer(large_count, "fixed_large_count", path)
+        large_count = _integer(large_count, "fixed_large_count")
     adjust = doc.get("adjust_equal_means", False)
-    _expect(isinstance(adjust, bool), path, "adjust_equal_means", "true or false", adjust)
+    _expect(isinstance(adjust, bool), "adjust_equal_means", "true or false", adjust)
     return Scenario(
         name=name,
         n1=n1,

@@ -123,14 +123,14 @@ class TestTestCommand:
     def test_env_seed_out_of_range(self, monkeypatch, capsys, raw):
         monkeypatch.setenv("RANDCOMPARE_SEED", raw)
         code, out = run_cli("test", "--data", "cellphone.csv", "--tests", "welch",
-                            "--engine", "asymptotic", "--format", "json")
+                            "--format", "json")
         assert code == 2 and out == ""
         assert "RANDCOMPARE_SEED" in capsys.readouterr().err
 
     def test_env_seed_largest(self, monkeypatch):
         monkeypatch.setenv("RANDCOMPARE_SEED", str(2**64 - 1))
         code, out = run_cli("test", "--data", "cellphone.csv", "--tests", "welch",
-                            "--engine", "asymptotic", "--format", "json")
+                            "--format", "json")
         assert code == 0
         doc = json.loads(out)
         jsonschema.validate(doc, SCHEMAS["test_report"])
@@ -331,10 +331,11 @@ class TestGroupedResampling:
                           "--tests", "fisher-rand,neyman-sel")
         assert code == 2
         assert "outside the design support" in capsys.readouterr().err
-        code, _ = run_cli("test", "--data", data, "--engine", "asymptotic",
-                          "--tests", "welch,wilcoxon,permutation")
-        assert code == 2
-        assert "rank-sum test supports" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli("test", "--data", data, "--engine", "asymptotic",
+                    "--tests", "welch,wilcoxon,permutation")
+        assert exc.value.code == 2
+        assert "invalid choice: 'asymptotic'" in capsys.readouterr().err
 
 
 SCENARIO = {"name": "demo", "n1": 5, "n2": 5, "law": {"kind": "normal", "mean": 0, "sd": 1},
@@ -407,10 +408,12 @@ class TestExitCodes:
          .encode(), ("simulate", "--replicates", "100")),
         ("name.json", json.dumps({**SCENARIO, "name": 5}).encode(),
          ("simulate", "--replicates", "100")),
+        ("n1_huge.json", json.dumps({**SCENARIO, "n1": 10**400}).encode(),
+         ("simulate", "--replicates", "100")),
     ], ids=["design_not_json", "data_not_utf8", "n1_not_integer", "unknown_hypothesis",
             "law_parameter_string", "effect_parameter_bool", "hypothesis_truth_not_list",
             "n1_not_integral", "flag_not_bool", "count_string", "fixed_y_not_numbers",
-            "name_not_string"])
+            "name_not_string", "population_past_index_range"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, filename, content, command):
         path = tmp_path / filename
         path.write_bytes(content)
@@ -429,6 +432,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("extra, message", [
         ({"fixed_large_count": 11}, "fixed_large_count"),
         ({"adjust_equal_means": True}, "adjust_equal_means"),
+        ({"fixed_y": {"y1": [0, 1], "y2": [0, 1]}}, "fixed table size"),
+        ({"law": {"kind": "normal", "mean": 0, "sd": -1}}, "sd > 0"),
+        ({"law": {"kind": "cauchy"}}, "unknown law kind 'cauchy'"),
     ])
     def test_scenario_file_refused_by_scenario_is_2(self, tmp_path, capsys, extra, message):
         path = tmp_path / "refused.json"
@@ -436,7 +442,9 @@ class TestExitCodes:
         code, out = run_cli("simulate", "--replicates", "100", str(path))
         assert code == 2
         assert out == ""
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err
+        assert message in err
 
     def test_unknown_test_name_is_2(self, capsys):
         code, _ = run_cli("test", "--data", "cellphone.csv", "--tests", "anova")
@@ -560,6 +568,26 @@ def test_csv_headers_match_fields_and_schemas():
     _, out = run_cli("simulate", "t3.sc1", "--replicates", "100", "--format", "csv")
     item = SCHEMAS["simulation"]["properties"]["estimates"]["items"]
     assert out.splitlines()[0].split(",") == list(item["properties"]) == item["required"]
+
+
+def test_engine_kinds_match_the_schema(tmp_path):
+    """The test command's --engine choices write exactly the engine kinds
+    that the report schema lists."""
+    data = tmp_path / "six.csv"
+    data.write_text(SIX_CSV)
+    parser = randcompare.cli._build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    [engine] = [a for a in subparsers.choices["test"]._actions if a.dest == "engine"]
+    kinds = set()
+    for choice in engine.choices:
+        code, out = run_cli("test", "--data", str(data), "--tests", "welch",
+                            "--engine", choice, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMAS["test_report"])
+        kinds.add(doc["engine"]["kind"])
+    assert kinds == set(SCHEMAS["test_report"]["properties"]["engine"]["properties"]
+                        ["kind"]["enum"])
 
 
 class TestValidateCommand:

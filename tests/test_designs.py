@@ -207,6 +207,20 @@ class TestSampling:
         b = sample_assignment_batch(d, 50, RngStream(4).generator())
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n, chunks", [
+        (100, (1, 63, 256, 680, 3000)),
+        (20, (1, 63, 256, 680, 3000, 6000)),
+    ])
+    def test_batch_in_chunks_is_one_batch(self, n, chunks):
+        # the prefix property a lazy Monte Carlo draw rests on: the chunks
+        # drawn one after another from one generator are the rows of one
+        # whole batch, in order
+        d = UniformCRD(n, n // 2)
+        gen = RngStream(12).generator()
+        chunked = np.concatenate([d.sample_batch(size, gen) for size in chunks])
+        whole = d.sample_batch(sum(chunks), RngStream(12).generator())
+        assert np.array_equal(chunked, whole)
+
     def test_batch_approximately_uniform(self):
         # 20000 draws over the C(4,2)=6 equally likely label vectors
         d = UniformCRD(4, 2)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from randcompare import (
     AssignmentVector,
-    AsymptoticEngine,
     CensusCRD,
     DataValidationError,
     DegenerateDataError,
@@ -34,14 +33,11 @@ from randcompare import (
     neyman_selection_test,
     permutation_test,
     pooled_t_test,
-    resample_tails,
     support_label_matrix,
-    support_mask,
     welch_t_test,
     wilcoxon_test,
 )
 import randcompare.cli
-import randcompare.inference
 from randcompare.designs import sample_assignment_batch
 from randcompare.inference import (
     TESTS,
@@ -72,10 +68,9 @@ class TestEngines:
 
     def test_kernel_add_one_rule(self):
         # a constant zero statistic: |0| never reaches 5, and always reaches 0
-        never, always = resample_tails(
+        never, always = MonteCarloEngine(2000, RngStream(1)).tails(
             UniformCRD(6, 3),
             [(np.zeros(6), 0.0, 5.0), (np.zeros(6), 0.0, 0.0)],
-            budget=2000, rng=RngStream(1),
         )
         assert never[0] == 0
         p, se = add_one_pvalue(never[0], 2000)
@@ -87,9 +82,8 @@ class TestEngines:
 
     def test_kernel_stderr(self):
         # unit 1 lands in arm 1 in about half of the draws
-        [[hits, upper, lower]] = resample_tails(
+        [[hits, upper, lower]] = MonteCarloEngine(10000, RngStream(2)).tails(
             UniformCRD(2, 1), [(np.array([1.0, 0.0]), 0.0, 1.0)],
-            budget=10000, rng=RngStream(2),
         )
         p, se = add_one_pvalue(hits, 10000)
         assert se == pytest.approx(math.sqrt(p * (1 - p) / 10000))
@@ -106,8 +100,7 @@ class TestEngines:
             (sample_assignment_batch(design, size, gen) == 1) @ coef
             for size in (100_000, 20_000)
         ])
-        [tails] = resample_tails(design, [(coef, 0.0, 17.0)], budget=120_000,
-                                 rng=RngStream(3))
+        [tails] = MonteCarloEngine(120_000, RngStream(3)).tails(design, [(coef, 0.0, 17.0)])
         assert tails == [
             np.count_nonzero(np.abs(stats) >= 17.0 * (1 - 1e-9)),
             np.count_nonzero(stats >= 17.0 - 1.7e-8),
@@ -117,24 +110,23 @@ class TestEngines:
     def test_kernel_columns_share_one_batch(self, six_obs):
         design = UniformCRD(6, 3)
         columns = [(six_obs.responses, 0.0, 10.0), (np.arange(6.0), -1.0, 4.0)]
-        together = resample_tails(design, columns, budget=5000, rng=RngStream(4))
-        alone = [resample_tails(design, [c], budget=5000, rng=RngStream(4))[0]
+        together = MonteCarloEngine(5000, RngStream(4)).tails(design, columns)
+        alone = [MonteCarloEngine(5000, RngStream(4)).tails(design, [c])[0]
                  for c in columns]
         assert together == alone
 
     def test_kernel_exact_masses(self, tiny_obs):
         # arm-1 sums of (1,2,3,4) over the 6 splits: 3,4,5,5,6,7
-        [[p_abs, upper, lower]] = resample_tails(
+        [[p_abs, upper, lower]] = ExactEngine().tails(
             UniformCRD(4, 2), [(tiny_obs.responses, 0.0, 5.0)],
-            support=support_mask(UniformCRD(4, 2)),
         )
         assert (p_abs, upper, lower) == pytest.approx((4 / 6, 4 / 6, 4 / 6))
 
     def test_kernel_budget_must_be_positive(self):
         for budget in (0, 999):
             with pytest.raises(DataValidationError, match=">= 1000"):
-                resample_tails(UniformCRD(4, 2), [(np.ones(4), 0.0, 1.0)],
-                               budget=budget, rng=RngStream(0))
+                MonteCarloEngine(budget, RngStream(0)).tails(
+                    UniformCRD(4, 2), [(np.ones(4), 0.0, 1.0)])
 
     def test_report_validates_p(self):
         with pytest.raises(DataValidationError):
@@ -151,10 +143,6 @@ class TestPermutation:
         assert report.assumptions == ("A1", "A2", "A3")
         assert report.p_value_kind == "exact"
         assert report.mc_stderr is None
-
-    def test_rejects_asymptotic_engine(self, tiny_obs):
-        with pytest.raises(DataValidationError):
-            permutation_test(tiny_obs, AsymptoticEngine())
 
     def test_single_arm_rejected(self):
         obs = ObservedExperiment(
@@ -324,13 +312,13 @@ class TestFisherRandomization:
         alone = [run_resampling_plans([fisher_randomization_plan(six_obs, d)], engine)[0]
                  for d in (first, second)]
         calls = []
-        kernel = randcompare.inference.resample_tails
+        kernel = type(engine).tails
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return kernel(*args, **kwargs)
+        def counting(self, design, columns):
+            calls.append(design)
+            return kernel(self, design, columns)
 
-        monkeypatch.setattr(randcompare.inference, "resample_tails", counting)
+        monkeypatch.setattr(type(engine), "tails", counting)
         plans = [fisher_randomization_plan(six_obs, d) for d in (first, second)]
         together = run_resampling_plans(plans, engine)
         assert len(calls) == 1
@@ -502,10 +490,7 @@ class TestCatalogue:
         plans = [permutation_plan(six_obs), wilcoxon_plan(six_obs)]
         design = plans[0].design
         columns = [(p.coef, p.offset, p.statistic) for p in plans]
-        if budget is None:
-            tails = resample_tails(design, columns, support=support_mask(design))
-        else:
-            tails = resample_tails(design, columns, budget=budget, rng=RngStream(7))
+        tails = engine.tails(design, columns)
         reports = [plan.report(t, budget) for plan, t in zip(plans, tails)]
         assert reports == run_resampling_plans(plans, engine)
         for report in reports:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -357,14 +358,14 @@ class TestRunSizePower:
             return batch(design, size, gen)
 
         supports = []
-        mask = randcompare.simulation.support_mask
+        enumerate_support = randcompare.inference.support_label_matrix
 
         def counting_support(design):
             supports.append(design)
-            return mask(design)
+            return enumerate_support(design)
 
         monkeypatch.setattr(randcompare.inference, "sample_assignment_batch", counting)
-        monkeypatch.setattr(randcompare.simulation, "support_mask", counting_support)
+        monkeypatch.setattr(randcompare.inference, "support_label_matrix", counting_support)
         welch = run_size_power("t3.sc1", test_suite=("welch_t",), **kwargs)
         exact = run_size_power("t3.sc1", test_suite=("welch_t",), exact_small=True, **kwargs)
         assert sum(rows) == 0
@@ -372,6 +373,31 @@ class TestRunSizePower:
         expected = [(e.row, e.rejections) for e in default if e.test_name == "welch_t"]
         assert [(e.row, e.rejections) for e in welch] == expected
         assert [(e.row, e.rejections) for e in exact] == expected
+
+    def test_exact_small_enumerates_once_per_call(self, monkeypatch):
+        supports = []
+        enumerate_support = randcompare.inference.support_label_matrix
+
+        def counting_support(design):
+            supports.append(design)
+            return enumerate_support(design)
+
+        monkeypatch.setattr(randcompare.inference, "support_label_matrix", counting_support)
+        kwargs = dict(replicates=100, exact_small=True)
+        one = run_size_power("t3.sc1", rng=RngStream(8), threads=1, **kwargs)
+        assert supports == [UniformCRD(20, 10)]
+        # the harness's threads share one engine, which enumerates once
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (2, 4):
+                supports.clear()
+                many = run_size_power("t3.sc1", rng=RngStream(8), threads=threads, **kwargs)
+                assert supports == [UniformCRD(20, 10)]
+                assert [(e.row, e.test_name, e.rejections) for e in many] == [
+                    (e.row, e.test_name, e.rejections) for e in one]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_exact_small_past_the_cap_runs_monte_carlo(self):
         # C(100, 50) assignments do not fit the enumeration cap

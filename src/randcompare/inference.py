@@ -55,8 +55,9 @@ from .stats import (
 )
 
 # A resampled statistic within this relative distance of the observed one
-# counts as extreme. Protects exact-mode rational p-values from roundoff
-# in recomputed statistics; the bias is conservative.
+# (and within this absolute distance when |observed| < 1) counts as
+# extreme. Protects exact-mode rational p-values from roundoff in
+# recomputed statistics; the bias is conservative.
 REL_TOL = 1e-9
 
 # Monte Carlo draws are made and scored in batches of at most this many.
@@ -72,6 +73,16 @@ def check_mc_budget(budget: int) -> None:
         raise DataValidationError(f"Monte Carlo budget must be >= {MIN_MC_BUDGET}")
 
 
+def tie_bounds(observed: float) -> tuple:
+    """The tie rule: (thr, upper, lower) such that a resampled statistic
+    stat is in the abs tail when |stat| >= thr, in the upper tail when
+    stat >= upper and in the lower tail when stat <= lower. thr <= 0 puts
+    the whole support in the abs tail, as it must when observed is 0 in
+    exact arithmetic and only rounding makes it differ."""
+    tol = REL_TOL * max(1.0, abs(observed))
+    return abs(observed) - tol, observed - tol, observed + tol
+
+
 def _column_tails(mask, columns, probs=None) -> list:
     """[abs, upper, lower] tails of each (coef, offset, observed) column
     over the arm-1 indicator rows of mask: hit counts, or with probs the
@@ -79,9 +90,8 @@ def _column_tails(mask, columns, probs=None) -> list:
     tails = []
     for coef, offset, observed in columns:
         stats = mask @ coef + offset
-        thr = abs(observed) * (1.0 - REL_TOL)
-        tol = REL_TOL * max(1.0, abs(observed))
-        hits = (np.abs(stats) >= thr, stats >= observed - tol, stats <= observed + tol)
+        thr, upper, lower = tie_bounds(observed)
+        hits = (np.abs(stats) >= thr, stats >= upper, stats <= lower)
         if probs is None:
             tails.append([int(np.count_nonzero(h)) for h in hits])
         else:

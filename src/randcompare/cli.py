@@ -50,7 +50,7 @@ from .simulation import (
     run_size_power,
 )
 
-# Exact enumeration is the default engine up to this support size; past
+# The exact engine is the default up to this support size; past
 # it the default drops to Monte Carlo with a 10^6 budget.
 DEFAULT_EXACT_LIMIT = 200_000
 DEFAULT_MC_BUDGET = 1_000_000
@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument("--design", default="crd", help="'crd' or a JSON design file")
     test.add_argument(
         "--engine", choices=("exact", "mc"), default=None,
-        help="p-value engine of the resampling tests: exact enumeration or Monte "
+        help="p-value engine of the resampling tests: exact tails or Monte "
              f"Carlo. Default: exact up to {DEFAULT_EXACT_LIMIT:,} assignments, else mc "
              f"with {DEFAULT_MC_BUDGET:,} draws. exact exits 4 past {ENUMERATION_CAP:,} "
              "assignments",
@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mc", type=int, default=None, metavar="BUDGET",
                      help="per-replicate resampling budget override")
     sim.add_argument("--exact-small", action="store_true",
-                     help="exact per-replicate enumeration for 20-unit scenarios")
+                     help="exact per-replicate tails for 20-unit scenarios")
     sim.add_argument("--all-tables", action="store_true",
                      help="run every built-in scenario")
     sim.add_argument("--out", default=None)

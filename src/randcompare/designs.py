@@ -97,10 +97,18 @@ class AssignmentDesign:
     (M, n) int8 support labels and their (M,) probabilities, with no cap
     check; ``sample_batch(size, gen)``, a (size, n) label matrix of
     independent draws; ``contains(labels)``; and ``outside_support``, the
-    error message for an observed assignment it cannot produce.
+    error message for an observed assignment it cannot produce. Its exact
+    tails scan the enumerated support unless it counts them otherwise.
     """
 
     n: int
+
+    def exact_tails(self, columns) -> list:
+        """The support's probability masses [abs, upper, lower] of each
+        (coef, offset, bounds) column, by scan_tails over the enumerated
+        support."""
+        labels, probs = support_label_matrix(self)
+        return scan_tails(labels, columns, probs)
 
     def weight_table(self, sample: SampleVector) -> np.ndarray:
         """n times the inclusion probabilities: the (2, n) weights that
@@ -161,6 +169,46 @@ class UniformCRD(AssignmentDesign):
         labels = np.full((size, self.n), 2, dtype=np.int8)
         np.put_along_axis(labels, ones, 1, axis=1)
         return labels, np.full(size, 1.0 / size)
+
+    def exact_tails(self, columns) -> list:
+        """scan_tails over the support, counted without enumerating it
+        (meet in the middle; Horowitz & Sahni 1974, J. ACM 21:277-292). An
+        arm-1 set is an a-subset of the first n // 2 positions joined with
+        an (n1 - a)-subset of the rest, so a tail is a count of pairs of
+        subset sums. No subset larger than n1 is built. k of the M equally
+        likely support points have mass probs[:k].sum(), the bits
+        scan_tails sums for any k of them."""
+        size = check_enumeration_cap(self)
+        probs = np.full(size, 1.0 / size)
+        h, n1 = self.n // 2, self.n1
+        coef = np.array([c for c, _, _ in columns])
+        sizes = range(max(0, n1 - (self.n - h)), min(h, n1) + 1)  # a
+        left = _subset_sums(coef[:, :h], sizes[-1])
+        right = _subset_sums(coef[:, h:], n1 - sizes[0])
+        left_sums = np.hstack([left[a] for a in sizes])
+        # the size b of the right subsets each left subset pairs with
+        pairs_with = np.repeat([n1 - a for a in sizes], [left[a].shape[1] for a in sizes])
+        widths = [s.shape[1] for s in right]
+        right_sums, right_size = np.hstack(right), np.repeat(np.arange(len(right)), widths)
+        block = np.cumsum([0] + widths)
+        first, end = block[pairs_with], block[pairs_with + 1]
+        tails = []
+        for i, (_, offset, (thr, upper, lower)) in enumerate(columns):
+            # stat = right sum + base. numpy sorts complex numbers by real
+            # part, then imaginary part, so among the sorted keys
+            # b + 1j * right sum, one searchsorted finds for every left
+            # subset how many right sums of its size b lie below t - base
+            keys = np.sort(right_size + 1j * right_sums[i])
+            base = offset + left_sums[i]
+            ge = np.searchsorted(keys, pairs_with + 1j * np.array([thr - base, upper - base]))
+            le = np.searchsorted(keys, pairs_with + 1j * np.array([-thr - base, lower - base]),
+                                 "right")
+            # |stat| >= thr: stat >= thr, or stat <= -thr below the first
+            # cut, so that a sum is counted once, and thr <= 0 counts all
+            abs_hits = (end - ge[0]).sum() + (np.minimum(le[0], ge[0]) - first).sum()
+            hits = [abs_hits, (end - ge[1]).sum(), (le[1] - first).sum()]
+            tails.append([min(float(probs[:k].sum()), 1.0) for k in hits])
+        return tails
 
     def sample_batch(self, size: int, gen: np.random.Generator) -> np.ndarray:
         """Row-wise Fisher-Yates shuffles of the sorted labels."""
@@ -275,8 +323,8 @@ def check_both_arm_inclusion(design: AssignmentDesign) -> None:
         )
 
 
-def support_label_matrix(design: AssignmentDesign, cap: int = ENUMERATION_CAP):
-    """(labels (M, n) int8, probs (M,)) for vectorized exact engines."""
+def check_enumeration_cap(design: AssignmentDesign, cap: int = ENUMERATION_CAP) -> int:
+    """The design's support size; EnumerationTooLargeError past cap."""
     size = design.support_size
     if size > cap:
         raise EnumerationTooLargeError(
@@ -284,7 +332,49 @@ def support_label_matrix(design: AssignmentDesign, cap: int = ENUMERATION_CAP):
             size=size,
             cap=cap,
         )
+    return size
+
+
+def support_label_matrix(design: AssignmentDesign, cap: int = ENUMERATION_CAP):
+    """(labels (M, n) int8, probs (M,)) for vectorized exact engines."""
+    check_enumeration_cap(design, cap)
     return design.support_labels()
+
+
+def scan_tails(labels, columns, probs=None) -> list:
+    """[abs, upper, lower] tails of each (coef, offset, (thr, upper, lower))
+    column over the rows of a label matrix: hit counts, or with probs the
+    probability masses of those rows. A row with arm-1 indicators m has
+    statistic stat = m @ coef + offset, which is in the abs tail when
+    |stat| >= thr, the upper when stat >= upper, the lower when
+    stat <= lower."""
+    mask = (labels == 1).astype(np.float64)
+    tails = []
+    for coef, offset, (thr, upper, lower) in columns:
+        stats = mask @ coef + offset
+        hits = (np.abs(stats) >= thr, stats >= upper, stats <= lower)
+        if probs is None:
+            tails.append([int(np.count_nonzero(h)) for h in hits])
+        else:
+            # a tail spanning the whole support can sum to 1 + O(eps)
+            tails.append([min(float(probs[h].sum()), 1.0) for h in hits])
+    return tails
+
+
+def _subset_sums(values: np.ndarray, kmax: int) -> list:
+    """sums[a][:, s]: the sums of the columns of values over the s-th
+    a-subset of them in colex order (by largest column, then
+    recursively), a = 0..kmax."""
+    h = values.shape[1]
+    sums, last = [np.zeros((len(values), 1))], np.array([-1])
+    for _ in range(kmax):
+        # an a-subset is column j joined with an (a - 1)-subset of the
+        # columns below j: the first C(j, a - 1) of them in colex order
+        counts = np.searchsorted(last, np.arange(h))
+        last = np.repeat(np.arange(h), counts)
+        prev = np.arange(len(last)) - np.repeat(np.cumsum(counts) - counts, counts)
+        sums.append(sums[-1].take(prev, axis=1) + values.take(last, axis=1))
+    return sums
 
 
 def sample_assignment(design: AssignmentDesign, rng: RngStream) -> AssignmentVector:

@@ -16,8 +16,9 @@ binomial standard error sqrt(r(100 - r) / replicates).
 Each replicate runs the library's own tests. The permutation and
 rank-sum plans are scored together by run_resampling_plans, the call the
 test functions make: under exact_small, when the support fits the
-enumeration cap, on one ExactEngine that enumerates the design once per
-call; otherwise on a MonteCarloEngine per replicate. fisher_rand
+enumeration cap, on an ExactEngine, which counts a uniform CRD's exact
+tails without enumerating it; otherwise on a MonteCarloEngine per
+replicate. fisher_rand
 resamples the permutation statistic over the same uniform CRD and takes
 its p-value; binary scenarios read that p-value from an exact table and
 report no rank sum.
@@ -645,7 +646,7 @@ def run_size_power(
     mc_budget defaults to 10000 resamples per replicate for populations
     of 20 units and 4000 for larger ones; like MonteCarloEngine, it
     refuses a budget below 1000. exact_small switches the resampling
-    tests to full enumeration when the support fits the cap.
+    tests to exact tails when the support fits the cap.
     Returns one PowerEstimate per (row, test), rows outermost.
     """
     if isinstance(scenario, str):

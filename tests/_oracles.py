@@ -5,6 +5,10 @@ library (mpmath, 50 digits) and pasted here as literals before the
 implementations were written, so the implementations cannot influence
 their own acceptance targets.
 """
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 
 # (x, Phi(x)) pairs
@@ -69,3 +73,34 @@ def joint_inclusion_by_scan(design, sample):
                 if np.any((s.indices == unit) & (t.labels == arm)):
                     pi[arm - 1, j] += float(prob)
     return pi
+
+
+def uniform_crd_tails_by_fractions(responses, labels):
+    """[abs, upper, lower] tail masses of the difference of arm means and of
+    the arm-1 midrank sum over every relabeling at the observed arm sizes,
+    decided in rational arithmetic on the exact values of the responses:
+    a full enumeration kept as the reference for the uniform-CRD counter.
+    k of the M assignments have mass np.full(k, 1 / M).sum(), which is what
+    summing k of the M equal probabilities gives."""
+    y = [Fraction(float(v)) for v in responses]
+    n, n1 = len(y), int(np.sum(np.asarray(labels) == 1))
+    ranks = [sum(u < v for u in y) + Fraction(sum(u == v for u in y) + 1, 2) for v in y]
+    everyone = set(range(n))
+
+    def difference(ones):
+        return (sum(y[j] for j in ones) / n1
+                - sum(y[j] for j in everyone - set(ones)) / (n - n1))
+
+    def rank_sum(ones):
+        return sum(ranks[j] for j in ones)
+
+    observed = tuple(int(j) for j in np.flatnonzero(np.asarray(labels) == 1))
+    size = math.comb(n, n1)
+    tails = []
+    for stat in (difference, rank_sum):
+        obs = stat(observed)
+        values = [stat(ones) for ones in itertools.combinations(range(n), n1)]
+        counts = (sum(abs(v) >= abs(obs) for v in values),
+                  sum(v >= obs for v in values), sum(v <= obs for v in values))
+        tails.append([min(float(np.full(k, 1.0 / size).sum()), 1.0) for k in counts])
+    return tails

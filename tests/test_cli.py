@@ -482,6 +482,16 @@ class TestExitCodes:
         assert code == 4
         assert "1832624140942590534" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tests", ["permutation", "wilcoxon", "all"])
+    def test_exact_counter_keeps_the_cap(self, capsys, tests):
+        # a uniform CRD counts its tails without enumerating them, yet the
+        # exact engine still refuses C(64, 32) assignments
+        code, _ = run_cli("test", "--data", "cellphone.csv", "--engine", "exact",
+                          "--tests", tests)
+        assert code == 4
+        assert ("support size 1832624140942590534 exceeds enumeration cap 2000000"
+                in capsys.readouterr().err)
+
 
 class TestSimulateCommand:
     def test_json_output_validates(self):

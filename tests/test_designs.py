@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import joint_inclusion_by_scan
+from _oracles import joint_inclusion_by_scan, uniform_crd_tails_by_fractions
 from randcompare import (
     AssignmentVector,
     CensusCRD,
     DataValidationError,
     DesignInvalidError,
+    ObservedExperiment,
     EnumerationTooLargeError,
+    ExactEngine,
     Explicit,
     ExplicitJoint,
     RNG_ALGORITHM,
@@ -25,7 +27,8 @@ from randcompare import (
     sample_assignment,
     support_label_matrix,
 )
-from randcompare.designs import sample_assignment_batch
+from randcompare.designs import sample_assignment_batch, scan_tails
+from randcompare.inference import permutation_plan, tie_bounds, wilcoxon_plan
 
 
 class TestRngStream:
@@ -456,3 +459,91 @@ class TestSelectionTables:
             resolve_weights(design, SampleVector([1, 7]), AssignmentVector([1, 2]))
         with pytest.raises(DesignInvalidError):
             design.weight_table(SampleVector([7]))
+
+
+def observed_data(gen, kind, n, n1) -> ObservedExperiment:
+    """A random assignment at arm sizes (n1, n - n1) with continuous or
+    integer responses, or ("zero") integer responses whose arm means are
+    equal, so the difference statistic is 0 in exact arithmetic."""
+    labels = np.full(n, 2, np.int8)
+    labels[gen.permutation(n)[:n1]] = 1
+    if kind == "continuous":
+        y = gen.normal(size=n)
+    elif kind == "integer":
+        y = gen.integers(0, 5, size=n).astype(float)
+    else:
+        y = np.empty(n)
+        for arm, size in ((1, n1), (2, n - n1)):
+            values = gen.integers(-3, 4, size=size).astype(float)
+            values[-1] = 2.0 * size - values[:-1].sum()
+            y[labels == arm] = values
+    return ObservedExperiment(SampleVector.first_n(n), AssignmentVector(labels), y)
+
+
+def kernel_columns(observed) -> list:
+    """The permutation and rank-sum columns (coef, offset, statistic)."""
+    plans = (permutation_plan(observed), wilcoxon_plan(observed))
+    return [(plan.coef, plan.offset, plan.statistic) for plan in plans]
+
+
+def bounded(columns) -> list:
+    return [(coef, offset, tie_bounds(stat)) for coef, offset, stat in columns]
+
+
+KINDS = ("continuous", "integer", "zero")
+
+
+class TestUniformCRDExactTails:
+    @pytest.mark.parametrize("n, n1", [(2, 1), (3, 1), (3, 2), (7, 3), (9, 8),
+                                       (20, 10), (21, 4)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_counter_equals_the_support_scan(self, n, n1, kind):
+        gen = np.random.default_rng([n, n1, KINDS.index(kind)])
+        design = UniformCRD(n, n1)
+        labels, probs = support_label_matrix(design)
+        for _ in range(3 if n < 20 else 1):
+            columns = bounded(kernel_columns(observed_data(gen, kind, n, n1)))
+            assert design.exact_tails(columns) == scan_tails(labels, columns, probs)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_counter_fits_the_cap_at_2000_choose_2(self, kind):
+        gen = np.random.default_rng([2000, KINDS.index(kind)])
+        design = UniformCRD(2000, 2)
+        columns = bounded(kernel_columns(observed_data(gen, kind, 2000, 2)))
+        # C(2000, 2) label rows do not fit in memory; with two ones in m,
+        # every other term of the scan's m @ coef is an exact zero, so its
+        # statistic at the pair {i, j} is (coef[i] + coef[j]) + offset
+        i, j = np.triu_indices(2000, 1)
+        expected = []
+        for coef, offset, (thr, upper, lower) in columns:
+            stats = (coef[i] + coef[j]) + offset
+            hits = (np.abs(stats) >= thr, stats >= upper, stats <= lower)
+            expected.append([min(float(np.full(np.count_nonzero(h), 1.0 / len(i)).sum()), 1.0)
+                             for h in hits])
+        assert design.exact_tails(columns) == expected
+
+    @pytest.mark.parametrize("n, n1", [(2, 1), (3, 1), (3, 2), (7, 3), (9, 8), (10, 5)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_engine_equals_rational_enumeration(self, n, n1, kind):
+        gen = np.random.default_rng([n, n1, KINDS.index(kind), 1])
+        for _ in range(3):
+            observed = observed_data(gen, kind, n, n1)
+            tails = ExactEngine().tails(UniformCRD(n, n1), kernel_columns(observed))
+            assert tails == uniform_crd_tails_by_fractions(
+                observed.responses, observed.assignment.labels)
+
+    def test_zero_difference_puts_the_whole_support_in_the_abs_tail(self):
+        # arm means 13/3 and 13/3; D computes as -8.9e-16, not 0
+        observed = ObservedExperiment(
+            SampleVector.first_n(6), AssignmentVector([1, 1, 1, 2, 2, 2]),
+            np.array([0.0, 9.0, 4.0, 4.0, 7.0, 2.0]))
+        [column] = kernel_columns(observed)[:1]
+        assert column[2] != 0.0
+        [[p_abs, _, _]] = ExactEngine().tails(UniformCRD(6, 3), [column])
+        assert p_abs == 1.0
+
+    def test_cap_is_unchanged(self):
+        columns = [(np.ones(24), 0.0, 12.0)]
+        with pytest.raises(EnumerationTooLargeError,
+                           match="^support size 2704156 exceeds enumeration cap 2000000$"):
+            ExactEngine().tails(UniformCRD(24, 12), columns)

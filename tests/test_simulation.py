@@ -46,6 +46,7 @@ from randcompare import (
     welch_t_test,
     wilcoxon_test,
 )
+import randcompare.designs
 import randcompare.inference
 import randcompare.simulation
 from randcompare.simulation import _toml_subset_loads
@@ -357,43 +358,43 @@ class TestRunSizePower:
             rows.append(size)
             return batch(design, size, gen)
 
-        supports = []
-        enumerate_support = randcompare.inference.support_label_matrix
+        exact_calls = []
+        exact_tails = UniformCRD.exact_tails
 
-        def counting_support(design):
-            supports.append(design)
-            return enumerate_support(design)
+        def counting_exact(design, columns):
+            exact_calls.append(design)
+            return exact_tails(design, columns)
 
         monkeypatch.setattr(randcompare.inference, "sample_assignment_batch", counting)
-        monkeypatch.setattr(randcompare.inference, "support_label_matrix", counting_support)
+        monkeypatch.setattr(UniformCRD, "exact_tails", counting_exact)
         welch = run_size_power("t3.sc1", test_suite=("welch_t",), **kwargs)
         exact = run_size_power("t3.sc1", test_suite=("welch_t",), exact_small=True, **kwargs)
         assert sum(rows) == 0
-        assert supports == []
+        assert exact_calls == []
         expected = [(e.row, e.rejections) for e in default if e.test_name == "welch_t"]
         assert [(e.row, e.rejections) for e in welch] == expected
         assert [(e.row, e.rejections) for e in exact] == expected
 
-    def test_exact_small_enumerates_once_per_call(self, monkeypatch):
+    def test_exact_small_enumerates_nothing(self, monkeypatch):
         supports = []
-        enumerate_support = randcompare.inference.support_label_matrix
+        enumerate_support = randcompare.designs.support_label_matrix
 
-        def counting_support(design):
+        def counting_support(design, *args):
             supports.append(design)
-            return enumerate_support(design)
+            return enumerate_support(design, *args)
 
-        monkeypatch.setattr(randcompare.inference, "support_label_matrix", counting_support)
+        monkeypatch.setattr(randcompare.designs, "support_label_matrix", counting_support)
         kwargs = dict(replicates=100, exact_small=True)
         one = run_size_power("t3.sc1", rng=RngStream(8), threads=1, **kwargs)
-        assert supports == [UniformCRD(20, 10)]
-        # the harness's threads share one engine, which enumerates once
+        # a uniform CRD counts its tails without enumerating its support
+        assert supports == []
+        # the engine holds no state, so threads share nothing but the scenario
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for threads in (2, 4):
-                supports.clear()
                 many = run_size_power("t3.sc1", rng=RngStream(8), threads=threads, **kwargs)
-                assert supports == [UniformCRD(20, 10)]
+                assert supports == []
                 assert [(e.row, e.test_name, e.rejections) for e in many] == [
                     (e.row, e.test_name, e.rejections) for e in one]
         finally:

@@ -172,34 +172,41 @@ class UniformCRD(AssignmentDesign):
 
     def exact_tails(self, columns) -> list:
         """scan_tails over the support, counted without enumerating it
-        (meet in the middle; Horowitz & Sahni 1974, J. ACM 21:277-292). An
-        arm-1 set is an a-subset of the first n // 2 positions joined with
-        an (n1 - a)-subset of the rest, so a tail is a count of pairs of
-        subset sums. No subset larger than n1 is built. k of the M equally
-        likely support points have mass probs[:k].sum(), the bits
-        scan_tails sums for any k of them."""
+        (meet in the middle; Horowitz & Sahni 1974, J. ACM 21:277-292). A
+        set of k = min(n1, n2) units, the smaller arm, is an a-subset of
+        the first n // 2 positions joined with a (k - a)-subset of the
+        rest, so a tail is a count of pairs of subset sums. No subset
+        larger than k <= n // 2 is built, so every subset sum built is part
+        of some support point and neither half builds more sums than the
+        support has points. j of the M equally likely support points have
+        mass probs[:j].sum(), the bits scan_tails sums for any j of them."""
         size = check_enumeration_cap(self)
         probs = np.full(size, 1.0 / size)
-        h, n1 = self.n // 2, self.n1
+        h, k = self.n // 2, min(self.n1, self.n2)
         coef = np.array([c for c, _, _ in columns])
-        sizes = range(max(0, n1 - (self.n - h)), min(h, n1) + 1)  # a
+        offsets = np.array([offset for _, offset, _ in columns], dtype=np.float64)
+        if k < self.n1:
+            # count the arm-2 sets: m @ coef + offset = (1 - m) @ -coef +
+            # (offset + coef.sum())
+            offsets, coef = offsets + coef.sum(axis=1), -coef
+        sizes = range(max(0, k - (self.n - h)), min(h, k) + 1)  # a
         left = _subset_sums(coef[:, :h], sizes[-1])
-        right = _subset_sums(coef[:, h:], n1 - sizes[0])
+        right = _subset_sums(coef[:, h:], k - sizes[0])
         left_sums = np.hstack([left[a] for a in sizes])
         # the size b of the right subsets each left subset pairs with
-        pairs_with = np.repeat([n1 - a for a in sizes], [left[a].shape[1] for a in sizes])
+        pairs_with = np.repeat([k - a for a in sizes], [left[a].shape[1] for a in sizes])
         widths = [s.shape[1] for s in right]
         right_sums, right_size = np.hstack(right), np.repeat(np.arange(len(right)), widths)
         block = np.cumsum([0] + widths)
         first, end = block[pairs_with], block[pairs_with + 1]
         tails = []
-        for i, (_, offset, (thr, upper, lower)) in enumerate(columns):
+        for i, (_, _, (thr, upper, lower)) in enumerate(columns):
             # stat = right sum + base. numpy sorts complex numbers by real
             # part, then imaginary part, so among the sorted keys
             # b + 1j * right sum, one searchsorted finds for every left
             # subset how many right sums of its size b lie below t - base
             keys = np.sort(right_size + 1j * right_sums[i])
-            base = offset + left_sums[i]
+            base = offsets[i] + left_sums[i]
             ge = np.searchsorted(keys, pairs_with + 1j * np.array([thr - base, upper - base]))
             le = np.searchsorted(keys, pairs_with + 1j * np.array([-thr - base, lower - base]),
                                  "right")
@@ -207,7 +214,7 @@ class UniformCRD(AssignmentDesign):
             # cut, so that a sum is counted once, and thr <= 0 counts all
             abs_hits = (end - ge[0]).sum() + (np.minimum(le[0], ge[0]) - first).sum()
             hits = [abs_hits, (end - ge[1]).sum(), (le[1] - first).sum()]
-            tails.append([min(float(probs[:k].sum()), 1.0) for k in hits])
+            tails.append([min(float(probs[:j].sum()), 1.0) for j in hits])
         return tails
 
     def sample_batch(self, size: int, gen: np.random.Generator) -> np.ndarray:

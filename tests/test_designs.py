@@ -27,6 +27,7 @@ from randcompare import (
     sample_assignment,
     support_label_matrix,
 )
+from randcompare import designs as designs_module
 from randcompare.designs import sample_assignment_batch, scan_tails
 from randcompare.inference import permutation_plan, tie_bounds, wilcoxon_plan
 
@@ -495,7 +496,7 @@ KINDS = ("continuous", "integer", "zero")
 
 class TestUniformCRDExactTails:
     @pytest.mark.parametrize("n, n1", [(2, 1), (3, 1), (3, 2), (7, 3), (9, 8),
-                                       (20, 10), (21, 4)])
+                                       (20, 10), (21, 4), (40, 37), (60, 59)])
     @pytest.mark.parametrize("kind", KINDS)
     def test_counter_equals_the_support_scan(self, n, n1, kind):
         gen = np.random.default_rng([n, n1, KINDS.index(kind)])
@@ -505,18 +506,37 @@ class TestUniformCRDExactTails:
             columns = bounded(kernel_columns(observed_data(gen, kind, n, n1)))
             assert design.exact_tails(columns) == scan_tails(labels, columns, probs)
 
+    @pytest.mark.parametrize("n, n1", [(60, 59), (60, 1), (2000, 1998), (21, 11), (20, 10)])
+    def test_counter_builds_no_more_sums_than_the_support_has_points(self, n, n1, monkeypatch):
+        # checked before the sums are built, so a regression fails here
+        # instead of exhausting memory
+        built = []
+
+        def bounded_subset_sums(values, kmax):
+            count = sum(math.comb(values.shape[1], a) for a in range(kmax + 1))
+            assert count <= math.comb(n, n1)
+            built.append(count)
+            return subset_sums(values, kmax)
+
+        subset_sums = designs_module._subset_sums
+        monkeypatch.setattr(designs_module, "_subset_sums", bounded_subset_sums)
+        UniformCRD(n, n1).exact_tails([(np.arange(n, dtype=float), 0.0, tie_bounds(1.0))])
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("n1", [2, 1998])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_counter_fits_the_cap_at_2000_choose_2(self, kind):
-        gen = np.random.default_rng([2000, KINDS.index(kind)])
-        design = UniformCRD(2000, 2)
-        columns = bounded(kernel_columns(observed_data(gen, kind, 2000, 2)))
-        # C(2000, 2) label rows do not fit in memory; with two ones in m,
-        # every other term of the scan's m @ coef is an exact zero, so its
-        # statistic at the pair {i, j} is (coef[i] + coef[j]) + offset
+    def test_counter_fits_the_cap_at_2000_choose_2(self, n1, kind):
+        gen = np.random.default_rng([2000, n1, KINDS.index(kind)])
+        design = UniformCRD(2000, n1)
+        columns = bounded(kernel_columns(observed_data(gen, kind, 2000, n1)))
+        # C(2000, 2) label rows do not fit in memory; with two ones (or two
+        # twos) in the label row, the scan's statistic at the pair {i, j}
+        # is (coef[i] + coef[j]) + offset (or the rest of coef.sum())
         i, j = np.triu_indices(2000, 1)
         expected = []
         for coef, offset, (thr, upper, lower) in columns:
-            stats = (coef[i] + coef[j]) + offset
+            pairs = coef[i] + coef[j]
+            stats = pairs + offset if n1 == 2 else (coef.sum() - pairs) + offset
             hits = (np.abs(stats) >= thr, stats >= upper, stats <= lower)
             expected.append([min(float(np.full(np.count_nonzero(h), 1.0 / len(i)).sum()), 1.0)
                              for h in hits])

@@ -12,7 +12,10 @@ import itertools
 import json
 import math
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,12 +106,21 @@ class AssignmentDesign:
 
     n: int
 
-    def exact_tails(self, columns) -> list:
+    # exact_tails gives probability masses, so their denominator is 1
+    tail_denominator = 1
+
+    def exact_tails(self, columns, memo=None) -> list:
         """The support's probability masses [abs, upper, lower] of each
         (coef, offset, bounds) column, by scan_tails over the enumerated
-        support."""
+        support; this scan reuses nothing, so it ignores memo."""
         labels, probs = support_label_matrix(self)
         return scan_tails(labels, columns, probs)
+
+    def shift_invariant(self) -> bool:
+        """Whether the weighted difference D of y + c equals D of y at
+        every support point, so that resampling may center the responses.
+        Not in general: unequal inclusion weights make D move with c."""
+        return False
 
     def weight_table(self, sample: SampleVector) -> np.ndarray:
         """n times the inclusion probabilities: the (2, n) weights that
@@ -170,52 +182,76 @@ class UniformCRD(AssignmentDesign):
         np.put_along_axis(labels, ones, 1, axis=1)
         return labels, np.full(size, 1.0 / size)
 
-    def exact_tails(self, columns) -> list:
-        """scan_tails over the support, counted without enumerating it
-        (meet in the middle; Horowitz & Sahni 1974, J. ACM 21:277-292). A
-        set of k = min(n1, n2) units, the smaller arm, is an a-subset of
-        the first n // 2 positions joined with a (k - a)-subset of the
-        rest, so a tail is a count of pairs of subset sums. No subset
-        larger than k <= n // 2 is built, so every subset sum built is part
-        of some support point and neither half builds more sums than the
-        support has points. j of the M equally likely support points have
-        mass probs[:j].sum(), the bits scan_tails sums for any j of them."""
-        size = check_enumeration_cap(self)
-        probs = np.full(size, 1.0 / size)
-        h, k = self.n // 2, min(self.n1, self.n2)
-        coef = np.array([c for c, _, _ in columns])
-        offsets = np.array([offset for _, offset, _ in columns], dtype=np.float64)
-        if k < self.n1:
-            # count the arm-2 sets: m @ coef + offset = (1 - m) @ -coef +
-            # (offset + coef.sum())
-            offsets, coef = offsets + coef.sum(axis=1), -coef
-        sizes = range(max(0, k - (self.n - h)), min(h, k) + 1)  # a
-        left = _subset_sums(coef[:, :h], sizes[-1])
-        right = _subset_sums(coef[:, h:], k - sizes[0])
-        left_sums = np.hstack([left[a] for a in sizes])
-        # the size b of the right subsets each left subset pairs with
-        pairs_with = np.repeat([k - a for a in sizes], [left[a].shape[1] for a in sizes])
-        widths = [s.shape[1] for s in right]
-        right_sums, right_size = np.hstack(right), np.repeat(np.arange(len(right)), widths)
-        block = np.cumsum([0] + widths)
-        first, end = block[pairs_with], block[pairs_with + 1]
+    @property
+    def tail_denominator(self) -> int:
+        """exact_tails counts support points, so M, the support size."""
+        return self.support_size
+
+    def shift_invariant(self) -> bool:
+        """D(y + c) = D(y) + c * (n1 / n1 - n2 / n2) = D(y)."""
+        return True
+
+    def exact_tails(self, columns, memo=None) -> list:
+        """scan_tails' hit counts over the support, counted without
+        enumerating it (meet in the middle; Horowitz & Sahni 1974, J. ACM
+        21:277-292). A set of k = min(n1, n2) units, the smaller arm, is an
+        a-subset of the first n // 2 positions joined with a (k - a)-subset
+        of the rest, so a tail is a count of pairs of subset sums. The
+        counting plan (_CountingPlan) depends on the design alone; a column
+        adds its subset sums, summed in the plan's order, and sorts the
+        right half's. memo (a TailMemo) keeps both for later calls.
+
+        A column on the half-integer lattice (midranks, ties included) has
+        exact subset sums, so its counts depend only on the multiset of its
+        coefficients, and on each bound only through the lattice points it
+        separates: it is sorted and its bounds are moved to the lattice
+        before counting, so that any arrangement of it reuses one entry."""
+        memo = TailMemo() if memo is None else memo
+        plan = memo.get(self, self._counting_plan)
         tails = []
-        for i, (_, _, (thr, upper, lower)) in enumerate(columns):
+        for coef, offset, (thr, upper, lower) in columns:
+            coef = np.asarray(coef, dtype=np.float64)
+            if _on_half_lattice(coef, offset):
+                coef = np.sort(coef)
+                thr, upper, lower = np.ceil(2 * thr) / 2, np.ceil(2 * upper) / 2, np.floor(2 * lower) / 2
+            key = (self, coef.tobytes())
+            if plan.flip:
+                # count the arm-2 sets: m @ coef + offset = (1 - m) @ -coef +
+                # (offset + coef.sum())
+                offset, coef = offset + coef.sum(), -coef
+            left_sums, keys = memo.get(key, lambda: plan.halves(coef))
             # stat = right sum + base. numpy sorts complex numbers by real
             # part, then imaginary part, so among the sorted keys
             # b + 1j * right sum, one searchsorted finds for every left
             # subset how many right sums of its size b lie below t - base
-            keys = np.sort(right_size + 1j * right_sums[i])
-            base = offsets[i] + left_sums[i]
+            base = np.float64(offset) + left_sums
+            pairs_with, first, end = plan.pairs_with, plan.first, plan.end
             ge = np.searchsorted(keys, pairs_with + 1j * np.array([thr - base, upper - base]))
             le = np.searchsorted(keys, pairs_with + 1j * np.array([-thr - base, lower - base]),
                                  "right")
             # |stat| >= thr: stat >= thr, or stat <= -thr below the first
             # cut, so that a sum is counted once, and thr <= 0 counts all
             abs_hits = (end - ge[0]).sum() + (np.minimum(le[0], ge[0]) - first).sum()
-            hits = [abs_hits, (end - ge[1]).sum(), (le[1] - first).sum()]
-            tails.append([min(float(probs[:j].sum()), 1.0) for j in hits])
+            hits = (abs_hits, (end - ge[1]).sum(), (le[1] - first).sum())
+            tails.append([int(j) for j in hits])
         return tails
+
+    def _counting_plan(self) -> "_CountingPlan":
+        """exact_tails' plan. No subset larger than k <= n // 2 is built, so
+        every subset sum built is part of some support point and neither
+        half builds more sums than the support has points."""
+        check_enumeration_cap(self)
+        h, k = self.n // 2, min(self.n1, self.n2)
+        sizes = range(max(0, k - (self.n - h)), min(h, k) + 1)  # a
+        left = _subset_index(h, sizes[-1])
+        right = _subset_index(self.n - h, k - sizes[0])
+        # the size b of the right subsets each left subset of size a in
+        # sizes pairs with, and where the right sums of size b lie
+        pairs_with = np.repeat([k - a for a in sizes], np.diff(left[2])[sizes[0]:])
+        widths = np.diff(right[2])
+        first, end = right[2][pairs_with], right[2][pairs_with + 1]
+        return _CountingPlan(k < self.n1, h, left, int(left[2][sizes[0]]), right,
+                             np.repeat(np.arange(len(widths)), widths), pairs_with, first, end)
 
     def sample_batch(self, size: int, gen: np.random.Generator) -> np.ndarray:
         """Row-wise Fisher-Yates shuffles of the sorted labels."""
@@ -368,20 +404,104 @@ def scan_tails(labels, columns, probs=None) -> list:
     return tails
 
 
-def _subset_sums(values: np.ndarray, kmax: int) -> list:
-    """sums[a][:, s]: the sums of the columns of values over the s-th
-    a-subset of them in colex order (by largest column, then
-    recursively), a = 0..kmax."""
-    h = values.shape[1]
-    sums, last = [np.zeros((len(values), 1))], np.array([-1])
+def _subset_index(h: int, kmax: int) -> tuple:
+    """(prev, last, starts): the subsets of h values of sizes 0..kmax in
+    colex order (by largest value, then recursively), laid out size by size
+    in one flat array, the a-subsets at [starts[a], starts[a + 1]). The
+    subset at s is value last[s] joined with the subset at prev[s]."""
+    prevs, lasts, starts = [np.zeros(1, np.intp)], [np.zeros(1, np.intp)], [0, 1]
+    last = np.array([-1])
     for _ in range(kmax):
-        # an a-subset is column j joined with an (a - 1)-subset of the
-        # columns below j: the first C(j, a - 1) of them in colex order
+        # an a-subset is value j joined with an (a - 1)-subset of the
+        # values below j: the first C(j, a - 1) of them in colex order
         counts = np.searchsorted(last, np.arange(h))
         last = np.repeat(np.arange(h), counts)
-        prev = np.arange(len(last)) - np.repeat(np.cumsum(counts) - counts, counts)
-        sums.append(sums[-1].take(prev, axis=1) + values.take(last, axis=1))
+        local = np.arange(len(last)) - np.repeat(np.cumsum(counts) - counts, counts)
+        prevs.append(local + starts[-2])
+        lasts.append(last)
+        starts.append(starts[-1] + len(last))
+    return np.concatenate(prevs), np.concatenate(lasts), np.array(starts)
+
+
+def _subset_sums(values: np.ndarray, prev, last, starts) -> np.ndarray:
+    """The sums of values over the subsets _subset_index laid out, each
+    summed as its smaller subset's sum plus its last value."""
+    sums = np.zeros(starts[-1])
+    addends = values[last]
+    for lo, hi in zip(starts[1:-1], starts[2:]):
+        np.add(sums[prev[lo:hi]], addends[lo:hi], out=sums[lo:hi])
     return sums
+
+
+class _CountingPlan(NamedTuple):
+    """What UniformCRD.exact_tails counts with, whatever the data: whether
+    it counts the arm-2 sets (flip), the subset index of the first h
+    positions (left) and of the rest (right), the first left subset used
+    (lo), the size of each right subset (right_size), and for each left
+    subset used, the size b of the right subsets it pairs with and where
+    they lie among the right ones (first, end)."""
+
+    flip: bool
+    h: int
+    left: tuple
+    lo: int
+    right: tuple
+    right_size: np.ndarray
+    pairs_with: np.ndarray
+    first: np.ndarray
+    end: np.ndarray
+
+    def halves(self, coef: np.ndarray) -> tuple:
+        """A column's left subset sums, from lo on, and the sorted keys
+        b + 1j * right sum of its right subsets of size b."""
+        left = _subset_sums(coef[:self.h], *self.left)[self.lo:]
+        right = _subset_sums(coef[self.h:], *self.right)
+        return left, np.sort(self.right_size + 1j * right)
+
+
+def _on_half_lattice(coef: np.ndarray, offset: float) -> bool:
+    """Whether coef and offset are multiples of 1/2 with sum of absolute
+    values below 2^50, so that every subset sum is exact in float64."""
+    doubled = 2.0 * np.append(coef, offset)
+    return bool(np.all(doubled == np.round(doubled)) and np.abs(doubled).sum() < 2.0**51)
+
+
+def _nbytes(value) -> int:
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    return sum(map(_nbytes, value)) if isinstance(value, tuple) else 0
+
+
+# The most bytes of arrays one TailMemo keeps.
+_MEMO_BYTES = 1 << 24
+
+
+class TailMemo:
+    """What UniformCRD.exact_tails can reuse between calls: the counting
+    plan of a design and the prepared halves of a column, least recently
+    used first out. Safe to share between threads. It keeps at most
+    _MEMO_BYTES of arrays; a larger item is built and not kept."""
+
+    def __init__(self):
+        self._items = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def get(self, key, build):
+        """The item under key, built by build() when it is not kept."""
+        with self._lock:
+            if key in self._items:
+                self._items.move_to_end(key)
+                return self._items[key][0]
+        value = build()
+        size = _nbytes(value)
+        with self._lock:
+            if key not in self._items and size <= _MEMO_BYTES:
+                self._items[key] = value, size
+                self.nbytes += size
+                while self.nbytes > _MEMO_BYTES:
+                    self.nbytes -= self._items.popitem(last=False)[1][1]
+        return value
 
 
 def sample_assignment(design: AssignmentDesign, rng: RngStream) -> AssignmentVector:

@@ -15,7 +15,7 @@ statistics, the doubled smaller tail (capped at 1) for the rank sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NoReturn, Optional, Union
 
 import numpy as np
@@ -26,6 +26,7 @@ from .designs import (
     AssignmentDesign,
     RngStream,
     SelectionDesign,
+    TailMemo,
     UniformCRD,
     check_both_arm_inclusion,
     sample_assignment_batch,
@@ -90,32 +91,35 @@ def _bounded(columns) -> list:
 
 @dataclass(frozen=True)
 class ExactEngine:
-    """Exact tail probabilities over designs of up to ENUMERATION_CAP
-    assignments; the design computes them (design.exact_tails). A uniform
-    CRD counts them from sums of subsets of the two halves of the units,
-    without enumerating its support; an Explicit design scans the support
-    it holds. Past the cap the design raises EnumerationTooLargeError.
+    """Exact tails over designs of up to ENUMERATION_CAP assignments; the
+    design computes them (design.exact_tails). A uniform CRD counts them
+    from sums of subsets of the two halves of the units, without
+    enumerating its support; an Explicit design scans the support it holds.
+    Past the cap the design raises EnumerationTooLargeError.
 
-    When every response carries a large common offset, the rounding error
-    of a recomputed statistic reaches the tie tolerance, and tails depend
-    on the order of summation. On 300 integer data sets of 10 + 10 units,
-    the counter and a scan of the support both gave the exact permutation
-    p-values at an offset of 1e6; at 1e7 they disagreed on 275 and both
-    missed 276. Centering the responses would remove the offset; it is
-    not done here."""
+    The engine keeps a TailMemo, so that one engine builds a design's
+    counting plan once and counts a column it has seen, or a lattice column
+    with the same multiset of coefficients, from the halves it prepared
+    then. The memo is bounded and changes no result."""
 
-    budget = None  # tails are probability masses, not hit counts
+    kind = "exact"
+    _memo: TailMemo = field(default_factory=TailMemo, init=False, repr=False, compare=False)
 
     def tails(self, design: AssignmentDesign, columns) -> list:
         """The resampling kernel: for each column (coef, offset, observed),
         whose statistic at an assignment with arm-1 indicator row m is
-        m @ coef + offset, the support's probability masses [abs, upper,
-        lower] of |stat| >= |observed|, stat >= observed, stat <= observed,
-        each up to tie_bounds."""
-        return design.exact_tails(_bounded(columns))
+        m @ coef + offset, the hit counts [abs, upper, lower] over the
+        support of |stat| >= |observed|, stat >= observed and
+        stat <= observed, each up to tie_bounds; out of
+        denominator(design) support points, or as probability masses out of
+        1 for a design that does not count them."""
+        return design.exact_tails(_bounded(columns), self._memo)
+
+    def denominator(self, design: AssignmentDesign):
+        return design.tail_denominator
 
     def to_dict(self) -> dict:
-        return {"kind": "exact", "enumeration_cap": ENUMERATION_CAP}
+        return {"kind": self.kind, "enumeration_cap": ENUMERATION_CAP}
 
 
 @dataclass(frozen=True)
@@ -124,6 +128,8 @@ class MonteCarloEngine:
 
     budget: int
     rng: RngStream
+
+    kind = "monte_carlo"
 
     def __post_init__(self):
         check_mc_budget(self.budget)
@@ -140,8 +146,11 @@ class MonteCarloEngine:
             totals += scan_tails(labels, bounded)
         return totals.tolist()
 
+    def denominator(self, design: AssignmentDesign) -> int:
+        return self.budget
+
     def to_dict(self) -> dict:
-        return {"kind": "monte_carlo", "budget": self.budget, "seed": self.rng.seed}
+        return {"kind": self.kind, "budget": self.budget, "seed": self.rng.seed}
 
 
 PValueEngine = Union[ExactEngine, MonteCarloEngine]
@@ -219,8 +228,10 @@ def add_one_pvalue(hits: int, budget: int) -> tuple:
 
 @dataclass(frozen=True)
 class ResamplingPlan:
-    """A resampling test up to its tails: the design it resamples and its
-    statistic as a kernel column (coef, offset, statistic).
+    """A resampling test up to its tails: the design it resamples, the
+    statistic it reports, and that statistic as a kernel column (coef,
+    offset, compared): m @ coef + offset at an assignment with arm-1
+    indicators m, compared with its value at the observed assignment.
 
     The rank sum reports min(1, 2 * smaller tail), the difference
     statistics their |stat| tail.
@@ -232,25 +243,31 @@ class ResamplingPlan:
     statistic: float
     coef: np.ndarray
     offset: float
+    compared: float
 
-    def report(self, tails, budget) -> TestReport:
-        """The TestReport once the kernel has scored this plan's column:
-        tails are probability masses when budget is None (exact), else
-        hit counts over budget Monte Carlo draws."""
-        p, upper, lower = tails
-        stderr = None
-        if budget is not None:
+    @property
+    def column(self) -> tuple:
+        return self.coef, self.offset, self.compared
+
+    def report(self, tails, denominator, kind) -> TestReport:
+        """The TestReport once an engine of this kind has scored this
+        plan's column: tails are hit counts out of denominator, the support
+        points an exact engine counted (or an Explicit design's probability
+        masses, out of 1) or the draws of a Monte Carlo engine, which it
+        reads by the add-one rule."""
+        if kind == "monte_carlo":
             (p, stderr), (upper, se_up), (lower, se_lo) = (
-                add_one_pvalue(t, budget) for t in tails
+                add_one_pvalue(t, denominator) for t in tails
             )
+        else:
+            (p, upper, lower), stderr = (t / denominator for t in tails), None
         if self.test == "wilcoxon":
             p = min(1.0, 2.0 * min(upper, lower))
             if stderr is not None:
                 # stderr of the doubled smaller tail, before the cap at 1
                 stderr = 2.0 * (se_up if upper <= lower else se_lo)
         return _report(
-            self.test, self.observed, self.statistic, p,
-            "exact" if budget is None else "monte_carlo", stderr,
+            self.test, self.observed, self.statistic, p, kind, stderr,
             degenerate=bool(np.ptp(self.observed.responses) == 0.0),
         )
 
@@ -261,14 +278,25 @@ def run_resampling_plans(plans, engine: PValueEngine) -> list:
     design = plans[0].design
     if any(plan.design != design for plan in plans):
         raise ValueError("plans scored together must share one design")
-    tails = engine.tails(design, [(plan.coef, plan.offset, plan.statistic) for plan in plans])
-    return [plan.report(t, engine.budget) for plan, t in zip(plans, tails)]
+    tails = engine.tails(design, [plan.column for plan in plans])
+    denominator = engine.denominator(design)
+    return [plan.report(t, denominator, engine.kind) for plan, t in zip(plans, tails)]
 
 
 def _difference_plan(test, observed, design, weights) -> ResamplingPlan:
-    d_obs = d_statistic(observed.responses, observed.assignment, weights)
-    coef, offset = d_affine_form(observed.responses, weights)
-    return ResamplingPlan(test, design, observed, d_obs, coef, offset)
+    """The weighted difference D of the responses as a plan. When D is
+    shift-invariant under the design, its column is built from the
+    responses less their middle order statistic, a data value: the
+    difference of two floats of like magnitude is exact, so the centered
+    responses keep the lattice of the data and a common offset in them
+    does not reach the rounding of the resampled statistics."""
+    y, assignment = observed.responses, observed.assignment
+    d_obs = d_statistic(y, assignment, weights)
+    if design.shift_invariant():
+        y = y - np.partition(y, len(y) // 2)[len(y) // 2]
+    coef, offset = d_affine_form(y, weights)
+    return ResamplingPlan(test, design, observed, d_obs, coef, offset,
+                          d_statistic(y, assignment, weights))
 
 
 def permutation_plan(observed: ObservedExperiment) -> ResamplingPlan:
@@ -286,7 +314,7 @@ def wilcoxon_plan(observed: ObservedExperiment) -> ResamplingPlan:
     design = UniformCRD(observed.n, observed.n1)
     ranks = rank_midranks(observed.responses)
     w_obs = rank_sum_statistic(ranks, observed.assignment)
-    return ResamplingPlan("wilcoxon", design, observed, w_obs, ranks, 0.0)
+    return ResamplingPlan("wilcoxon", design, observed, w_obs, ranks, 0.0, w_obs)
 
 
 def fisher_randomization_plan(

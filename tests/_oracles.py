@@ -80,8 +80,7 @@ def uniform_crd_tails_by_fractions(responses, labels):
     the arm-1 midrank sum over every relabeling at the observed arm sizes,
     decided in rational arithmetic on the exact values of the responses:
     a full enumeration kept as the reference for the uniform-CRD counter.
-    k of the M assignments have mass np.full(k, 1 / M).sum(), which is what
-    summing k of the M equal probabilities gives."""
+    k of the M assignments have mass k / M, rounded once from the fraction."""
     y = [Fraction(float(v)) for v in responses]
     n, n1 = len(y), int(np.sum(np.asarray(labels) == 1))
     ranks = [sum(u < v for u in y) + Fraction(sum(u == v for u in y) + 1, 2) for v in y]
@@ -102,5 +101,5 @@ def uniform_crd_tails_by_fractions(responses, labels):
         values = [stat(ones) for ones in itertools.combinations(range(n), n1)]
         counts = (sum(abs(v) >= abs(obs) for v in values),
                   sum(v >= obs for v in values), sum(v <= obs for v in values))
-        tails.append([min(float(np.full(k, 1.0 / size).sum()), 1.0) for k in counts])
+        tails.append([float(Fraction(k, size)) for k in counts])
     return tails

@@ -482,9 +482,8 @@ def observed_data(gen, kind, n, n1) -> ObservedExperiment:
 
 
 def kernel_columns(observed) -> list:
-    """The permutation and rank-sum columns (coef, offset, statistic)."""
-    plans = (permutation_plan(observed), wilcoxon_plan(observed))
-    return [(plan.coef, plan.offset, plan.statistic) for plan in plans]
+    """The permutation and rank-sum columns (coef, offset, compared)."""
+    return [permutation_plan(observed).column, wilcoxon_plan(observed).column]
 
 
 def bounded(columns) -> list:
@@ -501,10 +500,10 @@ class TestUniformCRDExactTails:
     def test_counter_equals_the_support_scan(self, n, n1, kind):
         gen = np.random.default_rng([n, n1, KINDS.index(kind)])
         design = UniformCRD(n, n1)
-        labels, probs = support_label_matrix(design)
+        labels, _ = support_label_matrix(design)
         for _ in range(3 if n < 20 else 1):
             columns = bounded(kernel_columns(observed_data(gen, kind, n, n1)))
-            assert design.exact_tails(columns) == scan_tails(labels, columns, probs)
+            assert design.exact_tails(columns) == scan_tails(labels, columns)
 
     @pytest.mark.parametrize("n, n1", [(60, 59), (60, 1), (2000, 1998), (21, 11), (20, 10)])
     def test_counter_builds_no_more_sums_than_the_support_has_points(self, n, n1, monkeypatch):
@@ -512,14 +511,14 @@ class TestUniformCRDExactTails:
         # instead of exhausting memory
         built = []
 
-        def bounded_subset_sums(values, kmax):
-            count = sum(math.comb(values.shape[1], a) for a in range(kmax + 1))
+        def bounded_subset_index(h, kmax):
+            count = sum(math.comb(h, a) for a in range(kmax + 1))
             assert count <= math.comb(n, n1)
             built.append(count)
-            return subset_sums(values, kmax)
+            return subset_index(h, kmax)
 
-        subset_sums = designs_module._subset_sums
-        monkeypatch.setattr(designs_module, "_subset_sums", bounded_subset_sums)
+        subset_index = designs_module._subset_index
+        monkeypatch.setattr(designs_module, "_subset_index", bounded_subset_index)
         UniformCRD(n, n1).exact_tails([(np.arange(n, dtype=float), 0.0, tie_bounds(1.0))])
         assert len(built) == 2
 
@@ -538,8 +537,7 @@ class TestUniformCRDExactTails:
             pairs = coef[i] + coef[j]
             stats = pairs + offset if n1 == 2 else (coef.sum() - pairs) + offset
             hits = (np.abs(stats) >= thr, stats >= upper, stats <= lower)
-            expected.append([min(float(np.full(np.count_nonzero(h), 1.0 / len(i)).sum()), 1.0)
-                             for h in hits])
+            expected.append([np.count_nonzero(h) for h in hits])
         assert design.exact_tails(columns) == expected
 
     @pytest.mark.parametrize("n, n1", [(2, 1), (3, 1), (3, 2), (7, 3), (9, 8), (10, 5)])
@@ -549,7 +547,8 @@ class TestUniformCRDExactTails:
         for _ in range(3):
             observed = observed_data(gen, kind, n, n1)
             tails = ExactEngine().tails(UniformCRD(n, n1), kernel_columns(observed))
-            assert tails == uniform_crd_tails_by_fractions(
+            size = math.comb(n, n1)
+            assert [[k / size for k in t] for t in tails] == uniform_crd_tails_by_fractions(
                 observed.responses, observed.assignment.labels)
 
     def test_zero_difference_puts_the_whole_support_in_the_abs_tail(self):
@@ -559,11 +558,53 @@ class TestUniformCRDExactTails:
             np.array([0.0, 9.0, 4.0, 4.0, 7.0, 2.0]))
         [column] = kernel_columns(observed)[:1]
         assert column[2] != 0.0
-        [[p_abs, _, _]] = ExactEngine().tails(UniformCRD(6, 3), [column])
-        assert p_abs == 1.0
+        [[abs_hits, _, _]] = ExactEngine().tails(UniformCRD(6, 3), [column])
+        assert abs_hits == math.comb(6, 3)
 
     def test_cap_is_unchanged(self):
         columns = [(np.ones(24), 0.0, 12.0)]
         with pytest.raises(EnumerationTooLargeError,
                            match="^support size 2704156 exceeds enumeration cap 2000000$"):
             ExactEngine().tails(UniformCRD(24, 12), columns)
+
+
+class TestTailReuse:
+    """An ExactEngine keeps counting plans and prepared halves between
+    calls; nothing it keeps shows in what it returns."""
+
+    def test_designs_a_b_a_equal_fresh_engines(self):
+        gen = np.random.default_rng(5)
+        # the same columns under n1 = 5 and under n1 = 7, which counts the
+        # arm-2 sets: a memo keyed by the column alone would mix them up
+        columns = kernel_columns(observed_data(gen, "continuous", 12, 5))
+        columns += kernel_columns(observed_data(gen, "integer", 12, 5))
+        engine = ExactEngine()
+        for design in (UniformCRD(12, 5), UniformCRD(12, 7), UniformCRD(12, 5)):
+            assert engine.tails(design, columns) == ExactEngine().tails(design, columns)
+
+    def test_memo_keeps_no_more_than_its_bound(self):
+        engine, design = ExactEngine(), UniformCRD(30, 6)
+        gen = np.random.default_rng(7)
+        columns = [(gen.normal(size=30), 0.0, 1.0) for _ in range(100)]
+        for column in columns:
+            engine.tails(design, [column])
+            assert 0 < engine._memo.nbytes <= designs_module._MEMO_BYTES
+        assert len(engine._memo._items) < len(columns)
+        assert engine.tails(design, columns[:3]) == ExactEngine().tails(design, columns[:3])
+
+    def test_tied_midranks_at_n1_above_n2_equal_the_fractions(self):
+        gen = np.random.default_rng(11)
+        engine, design = ExactEngine(), UniformCRD(9, 6)
+        for _ in range(4):
+            observed = observed_data(gen, "integer", 9, 6)
+            # the same units in another order: a rank column with the same
+            # multiset, counted from the halves the first one prepared
+            order = gen.permutation(9)
+            shuffled = ObservedExperiment(
+                SampleVector.first_n(9), AssignmentVector(observed.assignment.labels[order]),
+                observed.responses[order])
+            assert len(np.unique(observed.responses)) < 9
+            for data in (observed, shuffled):
+                tails = engine.tails(design, kernel_columns(data))
+                assert [[k / 84 for k in t] for t in tails] == uniform_crd_tails_by_fractions(
+                    data.responses, data.assignment.labels)

@@ -116,11 +116,11 @@ class TestEngines:
         assert together == alone
 
     def test_kernel_exact_masses(self, tiny_obs):
-        # arm-1 sums of (1,2,3,4) over the 6 splits: 3,4,5,5,6,7
-        [[p_abs, upper, lower]] = ExactEngine().tails(
-            UniformCRD(4, 2), [(tiny_obs.responses, 0.0, 5.0)],
-        )
-        assert (p_abs, upper, lower) == pytest.approx((4 / 6, 4 / 6, 4 / 6))
+        # arm-1 sums of (1,2,3,4) over the 6 splits: 3,4,5,5,6,7; each tail
+        # holds 4 of the 6
+        engine, design = ExactEngine(), UniformCRD(4, 2)
+        [tails] = engine.tails(design, [(tiny_obs.responses, 0.0, 5.0)])
+        assert (tails, engine.denominator(design)) == ([4, 4, 4], 6)
 
     def test_kernel_budget_must_be_positive(self):
         for budget in (0, 999):
@@ -174,6 +174,74 @@ class TestPermutation:
         k = p * m
         assert abs(k - round(k)) < 1e-6
         assert round(k) >= 1  # the observed split always lands in its own tail
+
+
+class TestDegenerateExactReports:
+    """An exact tail spanning the whole support is M / M, so exactly 1."""
+
+    @pytest.mark.parametrize("n1, n2", [(10, 10), (12, 7)])
+    def test_constant_responses(self, n1, n2):
+        observed = ObservedExperiment.from_arms([3.0] * n1, [3.0] * n2)
+        design = UniformCRD(n1 + n2, n1)
+        reports = [permutation_test(observed, ExactEngine()),
+                   wilcoxon_test(observed, ExactEngine()),
+                   fisher_randomization_test(observed, design, ExactEngine())]
+        for report in reports:
+            assert report.degenerate
+            assert report.p_value == 1.0
+
+    @pytest.mark.parametrize("arm1, arm2", [
+        ([0, 10, 1, 9, 2, 8, 3, 7, 4, 6], [5, 5, 0, 10, 3, 7, 1, 9, 2, 8]),
+        ([0, 10, 1, 9, 2, 8, 3, 7, 4, 6, 5, 5], [5, 0, 10, 2, 8, 4, 6]),
+    ], ids=["10+10", "12+7"])
+    def test_zero_difference(self, arm1, arm2):
+        # equal arm means in exact arithmetic, on a 0.1 grid
+        observed = ObservedExperiment.from_arms(np.array(arm1) / 10, np.array(arm2) / 10)
+        design = UniformCRD(observed.n, observed.n1)
+        assert permutation_test(observed, ExactEngine()).p_value == 1.0
+        assert fisher_randomization_test(observed, design, ExactEngine()).p_value == 1.0
+
+
+class TestShiftInvariance:
+    """Under a uniform CRD a common shift of the responses, or a scale by a
+    power of two, changes no resampling p-value on either engine; the
+    reported statistic is still D of the data as given. The tie rule's
+    absolute floor (1e-9 when |D| < 1) is not scale-free, so the scales
+    stay within 2^-16..2^16 of integer responses up to 10."""
+
+    @staticmethod
+    def draw(data):
+        n1, n2 = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        # a narrow range of values, so that many assignments tie with the
+        # observed one
+        y = data.draw(st.lists(st.integers(-10, 10), min_size=n1 + n2, max_size=n1 + n2))
+        labels = np.array(data.draw(st.permutations([1] * n1 + [2] * n2)), dtype=np.int8)
+        return np.array(y, dtype=float), labels, data.draw(st.integers(0, 2**32 - 1))
+
+    @staticmethod
+    def reports(y, labels, seed) -> list:
+        observed = ObservedExperiment(SampleVector.first_n(len(y)), AssignmentVector(labels), y)
+        design = UniformCRD(len(y), int(np.sum(labels == 1)))
+        return [test(observed, engine)
+                for engine in (ExactEngine(), MonteCarloEngine(1000, RngStream(seed)))
+                for test in (permutation_test, wilcoxon_test,
+                             lambda obs, e: fisher_randomization_test(obs, design, e))]
+
+    @given(st.data())
+    def test_shift(self, data):
+        y, labels, seed = self.draw(data)
+        c = data.draw(st.integers(-10, 10)) * 10 ** data.draw(st.integers(0, 8))
+        shifted = self.reports(y + c, labels, seed)
+        assert [r.p_value for r in shifted] == [r.p_value for r in self.reports(y, labels, seed)]
+        means = y[labels == 1].mean() - y[labels == 2].mean()
+        assert shifted[0].statistic == pytest.approx(means, abs=1e-6)
+
+    @given(st.data())
+    def test_power_of_two_scale(self, data):
+        y, labels, seed = self.draw(data)
+        scale = 2.0 ** data.draw(st.integers(-16, 16))
+        assert [r.p_value for r in self.reports(scale * y, labels, seed)] == [
+            r.p_value for r in self.reports(y, labels, seed)]
 
 
 class TestWilcoxon:
@@ -489,9 +557,10 @@ class TestCatalogue:
     def test_plan_report_takes_the_budget(self, six_obs, engine, budget, expected):
         plans = [permutation_plan(six_obs), wilcoxon_plan(six_obs)]
         design = plans[0].design
-        columns = [(p.coef, p.offset, p.statistic) for p in plans]
-        tails = engine.tails(design, columns)
-        reports = [plan.report(t, budget) for plan, t in zip(plans, tails)]
+        tails = engine.tails(design, [p.column for p in plans])
+        denominator = budget or math.comb(6, 3)
+        assert engine.denominator(design) == denominator
+        reports = [plan.report(t, denominator, engine.kind) for plan, t in zip(plans, tails)]
         assert reports == run_resampling_plans(plans, engine)
         for report in reports:
             assert (report.p_value, report.mc_stderr) == expected[report.test]

@@ -388,7 +388,7 @@ class TestRunSizePower:
         one = run_size_power("t3.sc1", rng=RngStream(8), threads=1, **kwargs)
         # a uniform CRD counts its tails without enumerating its support
         assert supports == []
-        # the engine holds no state, so threads share nothing but the scenario
+        # the threads share one engine, whose memo changes no result
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -399,6 +399,12 @@ class TestRunSizePower:
                     (e.row, e.test_name, e.rejections) for e in one]
         finally:
             sys.setswitchinterval(interval)
+
+    def test_exact_small_estimates_do_not_depend_on_threads(self):
+        # one ExactEngine per call, its memo shared by the threads
+        one, two = (run_size_power("t3.sc1", replicates=100, rng=RngStream(2),
+                                   exact_small=True, threads=threads) for threads in (1, 2))
+        assert one == two
 
     def test_exact_small_past_the_cap_runs_monte_carlo(self):
         # C(100, 50) assignments do not fit the enumeration cap

@@ -213,7 +213,8 @@ class UniformCRD(AssignmentDesign):
             coef = np.asarray(coef, dtype=np.float64)
             if _on_half_lattice(coef, offset):
                 coef = np.sort(coef)
-                thr, upper, lower = np.ceil(2 * thr) / 2, np.ceil(2 * upper) / 2, np.floor(2 * lower) / 2
+                thr, upper = np.ceil(2 * thr) / 2, np.ceil(2 * upper) / 2
+                lower = np.floor(2 * lower) / 2
             key = (self, coef.tobytes())
             if plan.flip:
                 # count the arm-2 sets: m @ coef + offset = (1 - m) @ -coef +
@@ -472,8 +473,9 @@ def _nbytes(value) -> int:
     return sum(map(_nbytes, value)) if isinstance(value, tuple) else 0
 
 
-# The most bytes of arrays one TailMemo keeps.
-_MEMO_BYTES = 1 << 24
+# The most bytes of arrays one TailMemo keeps: at n = 20, a counting plan
+# and about ten columns' halves.
+_MEMO_BYTES = 1 << 18
 
 
 class TailMemo:

@@ -583,9 +583,9 @@ class TestTailReuse:
             assert engine.tails(design, columns) == ExactEngine().tails(design, columns)
 
     def test_memo_keeps_no_more_than_its_bound(self):
-        engine, design = ExactEngine(), UniformCRD(30, 6)
+        engine, design = ExactEngine(), UniformCRD(20, 10)
         gen = np.random.default_rng(7)
-        columns = [(gen.normal(size=30), 0.0, 1.0) for _ in range(100)]
+        columns = [(gen.normal(size=20), 0.0, 1.0) for _ in range(100)]
         for column in columns:
             engine.tails(design, [column])
             assert 0 < engine._memo.nbytes <= designs_module._MEMO_BYTES

@@ -293,7 +293,7 @@ def _difference_plan(test, observed, design, weights) -> ResamplingPlan:
     y, assignment = observed.responses, observed.assignment
     d_obs = d_statistic(y, assignment, weights)
     if design.shift_invariant():
-        y = y - np.partition(y, len(y) // 2)[len(y) // 2]
+        y = y - np.sort(y)[len(y) // 2]
     coef, offset = d_affine_form(y, weights)
     return ResamplingPlan(test, design, observed, d_obs, coef, offset,
                           d_statistic(y, assignment, weights))

@@ -3,10 +3,11 @@
 
 Runs every applicable procedure on the 64-participant dataset with a
 seeded million-draw resampling engine and prints one line per test.
-The three resampling tests are scored on one set of draws, as
-`randcompare test --tests all` scores them, so the Fisher randomization
-and permutation p-values coincide exactly; this is a property of the
-design, not a shortcut.
+The tests run through one run_tests call, in the order of
+`randcompare test --tests all`, which scores the resampling tests on one
+set of draws. Under the uniform design the Fisher randomization and
+permutation tests have one plan, so their p-values coincide exactly;
+this is a property of the design, not a shortcut.
 """
 import argparse
 import sys
@@ -14,20 +15,13 @@ import time
 
 from randcompare import (
     MonteCarloEngine,
+    RandcompareError,
     RngStream,
     UniformCRD,
     bundled_dataset_path,
     load_dataset,
-    neyman_randomization_test,
-    pooled_t_test,
-    welch_t_test,
 )
-from randcompare.inference import (
-    fisher_randomization_plan,
-    permutation_plan,
-    run_resampling_plans,
-    wilcoxon_plan,
-)
+from randcompare.inference import run_tests
 from randcompare.stats import d_statistic, neyman_se, resolve_weights
 
 
@@ -60,18 +54,11 @@ def main(argv=None):
 
     engine = MonteCarloEngine(args.mc, RngStream(args.seed))
     t0 = time.perf_counter()
-    fisher, permutation, wilcoxon = run_resampling_plans(
-        [fisher_randomization_plan(obs, design), permutation_plan(obs), wilcoxon_plan(obs)],
-        engine,
-    )
-    reports = [
-        fisher,
-        neyman_randomization_test(obs, design),
-        permutation,
-        wilcoxon,
-        welch_t_test(obs),
-        pooled_t_test(obs),
-    ]
+    reports = run_tests(obs, design, engine, ("fisher_rand", "neyman_rand", "permutation",
+                                              "wilcoxon", "welch_t", "pooled_t"))
+    for rep in reports:
+        if isinstance(rep, RandcompareError):
+            raise rep
     elapsed = time.perf_counter() - t0
 
     header = f"{'test':<13}{'hypothesis':<11}{'p_value':>10}{'kind':>13}  at alpha={args.alpha:g}"

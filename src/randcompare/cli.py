@@ -28,21 +28,7 @@ from .errors import (
     RandcompareError,
     UnsupportedDesignError,
 )
-from .inference import (
-    ExactEngine,
-    MonteCarloEngine,
-    TestReport,
-    fisher_exact_2x2,
-    fisher_randomization_plan,
-    fisher_selection_test,
-    neyman_randomization_test,
-    neyman_selection_test,
-    permutation_plan,
-    pooled_t_test,
-    run_resampling_plans,
-    welch_t_test,
-    wilcoxon_plan,
-)
+from .inference import TESTS, ExactEngine, MonteCarloEngine, TestReport, run_tests
 from .simulation import (
     get_scenario,
     known_scenarios,
@@ -56,38 +42,12 @@ DEFAULT_EXACT_LIMIT = 200_000
 DEFAULT_MC_BUDGET = 1_000_000
 
 
-def _neyman_sel(observed, design, census):
-    if census is None:
-        raise UnsupportedDesignError(
-            "the population average test needs a census; it is only "
-            "available with --design crd"
-        )
-    return neyman_selection_test(observed, census)
+# the tests --tests all runs, in order: the two difference statistics first
+_ALL_ORDER = ("fisher_rand", "neyman_rand", "permutation", "wilcoxon", "welch_t", "pooled_t",
+              "fisher_sel")
 
-
-# Every test by CLI spelling: (report name, resampled, build(observed,
-# design, census)). A resampling test's build returns its plan, scored on
-# one kernel call with the plans that resample the same design (see
-# _resampled_together); the others return the report, or raise, as
-# fisher-sel always does (reported as a notice). Entries call each test
-# by its global name, so a rebinding of that name reaches them.
-_TESTS = {
-    "permutation": ("permutation", True, lambda obs, design, census: permutation_plan(obs)),
-    "wilcoxon": ("wilcoxon", True, lambda obs, design, census: wilcoxon_plan(obs)),
-    "welch": ("welch_t", False, lambda obs, design, census: welch_t_test(obs)),
-    "pooled": ("pooled_t", False, lambda obs, design, census: pooled_t_test(obs)),
-    "fisher-rand": ("fisher_rand", True,
-                    lambda obs, design, census: fisher_randomization_plan(obs, design)),
-    "neyman-rand": ("neyman_rand", False,
-                    lambda obs, design, census: neyman_randomization_test(obs, design)),
-    "neyman-sel": ("neyman_sel", False, _neyman_sel),
-    "fisher-sel": ("fisher_sel", False, lambda obs, design, census:
-                   fisher_selection_test(obs, census or CensusCRD(obs.n, obs.n1))),
-    "fisher-exact": ("fisher_exact", False, lambda obs, design, census: fisher_exact_2x2(obs)),
-}
-
-# report order for --tests all: the two difference statistics first
-_ALL_ORDER = ("fisher-rand", "neyman-rand", "permutation", "wilcoxon", "welch", "pooled")
+# report name by command-line spelling
+_SPELLINGS = {entry.spelling: name for name, entry in TESTS.items()}
 
 
 def _env_seed() -> int:
@@ -127,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument(
         "--tests",
         default="all",
-        help=f"comma list from {{{','.join(_TESTS)}}} or 'all'",
+        help=f"comma list from {{{','.join(_SPELLINGS)}}} or 'all'",
     )
     test.add_argument("--design", default="crd", help="'crd' or a JSON design file")
     test.add_argument(
@@ -217,27 +177,18 @@ def _resolve_engine(args, design, seed):
 
 
 def _parse_test_list(raw: str) -> list:
+    """The report names of the tests --tests spells, in its order."""
     if raw.strip() == "all":
-        return list(_ALL_ORDER) + ["fisher-sel"]
-    names = [part.strip() for part in raw.split(",") if part.strip()]
-    if not names:
+        return list(_ALL_ORDER)
+    spellings = [part.strip() for part in raw.split(",") if part.strip()]
+    if not spellings:
         raise DataValidationError("--tests must name at least one test")
-    for name in names:
-        if name not in _TESTS:
+    for spelling in spellings:
+        if spelling not in _SPELLINGS:
             raise DataValidationError(
-                f"unknown test {name!r}; known: {', '.join(_TESTS)}, all"
+                f"unknown test {spelling!r}; known: {', '.join(_SPELLINGS)}, all"
             )
-    return names
-
-
-def _resampled_together(names: list, start: int, crd: bool) -> list:
-    """Positions, from start on, of the resampling tests that resample the
-    same design as names[start] and so share one kernel call."""
-    def own_design(name):
-        return name == "fisher-rand" and not crd
-
-    return [i for i in range(start, len(names))
-            if _TESTS[names[i]][1] and own_design(names[i]) == own_design(names[start])]
+    return [_SPELLINGS[spelling] for spelling in spellings]
 
 
 def _write_output(text: str, out) -> None:
@@ -309,33 +260,24 @@ def cmd_test(args) -> int:
     path = _resolve_data_path(args.data)
     loaded = load_dataset(path)
     observed = loaded.observed
-    crd = args.design == "crd"
     design = _resolve_design(args.design, observed)
-    census = CensusCRD(observed.n, observed.n1) if crd else None
+    census = CensusCRD(observed.n, observed.n1) if args.design == "crd" else None
     engine = _resolve_engine(args, design, seed)
     names = _parse_test_list(args.tests)
     reports = []
     notices = []
-    # Resampling tests are scored a group at a time, when the group's
-    # first test is reached, so errors still surface in --tests order.
-    resampled = {}
-    for i, name in enumerate(names):
-        report_name, is_resampled, build = _TESTS[name]
-        if is_resampled:
-            if i not in resampled:
-                group = _resampled_together(names, i, crd)
-                plans = [_TESTS[names[j]][2](observed, design, census) for j in group]
-                resampled.update(zip(group, run_resampling_plans(plans, engine)))
-            reports.append(resampled.pop(i))
-            continue
-        try:
-            reports.append(build(observed, design, census))
-        except NoncomputableDistributionError as exc:
+    # the first test in --tests order to fail decides the error
+    for name, result in zip(names, run_tests(observed, design, engine, names, census)):
+        if isinstance(result, NoncomputableDistributionError):
             notices.append(
-                {"test": report_name,
+                {"test": name,
                  "error": "noncomputable_distribution",
-                 "message": str(exc)}
+                 "message": str(result)}
             )
+        elif isinstance(result, RandcompareError):
+            raise result
+        else:
+            reports.append(result)
     summary = dataset_summary(loaded)
     meta = {
         "command": "test",

@@ -24,6 +24,8 @@ from .errors import (
     DataValidationError,
     DesignInvalidError,
     EnumerationTooLargeError,
+    InsufficientDataError,
+    UnsupportedDesignError,
 )
 
 ENUMERATION_CAP = 2_000_000
@@ -122,6 +124,15 @@ class AssignmentDesign:
         Not in general: unequal inclusion weights make D move with c."""
         return False
 
+    def variance_bound(self, observed) -> float:
+        """The variance-bound estimate of var(D) over the design, from the
+        observed experiment. Only a uniform CRD defines one."""
+        raise UnsupportedDesignError(
+            "the variance-bound estimator is only defined for UniformCRD; "
+            "no estimator is available for general inclusion probabilities "
+            "(an open problem for nonuniform designs)"
+        )
+
     def weight_table(self, sample: SampleVector) -> np.ndarray:
         """n times the inclusion probabilities: the (2, n) weights that
         make D unbiased for the sample-level effect."""
@@ -190,6 +201,20 @@ class UniformCRD(AssignmentDesign):
     def shift_invariant(self) -> bool:
         """D(y + c) = D(y) + c * (n1 / n1 - n2 / n2) = D(y)."""
         return True
+
+    def variance_bound(self, observed) -> float:
+        """v1 / n1 + v2 / n2, with the divide-by-n arm variances."""
+        if self.n != observed.n or self.n1 != observed.n1:
+            raise DesignInvalidError(
+                "design arm sizes do not match the observed assignment"
+            )
+        arm1 = observed.arm_responses(1)
+        arm2 = observed.arm_responses(2)
+        if len(arm1) < 2 or len(arm2) < 2:
+            raise InsufficientDataError("both arms need >= 2 observations")
+        v1 = float(np.mean((arm1 - arm1.mean()) ** 2))
+        v2 = float(np.mean((arm2 - arm2.mean()) ** 2))
+        return v1 / len(arm1) + v2 / len(arm2)
 
     def exact_tails(self, columns, memo=None) -> list:
         """scan_tails' hit counts over the support, counted without

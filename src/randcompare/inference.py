@@ -15,8 +15,8 @@ statistics, the doubled smaller tail (capped at 1) for the rank sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import NoReturn, Optional, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple, NoReturn, Optional, Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .errors import (
     DesignInvalidError,
     InsufficientDataError,
     NoncomputableDistributionError,
+    RandcompareError,
     UnsupportedDesignError,
 )
 from .special import normal_cdf, student_t_cdf
@@ -186,27 +187,11 @@ class TestReport:
                 "assumptions": list(self.assumptions)}
 
 
-# Each test's report name -> the null it addresses and the codes of the
-# model assumptions it rests on. fisher_sel never yields a report: it
-# raises, because its reference distribution is not computable.
-TESTS = {
-    "permutation": (Hypothesis.DUP, ("A1", "A2", "A3")),
-    "wilcoxon": (Hypothesis.DUP, ("A1", "A2", "A3", "A4")),
-    "welch_t": (Hypothesis.EUP, ("A1", "A2", "A3", "A5")),
-    "pooled_t": (Hypothesis.EUP, ("A1", "A2", "A3", "A6")),
-    "fisher_rand": (Hypothesis.RUs, ("B1", "B2")),
-    "neyman_rand": (Hypothesis.RAs, ("B1", "B2")),
-    "neyman_sel": (Hypothesis.RAP, ("C1", "C2")),
-    "fisher_sel": (Hypothesis.RUP, ("C1", "C2")),
-    "fisher_exact": (Hypothesis.RUs, ("B1", "B2")),
-}
-
-
 def _report(test, observed, statistic, p_value, kind, mc_stderr=None,
              degenerate=False) -> TestReport:
-    hypothesis, assumptions = TESTS[test]
-    return TestReport(test, hypothesis, statistic, p_value, kind, mc_stderr,
-                      assumptions, observed.n1, observed.n2, degenerate)
+    entry, n1 = TESTS[test], observed.n1
+    return TestReport(test, entry.hypothesis, statistic, p_value, kind, mc_stderr,
+                      entry.assumptions, n1, observed.n - n1, degenerate)
 
 
 def _two_sided_asymptotic(test, observed, statistic, cdf_at_abs) -> TestReport:
@@ -274,13 +259,16 @@ class ResamplingPlan:
 
 def run_resampling_plans(plans, engine: PValueEngine) -> list:
     """Reports of resampling tests that share one design, from one
-    engine.tails call: one exact count, or one set of draws from engine.rng."""
+    engine.tails call: one exact count, or one set of draws from engine.rng.
+    Equal columns are scored once."""
     design = plans[0].design
     if any(plan.design != design for plan in plans):
         raise ValueError("plans scored together must share one design")
-    tails = engine.tails(design, [plan.column for plan in plans])
+    keys = [(plan.coef.tobytes(), plan.offset, plan.compared) for plan in plans]
+    columns = dict(zip(keys, (plan.column for plan in plans)))
+    tails = dict(zip(columns, engine.tails(design, list(columns.values()))))
     denominator = engine.denominator(design)
-    return [plan.report(t, denominator, engine.kind) for plan, t in zip(plans, tails)]
+    return [plan.report(tails[key], denominator, engine.kind) for plan, key in zip(plans, keys)]
 
 
 def _difference_plan(test, observed, design, weights) -> ResamplingPlan:
@@ -468,3 +456,86 @@ def fisher_exact_2x2(observed: ObservedExperiment) -> TestReport:
     numer = sum(w for w in weights.values() if w <= w_obs)
     return _report("fisher_exact", observed, float(k_obs), numer / total, "exact",
                    degenerate=bool(np.ptp(r) == 0.0))
+
+
+def _neyman_sel(observed, design, census):
+    if census is None:
+        raise UnsupportedDesignError(
+            "the population average test needs a census; it is only "
+            "available with --design crd"
+        )
+    return neyman_selection_test(observed, census)
+
+
+class Procedure(NamedTuple):
+    """One test: its command-line spelling, the null it addresses, the
+    codes of the model assumptions it rests on, and build(observed,
+    design, census), which returns its ResamplingPlan, for run_tests to
+    score, or its TestReport. census is the selection design the data came
+    from, or None. Builders call each test by this module's global name,
+    so a rebinding of that name reaches them."""
+
+    spelling: str
+    hypothesis: Hypothesis
+    assumptions: tuple
+    build: Callable
+
+
+# Every test, by report name. fisher_sel never yields a report: it raises,
+# because its reference distribution is not computable.
+TESTS = {
+    "permutation": Procedure("permutation", Hypothesis.DUP, ("A1", "A2", "A3"),
+                             lambda obs, design, census: permutation_plan(obs)),
+    "wilcoxon": Procedure("wilcoxon", Hypothesis.DUP, ("A1", "A2", "A3", "A4"),
+                          lambda obs, design, census: wilcoxon_plan(obs)),
+    "welch_t": Procedure("welch", Hypothesis.EUP, ("A1", "A2", "A3", "A5"),
+                         lambda obs, design, census: welch_t_test(obs)),
+    "pooled_t": Procedure("pooled", Hypothesis.EUP, ("A1", "A2", "A3", "A6"),
+                          lambda obs, design, census: pooled_t_test(obs)),
+    "fisher_rand": Procedure("fisher-rand", Hypothesis.RUs, ("B1", "B2"),
+                             lambda obs, design, census: fisher_randomization_plan(obs, design)),
+    "neyman_rand": Procedure("neyman-rand", Hypothesis.RAs, ("B1", "B2"),
+                             lambda obs, design, census: neyman_randomization_test(obs, design)),
+    "neyman_sel": Procedure("neyman-sel", Hypothesis.RAP, ("C1", "C2"), _neyman_sel),
+    "fisher_sel": Procedure("fisher-sel", Hypothesis.RUP, ("C1", "C2"),
+                            lambda obs, design, census: fisher_selection_test(obs, census)),
+    "fisher_exact": Procedure("fisher-exact", Hypothesis.RUs, ("B1", "B2"),
+                              lambda obs, design, census: fisher_exact_2x2(obs)),
+}
+
+
+def run_tests(observed: ObservedExperiment, design: AssignmentDesign,
+              engine: PValueEngine, names, census=None) -> list:
+    """The tests named (keys of TESTS) on observed, in order: each one's
+    TestReport, or the RandcompareError it raised, so that a failing test
+    hides no other and the caller decides which errors to raise.
+
+    Plans of one design are scored on one run_resampling_plans call, whose
+    error is the result of each. Under the data's own uniform CRD,
+    permutation and fisher_rand have one plan (the same weights over the
+    same support): the first built lends it to the other."""
+    results, shared = [], None
+    for name in names:
+        difference = name in ("permutation", "fisher_rand")
+        try:
+            if difference and shared is not None:
+                result = replace(shared, test=name)
+            else:
+                result = TESTS[name].build(observed, design, census)
+                if difference and design == result.design == UniformCRD(observed.n, observed.n1):
+                    shared = result
+        except RandcompareError as exc:
+            result = exc
+        results.append(result)
+    groups: dict = {}
+    for i, result in enumerate(results):
+        if isinstance(result, ResamplingPlan):
+            groups.setdefault(result.design, []).append(i)
+    for positions in groups.values():
+        try:
+            reports = run_resampling_plans([results[i] for i in positions], engine)
+        except RandcompareError as exc:
+            reports = [exc] * len(positions)
+        for i, report in zip(positions, reports):
+            results[i] = report
+    return results

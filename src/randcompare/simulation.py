@@ -13,15 +13,14 @@ replicate; the "process" row fixes the assignment and redraws the
 potential table. Rejection rates are reported in percent with the
 binomial standard error sqrt(r(100 - r) / replicates).
 
-Each replicate runs the library's own tests. The permutation and
-rank-sum plans are scored together by run_resampling_plans, the call the
-test functions make: under exact_small, when the support fits the
+Each replicate runs the library's own tests through run_tests, as the
+test command does: under exact_small, when the support fits the
 enumeration cap, on an ExactEngine, which counts a uniform CRD's exact
 tails without enumerating it; otherwise on a MonteCarloEngine per
-replicate. fisher_rand
-resamples the permutation statistic over the same uniform CRD and takes
-its p-value; binary scenarios read that p-value from an exact table and
-report no rank sum.
+replicate. The design is the data's own uniform CRD, so fisher_rand's
+plan is permutation's: one column, scored once, gives both p-values.
+Binary scenarios read that p-value from an exact table and report no
+rank sum.
 
 Reproducibility contract: replicate r of the randomization row consumes
 substreams (2, r) for data and (4, 0, r) for the per-replicate Monte
@@ -53,6 +52,7 @@ from .errors import (
     DataValidationError,
     DegenerateDataError,
     EnumerationTooLargeError,
+    RandcompareError,
     UnknownScenarioError,
 )
 from .inference import (
@@ -60,12 +60,7 @@ from .inference import (
     MonteCarloEngine,
     check_mc_budget,
     hypergeometric_counts,
-    neyman_randomization_test,
-    permutation_plan,
-    pooled_t_test,
-    run_resampling_plans,
-    welch_t_test,
-    wilcoxon_plan,
+    run_tests,
 )
 
 # Everything below 100 belongs to the bulk mixture component, everything
@@ -621,15 +616,6 @@ def _binary_abs_tail(n: int, n1: int, m: int) -> tuple:
     return (min(weights), tuple(tails))
 
 
-# The closed-form tests of the suite. Each entry calls the test through
-# this module's global name, so a rebinding of that name reaches it.
-_CLOSED_FORM = {
-    "welch_t": lambda observed, design: welch_t_test(observed),
-    "pooled_t": lambda observed, design: pooled_t_test(observed),
-    "neyman_rand": lambda observed, design: neyman_randomization_test(observed, design),
-}
-
-
 def run_size_power(
     scenario,
     test_suite: tuple = DEFAULT_TEST_SUITE,
@@ -670,8 +656,11 @@ def run_size_power(
     sample = SampleVector.first_n(n)
     budget = mc_budget if mc_budget is not None else (10_000 if n <= 20 else 4_000)
     check_mc_budget(budget)
-    binary = scenario.binary
-    resampling = not set(test_suite) <= _CLOSED_FORM.keys()
+    # binary responses: the difference tests read an exact table, and the
+    # rank sum does not apply
+    tabled = {"permutation", "fisher_rand", "wilcoxon"}.intersection(
+        test_suite if scenario.binary else ())
+    run = [test for test in test_suite if test not in tabled]
     exact = None
     if exact_small:
         try:
@@ -680,21 +669,6 @@ def run_size_power(
             fits = False
         if fits:
             exact = ExactEngine()
-
-    def resampled(observed, stream) -> dict:
-        """p-values of the resampling tests; the rank sum's is None on
-        binary responses. fisher_rand resamples the permutation statistic
-        over the same uniform CRD, so the two share a p-value."""
-        if binary:
-            m = int(round(float(observed.responses.sum())))
-            k = int(round(float(observed.arm_responses(1).sum())))
-            k_lo, tails = _binary_abs_tail(n, design.n1, m)
-            return {"permutation": tails[k - k_lo], "fisher_rand": tails[k - k_lo],
-                    "wilcoxon": None}
-        engine = exact or MonteCarloEngine(budget, stream)
-        plans = [permutation_plan(observed), wilcoxon_plan(observed)]
-        p_d, p_w = (report.p_value for report in run_resampling_plans(plans, engine))
-        return {"permutation": p_d, "fisher_rand": p_d, "wilcoxon": p_w}
 
     estimates: list = []
     for row in rows:
@@ -715,18 +689,22 @@ def run_size_power(
             responses = select_components(table, sample, assignment)
             observed = ObservedExperiment(sample=sample, assignment=assignment,
                                           responses=responses)
-            pvalues = resampled(observed, rng.substream(4, row_key, r)) if resampling else {}
-            decisions = []
-            for test in test_suite:
-                if test in _CLOSED_FORM:
-                    try:
-                        p = _CLOSED_FORM[test](observed, design).p_value
-                    except DegenerateDataError:
-                        p = 1.0  # a draw with no variation cannot reject
+            p = {}
+            if tabled:
+                m = int(round(float(responses.sum())))
+                k = int(round(float(observed.arm_responses(1).sum())))
+                k_lo, tails = _binary_abs_tail(n, design.n1, m)
+                p = {"permutation": tails[k - k_lo], "fisher_rand": tails[k - k_lo],
+                     "wilcoxon": None}
+            engine = exact or MonteCarloEngine(budget, rng.substream(4, row_key, r))
+            for test, result in zip(run, run_tests(observed, design, engine, run)):
+                if isinstance(result, DegenerateDataError):
+                    p[test] = 1.0  # a draw with no variation cannot reject
+                elif isinstance(result, RandcompareError):
+                    raise result
                 else:
-                    p = pvalues[test]
-                decisions.append(None if p is None else p <= alpha)
-            return decisions
+                    p[test] = result.p_value
+            return [None if p[test] is None else p[test] <= alpha for test in test_suite]
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

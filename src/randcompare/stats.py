@@ -16,13 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import AssignmentVector, ObservedExperiment, SampleVector
-from .designs import AssignmentDesign, UniformCRD
+from .designs import AssignmentDesign
 from .errors import (
     DataValidationError,
     DesignInvalidError,
     DegenerateDataError,
     InsufficientDataError,
-    UnsupportedDesignError,
 )
 
 
@@ -154,20 +153,4 @@ def neyman_se(observed: ObservedExperiment, design: AssignmentDesign) -> float:
     in size simulations); the t tests use the n-1 divisor instead, which
     is why this SE is smaller than welch_se on the same data.
     """
-    if not isinstance(design, UniformCRD):
-        raise UnsupportedDesignError(
-            "the variance-bound estimator is only defined for UniformCRD; "
-            "no estimator is available for general inclusion probabilities "
-            "(an open problem for nonuniform designs)"
-        )
-    if design.n != observed.n or design.n1 != observed.n1:
-        raise DesignInvalidError(
-            "design arm sizes do not match the observed assignment"
-        )
-    arm1 = observed.arm_responses(1)
-    arm2 = observed.arm_responses(2)
-    if len(arm1) < 2 or len(arm2) < 2:
-        raise InsufficientDataError("both arms need >= 2 observations")
-    v1 = float(np.mean((arm1 - arm1.mean()) ** 2))
-    v2 = float(np.mean((arm2 - arm2.mean()) ** 2))
-    return float(np.sqrt(v1 / len(arm1) + v2 / len(arm2)))
+    return float(np.sqrt(design.variance_bound(observed)))

@@ -337,6 +337,38 @@ class TestGroupedResampling:
         assert exc.value.code == 2
         assert "invalid choice: 'asymptotic'" in capsys.readouterr().err
 
+    def test_scoring_errors_keep_tests_order(self, tmp_path, capsys):
+        # 13 + 13 units: the permutation test's own design has
+        # C(26, 13) = 10,400,600 assignments, past the exact cap
+        labels = [1] * 13 + [2] * 13
+        data = tmp_path / "d26.csv"
+        data.write_text("unit_id,treatment,response\n" + "".join(
+            f"{i + 1},{t},{(7 * i) % 11}\n" for i, t in enumerate(labels)))
+        design = tmp_path / "two_point.json"
+        design.write_text(json.dumps(
+            {"support": [labels, [3 - t for t in labels]], "probs": [0.5, 0.5]}))
+        argv = ("test", "--data", str(data), "--design", str(design), "--engine", "exact")
+        assert run_cli(*argv, "--tests", "permutation,neyman-sel")[0] == 4
+        assert "exceeds enumeration cap" in capsys.readouterr().err
+        assert run_cli(*argv, "--tests", "neyman-sel,permutation")[0] == 3
+        assert "needs a census" in capsys.readouterr().err
+
+    def test_all_scores_two_columns(self, monkeypatch, six_files):
+        """fisher-rand and permutation have one column under --design crd."""
+        widths = []
+        tails = MonteCarloEngine.tails
+
+        def counting(engine, design, columns):
+            widths.append(len(columns))
+            return tails(engine, design, columns)
+
+        monkeypatch.setattr(MonteCarloEngine, "tails", counting)
+        data, _ = six_files
+        code, _ = run_cli("test", "--data", data, "--tests", "all", "--design", "crd",
+                          "--mc", "2000")
+        assert code == 0
+        assert widths == [2]
+
 
 SCENARIO = {"name": "demo", "n1": 5, "n2": 5, "law": {"kind": "normal", "mean": 0, "sd": 1},
             "effect": {"kind": "identity"}}
@@ -627,13 +659,32 @@ def test_table_names_each_report(tmp_path):
     data = tmp_path / "binary.csv"
     data.write_text("unit_id,treatment,response\n1,1,1\n2,1,0\n3,1,1\n"
                     "4,2,0\n5,2,0\n6,2,1\n")
-    for spelling, (report_name, _, _) in randcompare.cli._TESTS.items():
-        code, out = run_cli("test", "--data", str(data), "--tests", spelling,
+    for report_name, entry in randcompare.inference.TESTS.items():
+        code, out = run_cli("test", "--data", str(data), "--tests", entry.spelling,
                             "--format", "json")
-        assert code == 0, spelling
+        assert code == 0, entry.spelling
         doc = json.loads(out)
         [entry] = doc["reports"] + doc["notices"]
         assert entry["test"] == report_name
+
+
+def test_closed_form_tests_have_one_patch_point(monkeypatch, tmp_path):
+    """The command and the harness call a closed-form test through its
+    name in randcompare.inference, which the benchmark's spans rebind."""
+    calls = []
+    welch = randcompare.inference.welch_t_test
+
+    def counting(observed):
+        calls.append(observed.n)
+        return welch(observed)
+
+    monkeypatch.setattr(randcompare.inference, "welch_t_test", counting)
+    randcompare.simulation.run_size_power("t3.sc1", test_suite=("welch_t",),
+                                          replicates=100, rng=RngStream(5))
+    assert len(calls) == 200
+    code, _ = run_cli("test", "--data", "cellphone", "--tests", "welch")
+    assert code == 0
+    assert len(calls) == 201
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

@@ -536,15 +536,17 @@ class TestCatalogue:
         ]
         assert {r.test for r in reports} == set(TESTS) - {"fisher_sel"}
         for report in reports:
-            assert (report.hypothesis, report.assumptions) == TESTS[report.test]
+            entry = TESTS[report.test]
+            assert (report.hypothesis, report.assumptions) == (entry.hypothesis, entry.assumptions)
         with pytest.raises(NoncomputableDistributionError):
             fisher_selection_test(six_obs, census)
 
     def test_suites_name_only_catalogue_tests(self):
-        cli_tests = randcompare.cli._TESTS
         assert set(DEFAULT_TEST_SUITE) <= set(TESTS)
-        assert {cli_tests[name][0] for name in randcompare.cli._ALL_ORDER} <= set(TESTS)
-        assert {report_name for report_name, _, _ in cli_tests.values()} == set(TESTS)
+        assert set(randcompare.cli._ALL_ORDER) <= set(TESTS)
+        # every test has its own spelling, which --tests reads as its report name
+        spellings = [entry.spelling for entry in TESTS.values()]
+        assert randcompare.cli._parse_test_list(",".join(spellings)) == list(TESTS)
 
     # p-values and stderrs of the reports at the parent commit, whose
     # report() took the engine instead of its budget

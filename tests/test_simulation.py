@@ -361,9 +361,9 @@ class TestRunSizePower:
         exact_calls = []
         exact_tails = UniformCRD.exact_tails
 
-        def counting_exact(design, columns):
+        def counting_exact(design, columns, memo=None):
             exact_calls.append(design)
-            return exact_tails(design, columns)
+            return exact_tails(design, columns, memo)
 
         monkeypatch.setattr(randcompare.inference, "sample_assignment_batch", counting)
         monkeypatch.setattr(UniformCRD, "exact_tails", counting_exact)
@@ -374,6 +374,31 @@ class TestRunSizePower:
         expected = [(e.row, e.rejections) for e in default if e.test_name == "welch_t"]
         assert [(e.row, e.rejections) for e in welch] == expected
         assert [(e.row, e.rejections) for e in exact] == expected
+
+    @pytest.mark.parametrize("exact_small", [False, True])
+    def test_each_replicate_scores_two_columns(self, monkeypatch, exact_small):
+        """fisher_rand and permutation have one column, scored once, and
+        one difference plan, built once per replicate."""
+        widths = []
+        engine_class = ExactEngine if exact_small else MonteCarloEngine
+        tails = engine_class.tails
+
+        def counting(engine, design, columns):
+            widths.append(len(columns))
+            return tails(engine, design, columns)
+
+        built = []
+        affine = randcompare.inference.d_affine_form
+
+        def counting_affine(y, weights):
+            built.append(len(y))
+            return affine(y, weights)
+
+        monkeypatch.setattr(engine_class, "tails", counting)
+        monkeypatch.setattr(randcompare.inference, "d_affine_form", counting_affine)
+        run_size_power("t3.sc1", replicates=100, rng=RngStream(5), exact_small=exact_small)
+        assert widths == [2] * 200
+        assert len(built) == 200
 
     def test_exact_small_enumerates_nothing(self, monkeypatch):
         supports = []

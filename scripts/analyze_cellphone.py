@@ -54,8 +54,8 @@ def main(argv=None):
 
     engine = MonteCarloEngine(args.mc, RngStream(args.seed))
     t0 = time.perf_counter()
-    reports = run_tests(obs, design, engine, ("fisher_rand", "neyman_rand", "permutation",
-                                              "wilcoxon", "welch_t", "pooled_t"))
+    reports = list(run_tests(obs, design, engine, ("fisher_rand", "neyman_rand", "permutation",
+                                                   "wilcoxon", "welch_t", "pooled_t")))
     for rep in reports:
         if isinstance(rep, RandcompareError):
             raise rep

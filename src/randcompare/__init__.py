@@ -25,7 +25,6 @@ from .designs import (
     RNG_ALGORITHM,
     RngStream,
     UniformCRD,
-    binomial_coefficient,
     check_both_arm_inclusion,
     explicit_from_json,
     sample_assignment,

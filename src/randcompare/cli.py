@@ -89,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"comma list from {{{','.join(_SPELLINGS)}}} or 'all'",
     )
-    test.add_argument("--design", default="crd", help="'crd' or a JSON design file")
+    test.add_argument("--design", default="crd",
+                      help="'crd' or a JSON design file; neyman-sel needs crd")
     test.add_argument(
         "--engine", choices=("exact", "mc"), default=None,
         help="p-value engine of the resampling tests: exact tails or Monte "
@@ -165,11 +166,7 @@ def _resolve_engine(args, design, seed):
     if choice is None and args.mc is not None:
         choice = "mc"
     if choice is None:
-        try:
-            small = design.support_size <= DEFAULT_EXACT_LIMIT
-        except EnumerationTooLargeError:
-            small = False
-        choice = "exact" if small else "mc"
+        choice = "exact" if design.support_size <= DEFAULT_EXACT_LIMIT else "mc"
     if choice == "exact":
         return ExactEngine()
     budget = DEFAULT_MC_BUDGET if args.mc is None else args.mc

@@ -93,6 +93,8 @@ class AssignmentVector:
     """
 
     labels: np.ndarray
+    # the arm-1 size, counted once, when the vector is made
+    n1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.labels, dtype=np.int8)
@@ -103,18 +105,15 @@ class AssignmentVector:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
+        object.__setattr__(self, "n1", int(np.count_nonzero(arr == 1)))
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     @property
-    def n1(self) -> int:
-        return int(np.sum(self.labels == 1))
-
-    @property
     def n2(self) -> int:
-        return int(np.sum(self.labels == 2))
+        return self.n - self.n1
 
     @classmethod
     def two_arms(cls, n1: int, n2: int) -> "AssignmentVector":

@@ -69,16 +69,18 @@ class RngStream:
         return RngStream(self.seed, self.spawn_key + tuple(key))
 
 
-def binomial_coefficient(n: int, k: int) -> int:
-    """Exact C(n, k); refuses values that do not fit in 128 bits."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial coefficient undefined for n={n}, k={k}")
-    value = math.comb(n, k)
-    if value.bit_length() > 128:
-        raise EnumerationTooLargeError(
-            f"C({n}, {k}) exceeds 128-bit representation", size=None, cap=None
-        )
-    return value
+def _support_probs(probs, size: int) -> np.ndarray:
+    """A frozen copy of the probabilities of a support of size points,
+    once they align with it, are nonnegative and sum to 1."""
+    probs = np.array(probs, dtype=np.float64)
+    if probs.shape != (size,):
+        raise DesignInvalidError("probs must align with the support")
+    if np.any(probs < 0):
+        raise DesignInvalidError("probabilities must be nonnegative")
+    if abs(float(probs.sum()) - 1.0) > 1e-12:
+        raise DesignInvalidError("probabilities must sum to 1 within 1e-12")
+    probs.setflags(write=False)
+    return probs
 
 
 class _EqualByContent:
@@ -169,7 +171,7 @@ class UniformCRD(AssignmentDesign):
 
     @property
     def support_size(self) -> int:
-        return binomial_coefficient(self.n, self.n1)
+        return math.comb(self.n, self.n1)
 
     def _template(self) -> np.ndarray:
         return np.concatenate([np.ones(self.n1, np.int8), np.full(self.n2, 2, np.int8)])
@@ -309,17 +311,8 @@ class Explicit(_EqualByContent, AssignmentDesign):
         labels = np.stack([v.labels for v in support])
         if len(np.unique(labels, axis=0)) != len(support):
             raise DesignInvalidError("support vectors must be distinct")
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.shape != (len(support),):
-            raise DesignInvalidError("probs must align with the support")
-        if np.any(probs < 0):
-            raise DesignInvalidError("probabilities must be nonnegative")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise DesignInvalidError("probabilities must sum to 1 within 1e-12")
-        probs = probs.copy()
-        probs.setflags(write=False)
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _support_probs(self.probs, len(support)))
         object.__setattr__(self, "_labels", labels)
 
     def _key(self) -> tuple:
@@ -392,21 +385,22 @@ def check_both_arm_inclusion(design: AssignmentDesign) -> None:
         )
 
 
-def check_enumeration_cap(design: AssignmentDesign, cap: int = ENUMERATION_CAP) -> int:
-    """The design's support size; EnumerationTooLargeError past cap."""
+def check_enumeration_cap(design: AssignmentDesign) -> int:
+    """The design's support size; EnumerationTooLargeError past
+    ENUMERATION_CAP. The only place a design is refused as too large."""
     size = design.support_size
-    if size > cap:
+    if size > ENUMERATION_CAP:
         raise EnumerationTooLargeError(
-            f"support size {size} exceeds enumeration cap {cap}",
+            f"support size {size} exceeds enumeration cap {ENUMERATION_CAP}",
             size=size,
-            cap=cap,
+            cap=ENUMERATION_CAP,
         )
     return size
 
 
-def support_label_matrix(design: AssignmentDesign, cap: int = ENUMERATION_CAP):
+def support_label_matrix(design: AssignmentDesign):
     """(labels (M, n) int8, probs (M,)) for vectorized exact engines."""
-    check_enumeration_cap(design, cap)
+    check_enumeration_cap(design)
     return design.support_labels()
 
 
@@ -615,15 +609,8 @@ class ExplicitJoint(_EqualByContent, SelectionDesign):
                 raise DesignInvalidError("sample and assignment lengths must match")
             if np.any(s.indices > self.n_population):
                 raise DesignInvalidError("sample indices exceed the population size")
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.shape != (len(support),):
-            raise DesignInvalidError("probs must align with the support")
-        if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise DesignInvalidError("probabilities must be nonnegative and sum to 1")
-        probs = probs.copy()
-        probs.setflags(write=False)
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _support_probs(self.probs, len(support)))
 
     def _key(self) -> tuple:
         pairs = tuple((s.indices.tobytes(), t.labels.tobytes()) for s, t in self.support)
@@ -664,7 +651,7 @@ class ExplicitJoint(_EqualByContent, SelectionDesign):
             assignment_probs[key] = assignment_probs.get(key, 0.0) + float(prob)
         if n1 is None or not (1 <= n1 <= n - 1):
             return None
-        expected = binomial_coefficient(n, n1)
+        expected = math.comb(n, n1)
         if len(assignment_probs) != expected:
             return None
         uniform = 1.0 / expected

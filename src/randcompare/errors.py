@@ -31,9 +31,9 @@ class UnsupportedDesignError(RandcompareError):
 
 
 class EnumerationTooLargeError(RandcompareError):
-    """Full support enumeration would exceed the configured cap."""
+    """The design's support size exceeds the enumeration cap."""
 
-    def __init__(self, message: str, size=None, cap=None):
+    def __init__(self, message: str, size: int, cap: int):
         super().__init__(message)
         self.size = size
         self.cap = cap

@@ -189,13 +189,18 @@ class TestReport:
 
 def _report(test, observed, statistic, p_value, kind, mc_stderr=None,
              degenerate=False) -> TestReport:
-    entry, n1 = TESTS[test], observed.n1
+    entry = TESTS[test]
     return TestReport(test, entry.hypothesis, statistic, p_value, kind, mc_stderr,
-                      entry.assumptions, n1, observed.n - n1, degenerate)
+                      entry.assumptions, observed.n1, observed.n2, degenerate)
 
 
-def _two_sided_asymptotic(test, observed, statistic, cdf_at_abs) -> TestReport:
-    p = 2.0 * (1.0 - cdf_at_abs)
+def _studentized(test, observed, difference, se, cdf) -> TestReport:
+    """The t and Neyman tests' common step: difference / se, with its
+    two-sided p-value against the reference law whose CDF is cdf."""
+    if se == 0.0:
+        raise DegenerateDataError("zero standard error: responses carry no variation")
+    statistic = difference / se
+    p = 2.0 * (1.0 - cdf(abs(statistic)))
     return _report(test, observed, statistic, min(1.0, max(0.0, p)), "asymptotic")
 
 
@@ -334,14 +339,10 @@ def _t_test(test, observed, se_of, df_of) -> TestReport:
     arm2 = observed.arm_responses(2)
     if len(arm1) < 2 or len(arm2) < 2:
         raise InsufficientDataError("both arms need >= 2 observations")
-    v1 = sample_variance(arm1)
-    v2 = sample_variance(arm2)
-    se = se_of(v1, len(arm1), v2, len(arm2))
-    if se == 0.0:
-        raise DegenerateDataError("zero standard error: responses carry no variation")
-    t = float(arm1.mean() - arm2.mean()) / se
-    df = df_of(v1, len(arm1), v2, len(arm2))
-    return _two_sided_asymptotic(test, observed, t, student_t_cdf(abs(t), df))
+    arms = (sample_variance(arm1), len(arm1), sample_variance(arm2), len(arm2))
+    # cdf finds the degrees of freedom, so welch_df runs after the zero-se check
+    return _studentized(test, observed, float(arm1.mean() - arm2.mean()), se_of(*arms),
+                        lambda t: student_t_cdf(t, df_of(*arms)))
 
 
 def welch_t_test(observed: ObservedExperiment) -> TestReport:
@@ -367,14 +368,6 @@ def fisher_randomization_test(
     return run_resampling_plans([fisher_randomization_plan(observed, design)], engine)[0]
 
 
-def _neyman_z(test, observed, weights, se) -> TestReport:
-    """The Neyman tests' common step: z = D / se against the normal."""
-    if se == 0.0:
-        raise DegenerateDataError("zero standard error: responses carry no variation")
-    z = d_statistic(observed.responses, observed.assignment, weights) / se
-    return _two_sided_asymptotic(test, observed, z, normal_cdf(abs(z)))
-
-
 def neyman_randomization_test(
     observed: ObservedExperiment, design: AssignmentDesign
 ) -> TestReport:
@@ -383,7 +376,8 @@ def neyman_randomization_test(
     _require_two_arms(observed)
     se = neyman_se(observed, design)
     weights = resolve_weights(design, observed.sample, observed.assignment)
-    return _neyman_z("neyman_rand", observed, weights, se)
+    d = d_statistic(observed.responses, observed.assignment, weights)
+    return _studentized("neyman_rand", observed, d, se, normal_cdf)
 
 
 def neyman_selection_test(
@@ -404,7 +398,8 @@ def neyman_selection_test(
         )
     weights = resolve_weights(design, observed.sample, observed.assignment)
     se = neyman_se(observed, census.assignment_design())
-    return _neyman_z("neyman_sel", observed, weights, se)
+    d = d_statistic(observed.responses, observed.assignment, weights)
+    return _studentized("neyman_sel", observed, d, se, normal_cdf)
 
 
 def fisher_selection_test(
@@ -461,8 +456,7 @@ def fisher_exact_2x2(observed: ObservedExperiment) -> TestReport:
 def _neyman_sel(observed, design, census):
     if census is None:
         raise UnsupportedDesignError(
-            "the population average test needs a census; it is only "
-            "available with --design crd"
+            "the population average test needs a census design, and none was given"
         )
     return neyman_selection_test(observed, census)
 
@@ -505,15 +499,17 @@ TESTS = {
 
 
 def run_tests(observed: ObservedExperiment, design: AssignmentDesign,
-              engine: PValueEngine, names, census=None) -> list:
-    """The tests named (keys of TESTS) on observed, in order: each one's
-    TestReport, or the RandcompareError it raised, so that a failing test
-    hides no other and the caller decides which errors to raise.
+              engine: PValueEngine, names, census=None):
+    """Yield the tests named (keys of TESTS) on observed, in order: each
+    one's TestReport, or the RandcompareError it raised, so that a failing
+    test hides no other and the caller decides which errors to raise.
 
     Plans of one design are scored on one run_resampling_plans call, whose
-    error is the result of each. Under the data's own uniform CRD,
-    permutation and fisher_rand have one plan (the same weights over the
-    same support): the first built lends it to the other."""
+    error is the result of each, made when the first of them is reached: a
+    caller that stops at an error pays for no later test's draws. Under the
+    data's own uniform CRD, permutation and fisher_rand have one plan (the
+    same weights over the same support): the first built lends it to the
+    other."""
     results, shared = [], None
     for name in names:
         difference = name in ("permutation", "fisher_rand")
@@ -527,15 +523,15 @@ def run_tests(observed: ObservedExperiment, design: AssignmentDesign,
         except RandcompareError as exc:
             result = exc
         results.append(result)
-    groups: dict = {}
     for i, result in enumerate(results):
         if isinstance(result, ResamplingPlan):
-            groups.setdefault(result.design, []).append(i)
-    for positions in groups.values():
-        try:
-            reports = run_resampling_plans([results[i] for i in positions], engine)
-        except RandcompareError as exc:
-            reports = [exc] * len(positions)
-        for i, report in zip(positions, reports):
-            results[i] = report
-    return results
+            positions = [j for j in range(i, len(results))
+                         if isinstance(results[j], ResamplingPlan)
+                         and results[j].design == result.design]
+            try:
+                reports = run_resampling_plans([results[j] for j in positions], engine)
+            except RandcompareError as exc:
+                reports = [exc] * len(positions)
+            for j, report in zip(positions, reports):
+                results[j] = report
+        yield results[i]

@@ -51,7 +51,6 @@ from .designs import ENUMERATION_CAP, RngStream, UniformCRD, sample_assignment
 from .errors import (
     DataValidationError,
     DegenerateDataError,
-    EnumerationTooLargeError,
     RandcompareError,
     UnknownScenarioError,
 )
@@ -661,14 +660,7 @@ def run_size_power(
     tabled = {"permutation", "fisher_rand", "wilcoxon"}.intersection(
         test_suite if scenario.binary else ())
     run = [test for test in test_suite if test not in tabled]
-    exact = None
-    if exact_small:
-        try:
-            fits = design.support_size <= ENUMERATION_CAP
-        except EnumerationTooLargeError:
-            fits = False
-        if fits:
-            exact = ExactEngine()
+    exact = ExactEngine() if exact_small and design.support_size <= ENUMERATION_CAP else None
 
     estimates: list = []
     for row in rows:

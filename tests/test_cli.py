@@ -1,4 +1,5 @@
 import argparse
+import math
 import importlib
 import json
 import shutil
@@ -353,6 +354,28 @@ class TestGroupedResampling:
         assert run_cli(*argv, "--tests", "neyman-sel,permutation")[0] == 3
         assert "needs a census" in capsys.readouterr().err
 
+    def test_an_error_first_draws_nothing(self, monkeypatch, tmp_path, capsys):
+        drawn = []
+        original = randcompare.inference.sample_assignment_batch
+
+        def counting(design, size, gen):
+            batch = original(design, size, gen)
+            drawn.append(len(batch))
+            return batch
+
+        monkeypatch.setattr(randcompare.inference, "sample_assignment_batch", counting)
+        # the observed assignment and its mirror: no census, so neyman-sel
+        # fails before permutation's million draws are needed
+        labels = load_dataset(bundled_dataset_path("cellphone")).observed.assignment.labels
+        design = tmp_path / "mirror.json"
+        design.write_text(json.dumps({"support": [labels.tolist(), (3 - labels).tolist()],
+                                      "probs": [0.5, 0.5]}))
+        code, _ = run_cli("test", "--data", "cellphone", "--design", str(design),
+                          "--tests", "neyman-sel,permutation", "--mc", "1000000")
+        assert code == 3
+        assert "needs a census" in capsys.readouterr().err
+        assert sum(drawn) == 0
+
     def test_all_scores_two_columns(self, monkeypatch, six_files):
         """fisher-rand and permutation have one column under --design crd."""
         widths = []
@@ -523,6 +546,16 @@ class TestExitCodes:
         assert code == 4
         assert ("support size 1832624140942590534 exceeds enumeration cap 2000000"
                 in capsys.readouterr().err)
+
+    def test_exact_past_128_bits_is_4(self, tmp_path, capsys):
+        # C(150, 75) needs more than 128 bits and is still only too large
+        data = tmp_path / "d150.csv"
+        data.write_text("unit_id,treatment,response\n" + "".join(
+            f"{i + 1},{1 + i % 2},{(7 * i) % 11}\n" for i in range(150)))
+        code, _ = run_cli("test", "--data", str(data), "--engine", "exact")
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"error: support size {math.comb(150, 75)} exceeds enumeration cap 2000000\n")
 
 
 class TestSimulateCommand:

@@ -11,6 +11,7 @@ from randcompare import (
     CensusCRD,
     DataValidationError,
     DesignInvalidError,
+    ENUMERATION_CAP,
     ObservedExperiment,
     EnumerationTooLargeError,
     ExactEngine,
@@ -20,7 +21,6 @@ from randcompare import (
     RngStream,
     SampleVector,
     UniformCRD,
-    binomial_coefficient,
     check_both_arm_inclusion,
     explicit_from_json,
     resolve_weights,
@@ -65,23 +65,6 @@ class TestRngStream:
         RngStream(2**64 - 1)  # boundary is fine
 
 
-class TestBinomialCoefficient:
-    def test_matches_math_comb(self):
-        for n in range(0, 20):
-            for k in range(0, n + 1):
-                assert binomial_coefficient(n, k) == math.comb(n, k)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            binomial_coefficient(3, 5)
-        with pytest.raises(ValueError):
-            binomial_coefficient(-1, 0)
-
-    def test_oversized_refused(self):
-        with pytest.raises(EnumerationTooLargeError):
-            binomial_coefficient(200, 100)
-
-
 class TestUniformCRD:
     def test_arm_bounds(self):
         with pytest.raises(DesignInvalidError):
@@ -119,9 +102,9 @@ class TestUniformCRD:
     def test_enumeration_cap(self):
         d = UniformCRD(30, 15)
         with pytest.raises(EnumerationTooLargeError) as exc:
-            support_label_matrix(d, cap=1000)
+            support_label_matrix(d)
         assert exc.value.size == 155117520
-        assert exc.value.cap == 1000
+        assert exc.value.cap == ENUMERATION_CAP
 
 
 class TestExplicit:
@@ -302,6 +285,21 @@ class TestSelectionDesigns:
     def test_census_passthrough(self):
         c = CensusCRD(6, 3)
         assert c.census() is c
+
+
+@pytest.mark.parametrize("probs, message", [
+    ([1.0], "probs must align with the support"),
+    ([1.5, -0.5], "probabilities must be nonnegative"),
+    ([0.7, 0.4], "probabilities must sum to 1 within 1e-12"),
+])
+def test_explicit_designs_check_probabilities_alike(probs, message):
+    vectors = (AssignmentVector([1, 2]), AssignmentVector([2, 1]))
+    sample = SampleVector([1, 2])
+    with pytest.raises(DesignInvalidError, match=f"^{message}$"):
+        Explicit(support=vectors, probs=np.array(probs))
+    with pytest.raises(DesignInvalidError, match=f"^{message}$"):
+        ExplicitJoint(n_population=2, support=tuple((sample, v) for v in vectors),
+                      probs=np.array(probs))
 
 
 @given(st.data())

@@ -44,6 +44,7 @@ from randcompare.inference import (
     fisher_randomization_plan,
     permutation_plan,
     run_resampling_plans,
+    run_tests,
     wilcoxon_plan,
 )
 from randcompare.simulation import DEFAULT_TEST_SUITE
@@ -445,6 +446,23 @@ class TestNeyman:
         )
         with pytest.raises(UnsupportedDesignError):
             neyman_selection_test(obs, design)
+
+    def test_selection_on_a_large_one_point_design_is_refused(self):
+        # one support point, the whole population of 140 split 70 + 70, is
+        # no census; C(140, 70) needs more than 128 bits
+        gen = np.random.default_rng(2)
+        obs = ObservedExperiment.from_arms(gen.normal(size=70), gen.normal(size=70))
+        design = ExplicitJoint(n_population=140, support=((obs.sample, obs.assignment),),
+                               probs=np.array([1.0]))
+        with pytest.raises(UnsupportedDesignError, match="reduce to a census"):
+            neyman_selection_test(obs, design)
+
+    def test_selection_without_census_names_no_flag(self):
+        obs = ObservedExperiment.from_arms([1.0, 2.0], [3.0, 4.0])
+        [result] = run_tests(obs, UniformCRD(4, 2), ExactEngine(), ["neyman_sel"])
+        assert isinstance(result, UnsupportedDesignError)
+        assert str(result) == ("the population average test needs a census design, "
+                               "and none was given")
 
     @pytest.mark.parametrize("design", [UniformCRD(4, 2), Explicit(
         support=(AssignmentVector([1, 1, 2, 2]), AssignmentVector([2, 2, 1, 1])),

@@ -53,3 +53,58 @@ def test_no_private_imports_across_modules():
         for hit in private_imports(path.read_text(encoding="utf-8"), path.name)
     ]
     assert found == []
+
+
+def too_large_sites(source: str, filename: str) -> list:
+    """'file:function: raise' or 'file:function: except' for each raise
+    statement and except clause that names EnumerationTooLargeError, by the
+    innermost function around it."""
+    found = []
+
+    def names(node) -> set:
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                if "EnumerationTooLargeError" in names(child.exc):
+                    found.append(f"{filename}:{function}: raise")
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                if "EnumerationTooLargeError" in names(child.type):
+                    found.append(f"{filename}:{function}: except")
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(ast.parse(source, filename=filename), "<module>")
+    return found
+
+
+def test_detector_sees_raises_and_handlers():
+    source = (
+        "def size(d):\n"
+        "    raise errors.EnumerationTooLargeError('big', size=1, cap=0)\n"
+        "class C:\n"
+        "    def guard(self):\n"
+        "        try:\n"
+        "            size(self)\n"
+        "        except (ValueError, EnumerationTooLargeError):\n"
+        "            def inner():\n"
+        "                raise EnumerationTooLargeError\n"
+        "        except RandcompareError:\n"
+        "            raise\n"
+    )
+    assert too_large_sites(source, "m.py") == [
+        "m.py:size: raise", "m.py:guard: except", "m.py:inner: raise",
+    ]
+
+
+def test_one_place_refuses_a_design_as_too_large():
+    """check_enumeration_cap alone raises EnumerationTooLargeError, and only
+    the command line's main catches it, to exit 4."""
+    found = [
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        for hit in too_large_sites(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert found == ["cli.py:main: except", "designs.py:check_enumeration_cap: raise"]

@@ -166,7 +166,7 @@ def _resolve_engine(args, design, seed):
     if choice is None and args.mc is not None:
         choice = "mc"
     if choice is None:
-        choice = "exact" if design.support_size <= DEFAULT_EXACT_LIMIT else "mc"
+        choice = "mc" if design.support_exceeds(DEFAULT_EXACT_LIMIT) else "exact"
     if choice == "exact":
         return ExactEngine()
     budget = DEFAULT_MC_BUDGET if args.mc is None else args.mc

@@ -113,6 +113,10 @@ class AssignmentDesign:
     # exact_tails gives probability masses, so their denominator is 1
     tail_denominator = 1
 
+    def support_exceeds(self, limit: int) -> bool:
+        """Whether the support has more than limit points."""
+        return self.support_size > limit
+
     def exact_tails(self, columns, memo=None) -> list:
         """The support's probability masses [abs, upper, lower] of each
         (coef, offset, bounds) column, by scan_tails over the enumerated
@@ -173,6 +177,17 @@ class UniformCRD(AssignmentDesign):
     def support_size(self) -> int:
         return math.comb(self.n, self.n1)
 
+    def support_exceeds(self, limit: int) -> bool:
+        """Whether C(n, n1) > limit, by the running product C(n - k + i, i)
+        for i = 1..k = min(n1, n2), which grows with i and so stops once it
+        passes limit, without computing all of C(n, n1)."""
+        k, size = min(self.n1, self.n2), 1
+        for i in range(1, k + 1):
+            size = size * (self.n - k + i) // i
+            if size > limit:
+                return True
+        return False
+
     def _template(self) -> np.ndarray:
         return np.concatenate([np.ones(self.n1, np.int8), np.full(self.n2, 2, np.int8)])
 
@@ -232,13 +247,19 @@ class UniformCRD(AssignmentDesign):
         exact subset sums, so its counts depend only on the multiset of its
         coefficients, and on each bound only through the lattice points it
         separates: it is sorted and its bounds are moved to the lattice
-        before counting, so that any arrangement of it reuses one entry."""
+        before counting, so that any arrangement of it reuses one entry.
+        Such a column is counted from its _SumTable (the shift algorithm;
+        Pagano & Tritchler 1983, JASA 78:435-440) when the table has no more
+        cells than the support has points, by three lookups; memo keeps the
+        table under the design and the sorted coefficients."""
         memo = TailMemo() if memo is None else memo
         plan = memo.get(self, self._counting_plan)
+        k, size = min(self.n1, self.n2), self.support_size
         tails = []
         for coef, offset, (thr, upper, lower) in columns:
             coef = np.asarray(coef, dtype=np.float64)
-            if _on_half_lattice(coef, offset):
+            lattice = _on_half_lattice(coef, offset)
+            if lattice:
                 coef = np.sort(coef)
                 thr, upper = np.ceil(2 * thr) / 2, np.ceil(2 * upper) / 2
                 lower = np.floor(2 * lower) / 2
@@ -247,6 +268,10 @@ class UniformCRD(AssignmentDesign):
                 # count the arm-2 sets: m @ coef + offset = (1 - m) @ -coef +
                 # (offset + coef.sum())
                 offset, coef = offset + coef.sum(), -coef
+            if lattice and (k + 1) * (_widest_sum(coef, k) + 1) <= size:
+                table = memo.get(key + ("sums",), lambda: _SumTable.build(coef, k))
+                tails.append(table.tails(offset, thr, upper, lower))
+                continue
             left_sums, keys = memo.get(key, lambda: plan.halves(coef))
             # stat = right sum + base. numpy sorts complex numbers by real
             # part, then imaginary part, so among the sorted keys
@@ -385,17 +410,23 @@ def check_both_arm_inclusion(design: AssignmentDesign) -> None:
         )
 
 
+# str() refuses integers of more than 4,300 digits, so a support larger
+# than this is refused without writing out its size.
+_PRINTABLE_SIZE = 10**4000
+
+
 def check_enumeration_cap(design: AssignmentDesign) -> int:
     """The design's support size; EnumerationTooLargeError past
     ENUMERATION_CAP. The only place a design is refused as too large."""
-    size = design.support_size
-    if size > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(
-            f"support size {size} exceeds enumeration cap {ENUMERATION_CAP}",
-            size=size,
-            cap=ENUMERATION_CAP,
-        )
-    return size
+    if not design.support_exceeds(ENUMERATION_CAP):
+        return design.support_size
+    size = None if design.support_exceeds(_PRINTABLE_SIZE) else design.support_size
+    shown = "of more than 4000 digits" if size is None else size
+    raise EnumerationTooLargeError(
+        f"support size {shown} exceeds enumeration cap {ENUMERATION_CAP}",
+        size=size,
+        cap=ENUMERATION_CAP,
+    )
 
 
 def support_label_matrix(design: AssignmentDesign):
@@ -479,6 +510,53 @@ class _CountingPlan(NamedTuple):
         return left, np.sort(self.right_size + 1j * right)
 
 
+def _widest_sum(coef: np.ndarray, k: int) -> float:
+    """The widest spread of the doubled sums of k coefficients, from the
+    least such sum to the greatest: the last column _SumTable needs."""
+    doubled = np.sort(2 * coef)
+    return float((doubled[-k:] - doubled[0]).sum())
+
+
+class _SumTable(NamedTuple):
+    """Counts of the k-subsets of a lattice column by doubled sum: below[j]
+    of them have a doubled sum below low + j, for j in 0..S + 1, S the
+    _widest_sum. Three lookups give the tails of any offset and bounds."""
+
+    low: float
+    below: np.ndarray
+
+    @classmethod
+    def build(cls, coef: np.ndarray, k: int) -> "_SumTable":
+        """The shift algorithm: a dynamic program over (subset size, sum)
+        on the doubled coefficients less their least (Pagano & Tritchler
+        1983, JASA 78:435-440; Streitberg & Rohmel 1986)."""
+        doubled = 2 * coef
+        steps = (doubled - doubled.min()).astype(np.int64)
+        top = int(_widest_sum(coef, k))
+        counts = np.zeros((k + 1, top + 1), np.int64)
+        counts[0, 0] = 1
+        for step in steps:
+            # each j-subset joined with this value is a (j + 1)-subset;
+            # numpy reads the overlapping right side as it was before
+            counts[1:, step:] += counts[:-1, :top + 1 - step]
+        return cls(k * float(doubled.min()), np.concatenate([[0], np.cumsum(counts[k])]))
+
+    def tails(self, offset: float, thr: float, upper: float, lower: float) -> list:
+        """[abs, upper, lower] hit counts of stat = subset sum + offset,
+        for bounds on the half-integer lattice; thr <= 0 counts all."""
+        total = int(self.below[-1])
+
+        def at_most(doubled_stat):
+            j = np.clip(doubled_stat - (self.low + 2 * offset) + 1, 0, len(self.below) - 1)
+            return int(self.below[int(j)])
+
+        def at_least(doubled_stat):
+            return total - at_most(doubled_stat - 1)
+
+        abs_hits = total if thr <= 0 else at_least(2 * thr) + at_most(-2 * thr)
+        return [abs_hits, at_least(2 * upper), at_most(2 * lower)]
+
+
 def _on_half_lattice(coef: np.ndarray, offset: float) -> bool:
     """Whether coef and offset are multiples of 1/2 with sum of absolute
     values below 2^50, so that every subset sum is exact in float64."""
@@ -499,9 +577,10 @@ _MEMO_BYTES = 1 << 18
 
 class TailMemo:
     """What UniformCRD.exact_tails can reuse between calls: the counting
-    plan of a design and the prepared halves of a column, least recently
-    used first out. Safe to share between threads. It keeps at most
-    _MEMO_BYTES of arrays; a larger item is built and not kept."""
+    plan of a design, the prepared halves of a column and the _SumTable of
+    a lattice column, least recently used first out. Safe to share between
+    threads. It keeps at most _MEMO_BYTES of arrays; a larger item is built
+    and not kept."""
 
     def __init__(self):
         self._items = OrderedDict()

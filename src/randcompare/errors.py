@@ -31,7 +31,8 @@ class UnsupportedDesignError(RandcompareError):
 
 
 class EnumerationTooLargeError(RandcompareError):
-    """The design's support size exceeds the enumeration cap."""
+    """The design's support size exceeds the enumeration cap. size is that
+    size, or None when it has too many digits to write out."""
 
     def __init__(self, message: str, size: int, cap: int):
         super().__init__(message)

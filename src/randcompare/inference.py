@@ -62,7 +62,7 @@ from .stats import (
 REL_TOL = 1e-9
 
 # Monte Carlo draws are made and scored in batches of at most this many.
-MC_CHUNK = 100_000
+MC_CHUNK = 8_192
 
 # The smallest Monte Carlo budget any engine or the harness accepts.
 MIN_MC_BUDGET = 1000
@@ -94,14 +94,15 @@ def _bounded(columns) -> list:
 class ExactEngine:
     """Exact tails over designs of up to ENUMERATION_CAP assignments; the
     design computes them (design.exact_tails). A uniform CRD counts them
-    from sums of subsets of the two halves of the units, without
-    enumerating its support; an Explicit design scans the support it holds.
-    Past the cap the design raises EnumerationTooLargeError.
+    from sums of subsets of the two halves of the units, or for a lattice
+    column from a table of subset counts by sum, without enumerating its
+    support; an Explicit design scans the support it holds. Past the cap
+    the design raises EnumerationTooLargeError.
 
     The engine keeps a TailMemo, so that one engine builds a design's
     counting plan once and counts a column it has seen, or a lattice column
-    with the same multiset of coefficients, from the halves it prepared
-    then. The memo is bounded and changes no result."""
+    with the same multiset of coefficients, from the halves or the table
+    it prepared then. The memo is bounded and changes no result."""
 
     kind = "exact"
     _memo: TailMemo = field(default_factory=TailMemo, init=False, repr=False, compare=False)

@@ -660,7 +660,7 @@ def run_size_power(
     tabled = {"permutation", "fisher_rand", "wilcoxon"}.intersection(
         test_suite if scenario.binary else ())
     run = [test for test in test_suite if test not in tabled]
-    exact = ExactEngine() if exact_small and design.support_size <= ENUMERATION_CAP else None
+    exact = ExactEngine() if exact_small and not design.support_exceeds(ENUMERATION_CAP) else None
 
     estimates: list = []
     for row in rows:

@@ -557,6 +557,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: support size {math.comb(150, 75)} exceeds enumeration cap 2000000\n")
 
+    def test_exact_past_4300_digits_is_4(self, tmp_path, capsys):
+        # C(15000, 7500) has more digits than str() writes out; the design
+        # is refused without computing or printing it
+        data = tmp_path / "d15000.csv"
+        data.write_text("unit_id,treatment,response\n" + "".join(
+            f"{i + 1},{1 + i % 2},{(7 * i) % 11}\n" for i in range(15000)))
+        code, _ = run_cli("test", "--data", str(data), "--tests", "permutation",
+                          "--engine", "exact")
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: support size of more than 4000 digits exceeds enumeration cap 2000000\n")
+
 
 class TestSimulateCommand:
     def test_json_output_validates(self):

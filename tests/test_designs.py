@@ -30,6 +30,7 @@ from randcompare import (
 from randcompare import designs as designs_module
 from randcompare.designs import sample_assignment_batch, scan_tails
 from randcompare.inference import permutation_plan, tie_bounds, wilcoxon_plan
+from randcompare.simulation import run_size_power
 
 
 class TestRngStream:
@@ -75,6 +76,17 @@ class TestUniformCRD:
     def test_support_size(self):
         assert UniformCRD(6, 2).support_size == 15
         assert UniformCRD(20, 10).support_size == 184756
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 21, 40])
+    def test_support_exceeds_agrees_with_the_size(self, n):
+        for n1 in range(1, n):
+            size = math.comb(n, n1)
+            for limit in {0, 1, size - 1, size, size + 1, ENUMERATION_CAP}:
+                assert UniformCRD(n, n1).support_exceeds(limit) == (size > limit)
+
+    def test_support_exceeds_stops_at_the_limit(self):
+        # C(400000, 200000) has about 120,000 digits
+        assert UniformCRD(400_000, 200_000).support_exceeds(ENUMERATION_CAP)
 
     def test_inclusion(self):
         d = UniformCRD(6, 2)
@@ -194,15 +206,17 @@ class TestSampling:
         b = sample_assignment_batch(d, 50, RngStream(4).generator())
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("n, chunks", [
-        (100, (1, 63, 256, 680, 3000)),
-        (20, (1, 63, 256, 680, 3000, 6000)),
+    @pytest.mark.parametrize("d, chunks", [
+        (UniformCRD(100, 50), (1, 63, 256, 680, 3000)),
+        (UniformCRD(20, 10), (1, 63, 256, 680, 3000, 6000)),
+        (Explicit(support=([1, 1, 2, 2], [2, 1, 2, 1], [1, 2, 1, 2]), probs=[0.5, 0.3, 0.2]),
+         (1, 63, 256, 680, 3000, 6000)),
     ])
-    def test_batch_in_chunks_is_one_batch(self, n, chunks):
+    def test_batch_in_chunks_is_one_batch(self, d, chunks):
         # the prefix property a lazy Monte Carlo draw rests on: the chunks
         # drawn one after another from one generator are the rows of one
-        # whole batch, in order
-        d = UniformCRD(n, n // 2)
+        # whole batch, in order, so the size of MonteCarloEngine's chunks
+        # moves no draw
         gen = RngStream(12).generator()
         chunked = np.concatenate([d.sample_batch(size, gen) for size in chunks])
         whole = d.sample_batch(sum(chunks), RngStream(12).generator())
@@ -566,6 +580,56 @@ class TestUniformCRDExactTails:
             ExactEngine().tails(UniformCRD(24, 12), columns)
 
 
+def sum_table_tails(design, column) -> list:
+    """A lattice column's [abs, upper, lower] counts read from its
+    _SumTable, whether or not exact_tails would build one: the arm-2 sets
+    counted when n1 > n2, and the bounds moved to the lattice, as
+    exact_tails does."""
+    coef, offset, (thr, upper, lower) = column
+    k = min(design.n1, design.n2)
+    if k < design.n1:
+        offset, coef = offset + coef.sum(), -coef
+    return designs_module._SumTable.build(coef, k).tails(
+        offset, np.ceil(2 * thr) / 2, np.ceil(2 * upper) / 2, np.floor(2 * lower) / 2)
+
+
+@given(st.data())
+def test_sum_table_equals_the_fractions(data):
+    """Midranks of integer data, ties included, at any arm sizes."""
+    n = data.draw(st.integers(2, 10))
+    n1 = data.draw(st.integers(1, n - 1))
+    y = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), float)
+    labels = np.full(n, 2, np.int8)
+    labels[data.draw(st.permutations(range(n)))[:n1]] = 1
+    observed = ObservedExperiment(SampleVector.first_n(n), AssignmentVector(labels), y)
+    coef, offset, stat = wilcoxon_plan(observed).column
+    tails = sum_table_tails(UniformCRD(n, n1), (coef, offset, tie_bounds(stat)))
+    size = math.comb(n, n1)
+    assert [k / size for k in tails] == uniform_crd_tails_by_fractions(y, labels)[1]
+
+
+@given(st.data())
+def test_sum_table_equals_the_scan(data):
+    """Half-integer coefficients of either sign with an offset, at any arm
+    sizes; observed at a support point, exactly 0 or at a lattice point,
+    with the tie rule's bounds or bounds on the lattice points themselves.
+    The engine, which reads the table only where it fits, agrees too."""
+    n = data.draw(st.integers(2, 16))
+    n1 = data.draw(st.integers(1, n - 1))
+    coef = np.array(data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))) / 2
+    offset = data.draw(st.integers(-20, 20)) / 2
+    ones = data.draw(st.permutations(range(n)))[:n1]
+    observed = data.draw(st.sampled_from([
+        coef[ones].sum() + offset, 0.0, data.draw(st.integers(-40, 40)) / 2]))
+    bounds = data.draw(st.sampled_from([tie_bounds(observed),
+                                        (abs(observed), observed, observed)]))
+    design, column = UniformCRD(n, n1), (coef, offset, bounds)
+    labels, _ = support_label_matrix(design)
+    expected = scan_tails(labels, [column])
+    assert [sum_table_tails(design, column)] == expected
+    assert design.exact_tails([column]) == expected
+
+
 class TestTailReuse:
     """An ExactEngine keeps counting plans and prepared halves between
     calls; nothing it keeps shows in what it returns."""
@@ -589,6 +653,19 @@ class TestTailReuse:
             assert 0 < engine._memo.nbytes <= designs_module._MEMO_BYTES
         assert len(engine._memo._items) < len(columns)
         assert engine.tails(design, columns[:3]) == ExactEngine().tails(design, columns[:3])
+
+    def test_one_harness_call_builds_the_rank_sum_table_once(self, monkeypatch):
+        # every replicate of t3.sc1 ranks 20 distinct values: one multiset
+        built = []
+        build = designs_module._SumTable.build
+
+        def counted(coef, k):
+            built.append(k)
+            return build(coef, k)
+
+        monkeypatch.setattr(designs_module._SumTable, "build", counted)
+        run_size_power("t3.sc1", replicates=100, rng=RngStream(5), exact_small=True)
+        assert built == [10]
 
     def test_tied_midranks_at_n1_above_n2_equal_the_fractions(self):
         gen = np.random.default_rng(11)

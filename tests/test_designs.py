@@ -176,6 +176,13 @@ class TestExplicit:
             explicit_from_json({"support": [[1, 2]]})
 
 
+def assert_chunks_are_one_batch(design, chunks):
+    gen = RngStream(12).generator()
+    chunked = np.concatenate([design.sample_batch(size, gen) for size in chunks])
+    whole = design.sample_batch(sum(chunks), RngStream(12).generator())
+    assert np.array_equal(chunked, whole)
+
+
 class TestSampling:
     def test_crd_draw_is_deterministic(self):
         d = UniformCRD(8, 3)
@@ -206,21 +213,20 @@ class TestSampling:
         b = sample_assignment_batch(d, 50, RngStream(4).generator())
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("d, chunks", [
-        (UniformCRD(100, 50), (1, 63, 256, 680, 3000)),
-        (UniformCRD(20, 10), (1, 63, 256, 680, 3000, 6000)),
-        (Explicit(support=([1, 1, 2, 2], [2, 1, 2, 1], [1, 2, 1, 2]), probs=[0.5, 0.3, 0.2]),
-         (1, 63, 256, 680, 3000, 6000)),
+    @pytest.mark.parametrize("n, chunks", [
+        (100, (1, 63, 256, 680, 3000)),
+        (20, (1, 63, 256, 680, 3000, 6000)),
     ])
-    def test_batch_in_chunks_is_one_batch(self, d, chunks):
+    def test_batch_in_chunks_is_one_batch(self, n, chunks):
         # the prefix property a lazy Monte Carlo draw rests on: the chunks
         # drawn one after another from one generator are the rows of one
         # whole batch, in order, so the size of MonteCarloEngine's chunks
         # moves no draw
-        gen = RngStream(12).generator()
-        chunked = np.concatenate([d.sample_batch(size, gen) for size in chunks])
-        whole = d.sample_batch(sum(chunks), RngStream(12).generator())
-        assert np.array_equal(chunked, whole)
+        assert_chunks_are_one_batch(UniformCRD(n, n // 2), chunks)
+
+    def test_explicit_batch_in_chunks_is_one_batch(self):
+        d = Explicit(support=([1, 1, 2, 2], [2, 1, 2, 1], [1, 2, 1, 2]), probs=[0.5, 0.3, 0.2])
+        assert_chunks_are_one_batch(d, (1, 63, 256, 680, 3000, 6000))
 
     def test_batch_approximately_uniform(self):
         # 20000 draws over the C(4,2)=6 equally likely label vectors

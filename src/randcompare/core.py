@@ -225,6 +225,15 @@ def hypothesis_implies(a: Hypothesis, b: Hypothesis) -> bool:
     return a is b or any(hypothesis_implies(c, b) for c in _DIRECT_IMPLICATIONS[a])
 
 
+def _table_rows(table: PotentialTable, sample: SampleVector) -> np.ndarray:
+    """The table rows of the sampled units; BoundsError past the table."""
+    idx = sample.indices
+    if np.any(idx > table.n_units):
+        bad = int(idx[np.argmax(idx > table.n_units)])
+        raise BoundsError(f"unit identifier {bad} exceeds table size {table.n_units}")
+    return idx - 1
+
+
 def select_components(
     table: PotentialTable, sample: SampleVector, assignment: AssignmentVector
 ) -> np.ndarray:
@@ -235,13 +244,7 @@ def select_components(
     """
     if sample.n != assignment.n:
         raise DataValidationError("sample and assignment must have equal length")
-    idx = sample.indices
-    if np.any(idx > table.n_units):
-        bad = int(idx[np.argmax(idx > table.n_units)])
-        raise BoundsError(
-            f"unit identifier {bad} exceeds table size {table.n_units}"
-        )
-    pos = idx - 1
+    pos = _table_rows(table, sample)
     return np.where(assignment.labels == 1, table.y1[pos], table.y2[pos])
 
 
@@ -259,11 +262,7 @@ def realized_effects(table: PotentialTable, sample: SampleVector) -> RealizedEff
     population differences of potential means. Computable only from a full
     table, hence only in simulations.
     """
-    idx = sample.indices
-    if np.any(idx > table.n_units):
-        bad = int(idx[np.argmax(idx > table.n_units)])
-        raise BoundsError(f"unit identifier {bad} exceeds table size {table.n_units}")
-    pos = idx - 1
+    pos = _table_rows(table, sample)
     unit = table.y1[pos] - table.y2[pos]
     return RealizedEffects(
         unit_effects=unit,

@@ -45,7 +45,7 @@ def _decoded_lines(handle, path):
 def load_dataset(path) -> LoadedDataset:
     path = Path(path)
     try:
-        handle = path.open(newline="", encoding="utf-8")
+        handle = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataValidationError(f"cannot read {path}: {exc}") from exc
     unit_ids: list = []

@@ -237,11 +237,10 @@ class UniformCRD(AssignmentDesign):
         """scan_tails' hit counts over the support, counted without
         enumerating it (meet in the middle; Horowitz & Sahni 1974, J. ACM
         21:277-292). A set of k = min(n1, n2) units, the smaller arm, is an
-        a-subset of the first n // 2 positions joined with a (k - a)-subset
-        of the rest, so a tail is a count of pairs of subset sums. The
-        counting plan (_CountingPlan) depends on the design alone; a column
-        adds its subset sums, summed in the plan's order, and sorts the
-        right half's. memo (a TailMemo) keeps both for later calls.
+        a-subset of the first h = n // 2 positions joined with a (k - a)-subset
+        of the rest, so a tail is a count of pairs of subset sums. memo (a
+        TailMemo) keeps the design's _subset_layout and each column's subset
+        sums, summed in the layout's order, the right half's sorted.
 
         A column on the half-integer lattice (midranks, ties included) has
         exact subset sums, so its counts depend only on the multiset of its
@@ -253,8 +252,9 @@ class UniformCRD(AssignmentDesign):
         cells than the support has points, by three lookups; memo keeps the
         table under the design and the sorted coefficients."""
         memo = TailMemo() if memo is None else memo
-        plan = memo.get(self, self._counting_plan)
-        k, size = min(self.n1, self.n2), self.support_size
+        size, k, h = check_enumeration_cap(self), min(self.n1, self.n2), self.n // 2
+        left, right, right_size, pairs_with, first, end = memo.get(
+            self, lambda: _subset_layout(h, self.n - h, k))
         tails = []
         for coef, offset, (thr, upper, lower) in columns:
             coef = np.asarray(coef, dtype=np.float64)
@@ -264,7 +264,7 @@ class UniformCRD(AssignmentDesign):
                 thr, upper = np.ceil(2 * thr) / 2, np.ceil(2 * upper) / 2
                 lower = np.floor(2 * lower) / 2
             key = (self, coef.tobytes())
-            if plan.flip:
+            if k < self.n1:
                 # count the arm-2 sets: m @ coef + offset = (1 - m) @ -coef +
                 # (offset + coef.sum())
                 offset, coef = offset + coef.sum(), -coef
@@ -272,13 +272,14 @@ class UniformCRD(AssignmentDesign):
                 table = memo.get(key + ("sums",), lambda: _SumTable.build(coef, k))
                 tails.append(table.tails(offset, thr, upper, lower))
                 continue
-            left_sums, keys = memo.get(key, lambda: plan.halves(coef))
+            left_sums, keys = memo.get(key, lambda: (
+                _subset_sums(coef[:h], *left),
+                np.sort(right_size + 1j * _subset_sums(coef[h:], *right))))
             # stat = right sum + base. numpy sorts complex numbers by real
             # part, then imaginary part, so among the sorted keys
             # b + 1j * right sum, one searchsorted finds for every left
             # subset how many right sums of its size b lie below t - base
             base = np.float64(offset) + left_sums
-            pairs_with, first, end = plan.pairs_with, plan.first, plan.end
             ge = np.searchsorted(keys, pairs_with + 1j * np.array([thr - base, upper - base]))
             le = np.searchsorted(keys, pairs_with + 1j * np.array([-thr - base, lower - base]),
                                  "right")
@@ -288,23 +289,6 @@ class UniformCRD(AssignmentDesign):
             hits = (abs_hits, (end - ge[1]).sum(), (le[1] - first).sum())
             tails.append([int(j) for j in hits])
         return tails
-
-    def _counting_plan(self) -> "_CountingPlan":
-        """exact_tails' plan. No subset larger than k <= n // 2 is built, so
-        every subset sum built is part of some support point and neither
-        half builds more sums than the support has points."""
-        check_enumeration_cap(self)
-        h, k = self.n // 2, min(self.n1, self.n2)
-        sizes = range(max(0, k - (self.n - h)), min(h, k) + 1)  # a
-        left = _subset_index(h, sizes[-1])
-        right = _subset_index(self.n - h, k - sizes[0])
-        # the size b of the right subsets each left subset of size a in
-        # sizes pairs with, and where the right sums of size b lie
-        pairs_with = np.repeat([k - a for a in sizes], np.diff(left[2])[sizes[0]:])
-        widths = np.diff(right[2])
-        first, end = right[2][pairs_with], right[2][pairs_with + 1]
-        return _CountingPlan(k < self.n1, h, left, int(left[2][sizes[0]]), right,
-                             np.repeat(np.arange(len(widths)), widths), pairs_with, first, end)
 
     def sample_batch(self, size: int, gen: np.random.Generator) -> np.ndarray:
         """Row-wise Fisher-Yates shuffles of the sorted labels."""
@@ -371,7 +355,11 @@ class Explicit(_EqualByContent, AssignmentDesign):
 
 
 def _load_json_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataValidationError(f"cannot read {path}: {exc}") from exc
+    with fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -461,11 +449,10 @@ def _subset_index(h: int, kmax: int) -> tuple:
     in one flat array, the a-subsets at [starts[a], starts[a + 1]). The
     subset at s is value last[s] joined with the subset at prev[s]."""
     prevs, lasts, starts = [np.zeros(1, np.intp)], [np.zeros(1, np.intp)], [0, 1]
-    last = np.array([-1])
-    for _ in range(kmax):
-        # an a-subset is value j joined with an (a - 1)-subset of the
-        # values below j: the first C(j, a - 1) of them in colex order
-        counts = np.searchsorted(last, np.arange(h))
+    for a in range(kmax):
+        # an (a + 1)-subset is value j joined with an a-subset of the
+        # values below j: the first C(j, a) of them in colex order
+        counts = [math.comb(j, a) for j in range(h)]
         last = np.repeat(np.arange(h), counts)
         local = np.arange(len(last)) - np.repeat(np.cumsum(counts) - counts, counts)
         prevs.append(local + starts[-2])
@@ -484,30 +471,16 @@ def _subset_sums(values: np.ndarray, prev, last, starts) -> np.ndarray:
     return sums
 
 
-class _CountingPlan(NamedTuple):
-    """What UniformCRD.exact_tails counts with, whatever the data: whether
-    it counts the arm-2 sets (flip), the subset index of the first h
-    positions (left) and of the rest (right), the first left subset used
-    (lo), the size of each right subset (right_size), and for each left
-    subset used, the size b of the right subsets it pairs with and where
-    they lie among the right ones (first, end)."""
-
-    flip: bool
-    h: int
-    left: tuple
-    lo: int
-    right: tuple
-    right_size: np.ndarray
-    pairs_with: np.ndarray
-    first: np.ndarray
-    end: np.ndarray
-
-    def halves(self, coef: np.ndarray) -> tuple:
-        """A column's left subset sums, from lo on, and the sorted keys
-        b + 1j * right sum of its right subsets of size b."""
-        left = _subset_sums(coef[:self.h], *self.left)[self.lo:]
-        right = _subset_sums(coef[self.h:], *self.right)
-        return left, np.sort(self.right_size + 1j * right)
+def _subset_layout(h: int, rest: int, k: int) -> tuple:
+    """What UniformCRD.exact_tails counts with, whatever the data: the
+    _subset_index of the first h positions and of the other rest, to size
+    k <= h <= rest, so neither half has more sums than the support has
+    points; the size of each right subset; and for each left a-subset, the
+    size k - a of the right subsets it pairs with and where they lie."""
+    left, right = _subset_index(h, k), _subset_index(rest, k)
+    pairs_with = np.repeat(k - np.arange(k + 1), np.diff(left[2]))
+    right_size = np.repeat(np.arange(k + 1), np.diff(right[2]))
+    return left, right, right_size, pairs_with, right[2][pairs_with], right[2][pairs_with + 1]
 
 
 def _widest_sum(coef: np.ndarray, k: int) -> float:
@@ -570,15 +543,15 @@ def _nbytes(value) -> int:
     return sum(map(_nbytes, value)) if isinstance(value, tuple) else 0
 
 
-# The most bytes of arrays one TailMemo keeps: at n = 20, a counting plan
-# and about ten columns' halves.
+# The most bytes of arrays one TailMemo keeps: at n = 20, a design's subset
+# layout and about ten columns' halves.
 _MEMO_BYTES = 1 << 18
 
 
 class TailMemo:
-    """What UniformCRD.exact_tails can reuse between calls: the counting
-    plan of a design, the prepared halves of a column and the _SumTable of
-    a lattice column, least recently used first out. Safe to share between
+    """What UniformCRD.exact_tails can reuse between calls: the subset
+    layout of a design, the prepared halves of a column and the _SumTable
+    of a lattice column, least recently used first out. Safe to share between
     threads. It keeps at most _MEMO_BYTES of arrays; a larger item is built
     and not kept."""
 

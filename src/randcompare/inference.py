@@ -100,7 +100,7 @@ class ExactEngine:
     the design raises EnumerationTooLargeError.
 
     The engine keeps a TailMemo, so that one engine builds a design's
-    counting plan once and counts a column it has seen, or a lattice column
+    subset layout once and counts a column it has seen, or a lattice column
     with the same multiset of coefficients, from the halves or the table
     it prepared then. The memo is bounded and changes no result."""
 

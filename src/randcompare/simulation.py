@@ -830,7 +830,7 @@ def load_scenario_file(path) -> Scenario:
         raise DataValidationError(f"cannot read {path}: {exc}") from exc
     if path.suffix.lower() == ".toml":
         try:
-            text = raw.decode("utf-8")
+            text = raw.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise DataValidationError(f"{path}: not valid UTF-8: {exc}") from exc
         try:

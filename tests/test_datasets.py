@@ -1,3 +1,5 @@
+import codecs
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ class TestLoader:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataValidationError):
             load_dataset(tmp_path / "absent.csv")
+
+    def test_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8" format starts the file with one
+        source = bundled_dataset_path()
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+        data, plain = load_dataset(path), load_dataset(source)
+        assert data.unit_ids == plain.unit_ids
+        assert np.array_equal(data.observed.assignment.labels, plain.observed.assignment.labels)
+        assert np.array_equal(data.observed.responses, plain.observed.responses)
 
     def test_bad_header(self, tmp_path):
         path = write_csv(tmp_path, ["a,1,1", "b,2,2"], header="id,arm,value")

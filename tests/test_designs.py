@@ -1,5 +1,10 @@
+import codecs
+import functools
+import gc
 import itertools
+import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -174,6 +179,18 @@ class TestExplicit:
     def test_from_json_bad_doc(self):
         with pytest.raises(DataValidationError):
             explicit_from_json({"support": [[1, 2]]})
+
+    def test_from_json_file_with_byte_order_mark(self, tmp_path):
+        doc = {"support": [[1, 2], [2, 1]], "probs": [0.5, 0.5]}
+        path = tmp_path / "design.json"
+        path.write_bytes(codecs.BOM_UTF8 + json.dumps(doc).encode())
+        assert explicit_from_json(path) == explicit_from_json(doc)
+
+    def test_unreadable_file_is_a_data_error(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        for doc in (missing, str(missing), "{not JSON, and no such file"):
+            with pytest.raises(DataValidationError, match="^cannot read "):
+                explicit_from_json(doc)
 
 
 def assert_chunks_are_one_batch(design, chunks):
@@ -636,8 +653,32 @@ def test_sum_table_equals_the_scan(data):
     assert design.exact_tails([column]) == expected
 
 
+@given(st.data())
+def test_subset_sums_add_left_to_right_in_colex_order(data):
+    """Each subset's sum is its values added smallest position first,
+    starting from 0.0, bit for bit; -0.0 included."""
+    h = data.draw(st.integers(1, 10))
+    kmax = data.draw(st.integers(0, h))
+    values = np.array(data.draw(st.lists(
+        st.one_of(st.just(-0.0), st.floats(-1e6, 1e6)), min_size=h, max_size=h)))
+    sums = designs_module._subset_sums(values, *designs_module._subset_index(h, kmax))
+    # colex order: size by size, each size by largest position, then the next
+    subsets = [c for a in range(kmax + 1)
+               for c in sorted(itertools.combinations(range(h), a), key=lambda c: c[::-1])]
+    expected = [functools.reduce(operator.add, values[list(c)].tolist(), 0.0) for c in subsets]
+    assert sums.tobytes() == np.array(expected).tobytes()
+
+
+def arrays_held(value) -> list:
+    """Every array an object refers to, through any container."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for ref in gc.get_referents(value) if not isinstance(ref, type)
+            for a in arrays_held(ref)]
+
+
 class TestTailReuse:
-    """An ExactEngine keeps counting plans and prepared halves between
+    """An ExactEngine keeps subset layouts and prepared halves between
     calls; nothing it keeps shows in what it returns."""
 
     def test_designs_a_b_a_equal_fresh_engines(self):
@@ -672,6 +713,30 @@ class TestTailReuse:
         monkeypatch.setattr(designs_module._SumTable, "build", counted)
         run_size_power("t3.sc1", replicates=100, rng=RngStream(5), exact_small=True)
         assert built == [10]
+
+    def test_one_harness_call_builds_each_subset_index_once(self, monkeypatch):
+        # t3.sc1 is UniformCRD(20, 10): halves of 10 positions, subsets to size 10
+        built = []
+        subset_index = designs_module._subset_index
+
+        def counted(h, kmax):
+            built.append((h, kmax))
+            return subset_index(h, kmax)
+
+        monkeypatch.setattr(designs_module, "_subset_index", counted)
+        run_size_power("t3.sc1", replicates=100, rng=RngStream(5), exact_small=True)
+        assert built == [(10, 10), (10, 10)]
+
+    def test_memo_counts_the_bytes_of_every_array_it_keeps(self):
+        gen = np.random.default_rng(13)
+        engine = ExactEngine()
+        for n, n1 in ((12, 5), (12, 7), (9, 3)):
+            for kind in KINDS:
+                engine.tails(UniformCRD(n, n1), kernel_columns(observed_data(gen, kind, n, n1)))
+        items = [value for value, _ in engine._memo._items.values()]
+        # layouts, halves and sum tables
+        assert {type(item) for item in items} == {tuple, designs_module._SumTable}
+        assert engine._memo.nbytes == sum(a.nbytes for item in items for a in arrays_held(item))
 
     def test_tied_midranks_at_n1_above_n2_equal_the_fractions(self):
         gen = np.random.default_rng(11)

@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import sys
@@ -620,6 +621,15 @@ class TestScenarioFiles:
         scenario = load_scenario_file(path)
         assert isinstance(scenario.law, GammaLaw)
         assert isinstance(scenario.effect, Scale)
+
+    def test_toml_with_byte_order_mark(self, tmp_path):
+        plain, marked = tmp_path / "plain.toml", tmp_path / "marked.toml"
+        plain.write_text(
+            'name = "demo"\nn1 = 6\nn2 = 6\n\n[law]\nkind = "normal"\nmean = 0.0\nsd = 1.0\n\n'
+            '[effect]\nkind = "shift"\ndelta = 1.0\n'
+        )
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert load_scenario_file(marked) == load_scenario_file(plain)
 
     def test_unknown_kind(self, tmp_path):
         bad = dict(self.doc, law={"kind": "cauchy"})

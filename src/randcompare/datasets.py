@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -35,76 +37,86 @@ def bundled_dataset_path(name: str = "cellphone") -> Path:
     return Path(str(path))
 
 
-def _decoded_lines(handle, path):
+def read_text(path) -> str:
+    """The text of an input file: its bytes decoded as UTF-8, with or without
+    a leading byte-order mark. Every input file is read here."""
     try:
-        yield from handle
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        raise DataValidationError(f"cannot read {path}: {exc}") from exc
+    try:
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataValidationError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
+def read_json(path):
+    """The document in a JSON input file, read by read_text."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def load_dataset(path) -> LoadedDataset:
     path = Path(path)
-    try:
-        handle = path.open(newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataValidationError(f"cannot read {path}: {exc}") from exc
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     unit_ids: list = []
     labels: list = []
     responses: list = []
     seen: dict = {}
-    with handle:
-        reader = csv.reader(_decoded_lines(handle, path))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty file") from None
-        if tuple(h.strip().lower() for h in header) != _HEADER:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataValidationError(f"{path}: empty file") from None
+    if tuple(h.strip().lower() for h in header) != _HEADER:
+        raise DataValidationError(
+            f"{path}: line 1: header must be 'unit_id,treatment,response', "
+            f"got {','.join(header)!r}"
+        )
+    for row in reader:
+        line = reader.line_num
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
             raise DataValidationError(
-                f"{path}: line 1: header must be 'unit_id,treatment,response', "
-                f"got {','.join(header)!r}"
+                f"{path}: line {line}: expected 3 fields, got {len(row)}"
             )
-        for row in reader:
-            line = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataValidationError(
-                    f"{path}: line {line}: expected 3 fields, got {len(row)}"
-                )
-            uid = row[0].strip()
-            if not uid:
-                raise DataValidationError(f"{path}: line {line}: empty unit_id")
-            if uid in seen:
-                raise DataValidationError(
-                    f"{path}: line {line}: duplicate unit_id {uid!r} "
-                    f"(first seen on line {seen[uid]})"
-                )
-            seen[uid] = line
-            try:
-                treatment = int(row[1])
-            except ValueError:
-                raise DataValidationError(
-                    f"{path}: line {line}: treatment must be 1 or 2, "
-                    f"got {row[1]!r}"
-                ) from None
-            if treatment not in (1, 2):
-                raise DataValidationError(
-                    f"{path}: line {line}: treatment must be 1 or 2, got {treatment}"
-                )
-            try:
-                response = float(row[2])
-            except ValueError:
-                raise DataValidationError(
-                    f"{path}: line {line}: response must be a real number, "
-                    f"got {row[2]!r}"
-                ) from None
-            if not math.isfinite(response):
-                raise DataValidationError(
-                    f"{path}: line {line}: response must be finite, got {row[2]!r}"
-                )
-            unit_ids.append(uid)
-            labels.append(treatment)
-            responses.append(response)
+        uid = row[0].strip()
+        if not uid:
+            raise DataValidationError(f"{path}: line {line}: empty unit_id")
+        if uid in seen:
+            raise DataValidationError(
+                f"{path}: line {line}: duplicate unit_id {uid!r} "
+                f"(first seen on line {seen[uid]})"
+            )
+        seen[uid] = line
+        try:
+            treatment = int(row[1])
+        except ValueError:
+            raise DataValidationError(
+                f"{path}: line {line}: treatment must be 1 or 2, "
+                f"got {row[1]!r}"
+            ) from None
+        if treatment not in (1, 2):
+            raise DataValidationError(
+                f"{path}: line {line}: treatment must be 1 or 2, got {treatment}"
+            )
+        try:
+            response = float(row[2])
+        except ValueError:
+            raise DataValidationError(
+                f"{path}: line {line}: response must be a real number, "
+                f"got {row[2]!r}"
+            ) from None
+        if not math.isfinite(response):
+            raise DataValidationError(
+                f"{path}: line {line}: response must be finite, got {row[2]!r}"
+            )
+        unit_ids.append(uid)
+        labels.append(treatment)
+        responses.append(response)
     n = len(unit_ids)
     if n < 2:
         raise DataValidationError(f"{path}: need at least 2 data rows, got {n}")

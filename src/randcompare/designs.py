@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import AssignmentVector, SampleVector
+from .datasets import read_json
 from .errors import (
     DataValidationError,
     DesignInvalidError,
@@ -354,30 +355,20 @@ class Explicit(_EqualByContent, AssignmentDesign):
         return bool(np.any(np.all(self._labels == labels, axis=1)))
 
 
-def _load_json_file(path):
-    try:
-        fh = open(path, "r", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataValidationError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
-
-
 def explicit_from_json(doc) -> Explicit:
     """Build an Explicit design from {"support": [[1,2,...],...], "probs": [...]}.
 
-    Accepts a parsed document, a JSON string, or a path to a JSON file.
+    Accepts a parsed document, a JSON string, or a path to a JSON file. A
+    string whose first non-space character is { or [ is JSON text; any
+    other string is a path.
     """
-    if isinstance(doc, os.PathLike):
-        doc = _load_json_file(doc)
-    elif isinstance(doc, (str, bytes)):
+    if isinstance(doc, (str, bytes)) and doc.lstrip()[:1] in ("{", "[", b"{", b"["):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError:
-            doc = _load_json_file(doc)
+        except json.JSONDecodeError as exc:
+            raise DataValidationError(f"cannot read {doc}: invalid JSON: {exc}") from exc
+    elif isinstance(doc, (str, bytes, os.PathLike)):
+        doc = read_json(doc)
     if not isinstance(doc, dict) or "support" not in doc or "probs" not in doc:
         raise DataValidationError(
             'explicit design document must have "support" and "probs" keys'
@@ -561,20 +552,20 @@ class TailMemo:
         self.nbytes = 0
 
     def get(self, key, build):
-        """The item under key, built by build() when it is not kept."""
+        """The item under key, built by build() when it is not kept. build runs
+        under the lock, so each item is built once, and must not call get."""
         with self._lock:
             if key in self._items:
                 self._items.move_to_end(key)
                 return self._items[key][0]
-        value = build()
-        size = _nbytes(value)
-        with self._lock:
-            if key not in self._items and size <= _MEMO_BYTES:
+            value = build()
+            size = _nbytes(value)
+            if size <= _MEMO_BYTES:
                 self._items[key] = value, size
                 self.nbytes += size
                 while self.nbytes > _MEMO_BYTES:
                     self.nbytes -= self._items.popitem(last=False)[1][1]
-        return value
+            return value
 
 
 def sample_assignment(design: AssignmentDesign, rng: RngStream) -> AssignmentVector:

@@ -188,11 +188,11 @@ class TestReport:
                 "assumptions": list(self.assumptions)}
 
 
-def _report(test, observed, statistic, p_value, kind, mc_stderr=None,
-             degenerate=False) -> TestReport:
-    entry = TESTS[test]
+def _report(test, observed, statistic, p_value, kind, mc_stderr=None) -> TestReport:
+    """The test's report, degenerate when every response is the same."""
+    entry, r = TESTS[test], observed.responses
     return TestReport(test, entry.hypothesis, statistic, p_value, kind, mc_stderr,
-                      entry.assumptions, observed.n1, observed.n2, degenerate)
+                      entry.assumptions, observed.n1, observed.n2, bool((r == r[0]).all()))
 
 
 def _studentized(test, observed, difference, se, cdf) -> TestReport:
@@ -257,10 +257,7 @@ class ResamplingPlan:
             if stderr is not None:
                 # stderr of the doubled smaller tail, before the cap at 1
                 stderr = 2.0 * (se_up if upper <= lower else se_lo)
-        return _report(
-            self.test, self.observed, self.statistic, p, kind, stderr,
-            degenerate=bool(np.ptp(self.observed.responses) == 0.0),
-        )
+        return _report(self.test, self.observed, self.statistic, p, kind, stderr)
 
 
 def run_resampling_plans(plans, engine: PValueEngine) -> list:
@@ -450,8 +447,7 @@ def fisher_exact_2x2(observed: ObservedExperiment) -> TestReport:
     total = math.comb(n, n1)
     w_obs = weights[k_obs]
     numer = sum(w for w in weights.values() if w <= w_obs)
-    return _report("fisher_exact", observed, float(k_obs), numer / total, "exact",
-                   degenerate=bool(np.ptp(r) == 0.0))
+    return _report("fisher_exact", observed, float(k_obs), numer / total, "exact")
 
 
 def _neyman_sel(observed, design, census):

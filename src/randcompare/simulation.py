@@ -47,6 +47,7 @@ from .core import (
     SampleVector,
     select_components,
 )
+from .datasets import read_json, read_text
 from .designs import ENUMERATION_CAP, RngStream, UniformCRD, sample_assignment
 from .errors import (
     DataValidationError,
@@ -824,29 +825,18 @@ def load_scenario_file(path) -> Scenario:
     """A scenario from a declarative JSON or TOML key-value file; every
     error names the file."""
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataValidationError(f"cannot read {path}: {exc}") from exc
-    if path.suffix.lower() == ".toml":
-        try:
-            text = raw.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise DataValidationError(f"{path}: not valid UTF-8: {exc}") from exc
+    if path.suffix.lower() != ".toml":
+        doc = read_json(path)
+    else:
         try:
             import tomllib
         except ModuleNotFoundError:
-            doc = _toml_subset_loads(text, path)
+            doc = _toml_subset_loads(read_text(path), path)
         else:
             try:
-                doc = tomllib.loads(text)
+                doc = tomllib.loads(read_text(path))
             except tomllib.TOMLDecodeError as exc:
                 raise DataValidationError(f"{path}: invalid TOML: {exc}") from exc
-    else:
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return _scenario_from_doc(doc)
     except DataValidationError as exc:

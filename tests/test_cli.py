@@ -476,6 +476,19 @@ class TestExitCodes:
         assert code == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("filename, command", [
+        ("data.csv", ("test", "--data")),
+        ("design.json", ("test", "--data", "cellphone", "--design")),
+        ("scenario.json", ("simulate", "--replicates", "100")),
+        ("scenario.toml", ("simulate", "--replicates", "100")),
+    ])
+    def test_input_file_not_utf8_is_2(self, tmp_path, capsys, filename, command):
+        path = tmp_path / filename
+        path.write_bytes(b"\xff")
+        code, out = run_cli(*command, str(path))
+        assert (code, out) == (2, "")
+        assert f"{path}: not valid UTF-8: " in capsys.readouterr().err
+
     def test_unmet_conditioning_is_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(randcompare.simulation, "_MAX_CONDITION_ATTEMPTS", 10)
         path = tmp_path / "never.json"

@@ -1,4 +1,5 @@
 import codecs
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from randcompare import (
     DataValidationError,
     bundled_dataset_path,
     dataset_summary,
+    explicit_from_json,
     load_dataset,
+    load_scenario_file,
 )
 
 
@@ -118,3 +121,48 @@ class TestLoader:
         summary = dataset_summary(load_dataset(path))
         assert summary["arm1_variance"] is None
         assert summary["arm2_variance"] == pytest.approx(4.5)
+
+
+# One valid file of each kind that an input reader takes, and that reader.
+# Each file's text is ASCII, so that one byte 0xff makes it invalid UTF-8.
+INPUT_FILES = {
+    "dataset.csv": (b"unit_id,treatment,response\na,1,1\nb,2,2\n", load_dataset),
+    "design.json": (b'{"support": [[1, 2], [2, 1]], "probs": [0.5, 0.5]}',
+                    explicit_from_json),
+    "scenario.json": (b'{"name": "demo", "n1": 5, "n2": 5, '
+                      b'"law": {"kind": "normal", "mean": 0, "sd": 1}, '
+                      b'"effect": {"kind": "identity"}}', load_scenario_file),
+    "scenario.toml": (b'name = "demo"\nn1 = 5\nn2 = 5\n\n'
+                      b'[law]\nkind = "normal"\nmean = 0\nsd = 1\n\n'
+                      b'[effect]\nkind = "identity"\n', load_scenario_file),
+}
+
+
+@pytest.mark.parametrize("filename", sorted(INPUT_FILES))
+class TestInputFileEncoding:
+    """Every input file is read through datasets.read_text, as UTF-8 with
+    an optional byte-order mark."""
+
+    def test_loads_with_or_without_byte_order_mark(self, tmp_path, filename):
+        content, reader = INPUT_FILES[filename]
+        path = tmp_path / filename
+        for prefix in (b"", codecs.BOM_UTF8):
+            path.write_bytes(prefix + content)
+            reader(path)
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32"])
+    def test_other_unicode_encodings_are_refused(self, tmp_path, filename, encoding):
+        content, reader = INPUT_FILES[filename]
+        path = tmp_path / filename
+        path.write_bytes(content.decode("ascii").encode(encoding))
+        message = "^" + re.escape(f"{path}: not valid UTF-8: ")
+        with pytest.raises(DataValidationError, match=message):
+            reader(path)
+
+    def test_one_bad_byte_names_the_file(self, tmp_path, filename):
+        content, reader = INPUT_FILES[filename]
+        path = tmp_path / filename
+        path.write_bytes(content[:1] + b"\xff" + content[1:])
+        message = "^" + re.escape(f"{path}: not valid UTF-8: ")
+        with pytest.raises(DataValidationError, match=message):
+            reader(path)

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +192,15 @@ class TestExplicit:
         for doc in (missing, str(missing), "{not JSON, and no such file"):
             with pytest.raises(DataValidationError, match="^cannot read "):
                 explicit_from_json(doc)
+
+
+    def test_inline_json_syntax_error_is_reported(self):
+        doc = '{"support": [[1,2],[2,1]], "probs": [0.5, 0.5],}'
+        message = r"invalid JSON: .*line 1 column 48 \(char 47\)$"
+        with pytest.raises(DataValidationError, match=message):
+            explicit_from_json(doc)
+        with pytest.raises(DataValidationError, match="invalid JSON"):
+            explicit_from_json("  [1, 2")
 
 
 def assert_chunks_are_one_batch(design, chunks):
@@ -726,6 +736,24 @@ class TestTailReuse:
         monkeypatch.setattr(designs_module, "_subset_index", counted)
         run_size_power("t3.sc1", replicates=100, rng=RngStream(5), exact_small=True)
         assert built == [(10, 10), (10, 10)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_threads_build_each_item_once(self, monkeypatch, seed):
+        built = []
+        for owner, name in ((designs_module, "_subset_index"),
+                            (designs_module._SumTable, "build")):
+            monkeypatch.setattr(owner, name, functools.partial(
+                lambda wrapped, name, *args: built.append(name) or wrapped(*args),
+                getattr(owner, name), name))
+        # switching threads often makes both replicates miss the memo at once
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_size_power("t3.sc1", replicates=100, rng=RngStream(seed),
+                           exact_small=True, threads=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(built) == ["_subset_index", "_subset_index", "build"]
 
     def test_memo_counts_the_bytes_of_every_array_it_keeps(self):
         gen = np.random.default_rng(13)

@@ -33,6 +33,7 @@ from randcompare import (
     neyman_selection_test,
     permutation_test,
     pooled_t_test,
+    sample_variance,
     support_label_matrix,
     welch_t_test,
     wilcoxon_test,
@@ -289,6 +290,16 @@ class TestTTests:
         obs = ObservedExperiment.from_arms([2.0, 2.0], [2.0, 2.0])
         with pytest.raises(DegenerateDataError):
             welch_t_test(obs)
+
+    def test_constant_data_with_rounded_variance_is_degenerate(self):
+        # three copies of 0.1 have a float variance near 1e-34, not 0, so the
+        # studentized tests report; like every other test, they flag the data
+        obs = ObservedExperiment.from_arms([0.1] * 3, [0.1] * 3)
+        assert sample_variance(obs.arm_responses(1)) > 0.0
+        reports = [welch_t_test(obs), pooled_t_test(obs),
+                   neyman_randomization_test(obs, UniformCRD(6, 3)),
+                   permutation_test(obs, ExactEngine())]
+        assert [report.degenerate for report in reports] == [True] * 4
 
     def test_small_arm_rejected(self):
         obs = ObservedExperiment.from_arms([1.0], [2.0, 3.0])

@@ -108,3 +108,62 @@ def test_one_place_refuses_a_design_as_too_large():
         for hit in too_large_sites(path.read_text(encoding="utf-8"), path.name)
     ]
     assert found == ["cli.py:main: except", "designs.py:check_enumeration_cap: raise"]
+
+
+
+def file_read_sites(source: str, filename: str) -> list:
+    """'file:function: call' for each call of open(), x.open(),
+    x.read_bytes(), x.read_text() or json.load(), by the innermost function
+    around it."""
+    found = []
+
+    def read_call(call):
+        func = call.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            return "open"
+        if isinstance(func, ast.Attribute):
+            if func.attr in ("open", "read_bytes", "read_text"):
+                return func.attr
+            if func.attr == "load" and getattr(func.value, "id", None) == "json":
+                return "json.load"
+        return None
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (call := read_call(child)):
+                found.append(f"{filename}:{function}: {call}")
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(ast.parse(source, filename=filename), "<module>")
+    return found
+
+
+def test_detector_sees_every_way_to_read_a_file():
+    source = (
+        "import json\n"
+        "DOC = json.load(open('a.json'))\n"
+        "def load(path):\n"
+        "    with path.open() as fh:\n"
+        "        return fh.read(), Path(path).read_bytes()\n"
+        "class C:\n"
+        "    def text(self):\n"
+        "        return self.path.read_text(encoding='utf-8'), json.loads('{}')\n"
+        "def write(path):\n"
+        "    path.write_text('x')\n"
+    )
+    assert file_read_sites(source, "m.py") == [
+        "m.py:<module>: json.load", "m.py:<module>: open", "m.py:load: open",
+        "m.py:load: read_bytes", "m.py:text: read_text",
+    ]
+
+
+def test_one_reader_reads_every_input_file():
+    """datasets.read_text alone opens a file to read it; the command line's
+    output file is written, not read."""
+    found = [
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        for hit in file_read_sites(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert found == ["datasets.py:read_text: open"]

@@ -36,9 +36,7 @@ from .simulation import (
     run_size_power,
 )
 
-# The exact engine is the default up to this support size; past
-# it the default drops to Monte Carlo with a 10^6 budget.
-DEFAULT_EXACT_LIMIT = 200_000
+# The budget of test's Monte Carlo engine when --mc is not given.
 DEFAULT_MC_BUDGET = 1_000_000
 
 
@@ -94,9 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     test.add_argument(
         "--engine", choices=("exact", "mc"), default=None,
         help="p-value engine of the resampling tests: exact tails or Monte "
-             f"Carlo. Default: exact up to {DEFAULT_EXACT_LIMIT:,} assignments, else mc "
-             f"with {DEFAULT_MC_BUDGET:,} draws. exact exits 4 past {ENUMERATION_CAP:,} "
-             "assignments",
+             f"Carlo. Default: exact up to {ENUMERATION_CAP:,} assignments, else mc "
+             f"with {DEFAULT_MC_BUDGET:,} draws; exact exits 4 past that size",
     )
     test.add_argument("--mc", type=int, default=None, metavar="BUDGET",
                       help="Monte Carlo budget (implies --engine mc)")
@@ -163,10 +160,9 @@ def _resolve_engine(args, design, seed):
     if args.mc is not None and args.engine == "exact":
         raise DataValidationError("--mc only applies to the Monte Carlo engine")
     choice = args.engine
-    if choice is None and args.mc is not None:
-        choice = "mc"
     if choice is None:
-        choice = "mc" if design.support_exceeds(DEFAULT_EXACT_LIMIT) else "exact"
+        mc = args.mc is not None or design.support_exceeds(ENUMERATION_CAP)
+        choice = "mc" if mc else "exact"
     if choice == "exact":
         return ExactEngine()
     budget = DEFAULT_MC_BUDGET if args.mc is None else args.mc

@@ -8,6 +8,7 @@ probabilities, weight tables, the enumerated support and seeded draws.
 """
 from __future__ import annotations
 
+import codecs
 import itertools
 import json
 import math
@@ -117,6 +118,14 @@ class AssignmentDesign:
     def support_exceeds(self, limit: int) -> bool:
         """Whether the support has more than limit points."""
         return self.support_size > limit
+
+    def tie_bounds(self, coef, offset, observed) -> tuple:
+        """(thr, upper, lower) of a column: stat = m @ coef + offset is in
+        the abs tail when |stat| >= thr, the upper when stat >= upper, the
+        lower when stat <= lower. Each is observed widened by _tie_bounds,
+        so thr <= 0 when observed is 0 but for rounding. Here stat may add
+        all n coefficients."""
+        return _tie_bounds(observed, self.n, self.n, np.abs(coef).sum() + abs(offset))
 
     def exact_tails(self, columns, memo=None) -> list:
         """The support's probability masses [abs, upper, lower] of each
@@ -233,6 +242,14 @@ class UniformCRD(AssignmentDesign):
         v1 = float(np.mean((arm1 - arm1.mean()) ** 2))
         v2 = float(np.mean((arm2 - arm2.mean()) ** 2))
         return v1 / len(arm1) + v2 / len(arm2)
+
+    def tie_bounds(self, coef, offset, observed) -> tuple:
+        """stat adds k = min(n1, n2) coefficients, one arm's, bounded by
+        the k largest |coef|. n1 / n of sum(|coef|) bounds the sums of n
+        terms: the offset's, -sum(y) / n2, and the counter's column sum."""
+        k, size = min(self.n1, self.n2), np.abs(coef)
+        scale = np.partition(size, self.n - k)[self.n - k:].sum() + abs(offset)
+        return _tie_bounds(observed, self.n, k, scale + self.n1 / self.n * size.sum())
 
     def exact_tails(self, columns, memo=None) -> list:
         """scan_tails' hit counts over the support, counted without
@@ -359,12 +376,15 @@ def explicit_from_json(doc) -> Explicit:
     """Build an Explicit design from {"support": [[1,2,...],...], "probs": [...]}.
 
     Accepts a parsed document, a JSON string, or a path to a JSON file. A
-    string whose first non-space character is { or [ is JSON text; any
-    other string is a path.
+    string whose first non-space character, after one byte-order mark, is
+    { or [ is JSON text; any other string is a path.
     """
-    if isinstance(doc, (str, bytes)) and doc.lstrip()[:1] in ("{", "[", b"{", b"["):
+    text = doc
+    if isinstance(doc, (str, bytes)):
+        text = doc.removeprefix("\ufeff" if isinstance(doc, str) else codecs.BOM_UTF8)
+    if isinstance(text, (str, bytes)) and text.lstrip()[:1] in ("{", "[", b"{", b"["):
         try:
-            doc = json.loads(doc)
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataValidationError(f"cannot read {doc}: invalid JSON: {exc}") from exc
     elif isinstance(doc, (str, bytes, os.PathLike)):
@@ -406,6 +426,16 @@ def check_enumeration_cap(design: AssignmentDesign) -> int:
         size=size,
         cap=ENUMERATION_CAP,
     )
+
+
+def _tie_bounds(observed: float, n: int, terms: int, scale: float) -> tuple:
+    """The bounds +-tol around observed, tol = c * eps * scale bounding the
+    rounding of the sums behind a statistic and observed (Higham 2002, ch.
+    4): scale bounds their terms and c counts additions, terms in the
+    longest sequential sum plus ceil(log2(n + 1)) + 16 for numpy's pairwise
+    sums (8 accumulators, blocks of 128). tol scales by 2^j with the data."""
+    tol = (n.bit_length() + 16 + terms) * math.ulp(1.0) * float(scale)
+    return abs(observed) - tol, observed - tol, observed + tol
 
 
 def support_label_matrix(design: AssignmentDesign):

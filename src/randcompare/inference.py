@@ -55,12 +55,6 @@ from .stats import (
     welch_se,
 )
 
-# A resampled statistic within this relative distance of the observed one
-# (and within this absolute distance when |observed| < 1) counts as
-# extreme. Protects exact-mode rational p-values from roundoff in
-# recomputed statistics; the bias is conservative.
-REL_TOL = 1e-9
-
 # Monte Carlo draws are made and scored in batches of at most this many.
 MC_CHUNK = 8_192
 
@@ -74,35 +68,13 @@ def check_mc_budget(budget: int) -> None:
         raise DataValidationError(f"Monte Carlo budget must be >= {MIN_MC_BUDGET}")
 
 
-def tie_bounds(observed: float) -> tuple:
-    """The tie rule: (thr, upper, lower) such that a resampled statistic
-    stat is in the abs tail when |stat| >= thr, in the upper tail when
-    stat >= upper and in the lower tail when stat <= lower. thr <= 0 puts
-    the whole support in the abs tail, as it must when observed is 0 in
-    exact arithmetic and only rounding makes it differ."""
-    tol = REL_TOL * max(1.0, abs(observed))
-    return abs(observed) - tol, observed - tol, observed + tol
-
-
-def _bounded(columns) -> list:
-    """Kernel columns (coef, offset, observed) with observed replaced by
-    its tie_bounds."""
-    return [(coef, offset, tie_bounds(observed)) for coef, offset, observed in columns]
-
-
 @dataclass(frozen=True)
 class ExactEngine:
-    """Exact tails over designs of up to ENUMERATION_CAP assignments; the
-    design computes them (design.exact_tails). A uniform CRD counts them
-    from sums of subsets of the two halves of the units, or for a lattice
-    column from a table of subset counts by sum, without enumerating its
-    support; an Explicit design scans the support it holds. Past the cap
-    the design raises EnumerationTooLargeError.
-
-    The engine keeps a TailMemo, so that one engine builds a design's
-    subset layout once and counts a column it has seen, or a lattice column
-    with the same multiset of coefficients, from the halves or the table
-    it prepared then. The memo is bounded and changes no result."""
+    """Exact tails over designs of up to ENUMERATION_CAP assignments, which
+    the design computes (design.exact_tails: a uniform CRD counts them, an
+    Explicit design scans its support) and past which it raises
+    EnumerationTooLargeError. The engine's bounded TailMemo keeps what the
+    design prepared for a design or column seen before; it changes no result."""
 
     kind = "exact"
     _memo: TailMemo = field(default_factory=TailMemo, init=False, repr=False, compare=False)
@@ -112,10 +84,11 @@ class ExactEngine:
         whose statistic at an assignment with arm-1 indicator row m is
         m @ coef + offset, the hit counts [abs, upper, lower] over the
         support of |stat| >= |observed|, stat >= observed and
-        stat <= observed, each up to tie_bounds; out of
+        stat <= observed, each up to design.tie_bounds; out of
         denominator(design) support points, or as probability masses out of
         1 for a design that does not count them."""
-        return design.exact_tails(_bounded(columns), self._memo)
+        return design.exact_tails([(coef, offset, design.tie_bounds(coef, offset, observed))
+                                   for coef, offset, observed in columns], self._memo)
 
     def denominator(self, design: AssignmentDesign):
         return design.tail_denominator
@@ -141,7 +114,8 @@ class MonteCarloEngine:
         rng.generator(), made in chunks of MC_CHUNK and shared by every
         column."""
         gen = self.rng.generator()
-        bounded = _bounded(columns)
+        bounded = [(coef, offset, design.tie_bounds(coef, offset, observed))
+                   for coef, offset, observed in columns]
         totals = np.zeros((len(columns), 3), dtype=np.int64)
         for start in range(0, self.budget, MC_CHUNK):
             labels = sample_assignment_batch(design, min(MC_CHUNK, self.budget - start), gen)

@@ -185,6 +185,17 @@ class TestTestCommand:
         # at least as extreme as the observed one
         assert doc["reports"][0]["p_value"] == 1.0
 
+    def test_default_engine_is_exact_up_to_the_cap(self, tmp_path):
+        # C(22, 11) = 705,432 assignments fit ENUMERATION_CAP, so the
+        # default is the exact engine, which --engine exact would not refuse
+        data = tmp_path / "d22.csv"
+        data.write_text("unit_id,treatment,response\n" + "".join(
+            f"{i + 1},{1 + i % 2},{(7 * i) % 11}\n" for i in range(22)))
+        code, out = run_cli("test", "--data", str(data), "--tests", "permutation",
+                            "--format", "json")
+        assert code == 0
+        assert json.loads(out)["engine"] == {"kind": "exact", "enumeration_cap": 2_000_000}
+
     def test_mc_flag_implies_engine(self):
         code, out = run_cli(
             "test", "--data", "cellphone.csv", "--tests", "welch",

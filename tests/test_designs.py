@@ -35,7 +35,7 @@ from randcompare import (
 )
 from randcompare import designs as designs_module
 from randcompare.designs import sample_assignment_batch, scan_tails
-from randcompare.inference import permutation_plan, tie_bounds, wilcoxon_plan
+from randcompare.inference import permutation_plan, wilcoxon_plan
 from randcompare.simulation import run_size_power
 
 
@@ -186,6 +186,16 @@ class TestExplicit:
         path = tmp_path / "design.json"
         path.write_bytes(codecs.BOM_UTF8 + json.dumps(doc).encode())
         assert explicit_from_json(path) == explicit_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        '\ufeff{"support": [[1,2],[2,1]], "probs": [0.5, 0.5]}',
+        b'\xef\xbb\xbf{"support": [[1,2],[2,1]], "probs": [0.5, 0.5]}',
+    ], ids=["str", "bytes"])
+    def test_inline_json_with_byte_order_mark(self, doc):
+        # a leading U+FEFF is not white space to lstrip, so the JSON text
+        # was taken for a path
+        expected = explicit_from_json({"support": [[1, 2], [2, 1]], "probs": [0.5, 0.5]})
+        assert explicit_from_json(doc) == expected
 
     def test_unreadable_file_is_a_data_error(self, tmp_path):
         missing = tmp_path / "missing.json"
@@ -531,8 +541,8 @@ def kernel_columns(observed) -> list:
     return [permutation_plan(observed).column, wilcoxon_plan(observed).column]
 
 
-def bounded(columns) -> list:
-    return [(coef, offset, tie_bounds(stat)) for coef, offset, stat in columns]
+def bounded(design, columns) -> list:
+    return [(coef, offset, design.tie_bounds(coef, offset, stat)) for coef, offset, stat in columns]
 
 
 KINDS = ("continuous", "integer", "zero")
@@ -547,7 +557,7 @@ class TestUniformCRDExactTails:
         design = UniformCRD(n, n1)
         labels, _ = support_label_matrix(design)
         for _ in range(3 if n < 20 else 1):
-            columns = bounded(kernel_columns(observed_data(gen, kind, n, n1)))
+            columns = bounded(design, kernel_columns(observed_data(gen, kind, n, n1)))
             assert design.exact_tails(columns) == scan_tails(labels, columns)
 
     @pytest.mark.parametrize("n, n1", [(60, 59), (60, 1), (2000, 1998), (21, 11), (20, 10)])
@@ -564,7 +574,7 @@ class TestUniformCRDExactTails:
 
         subset_index = designs_module._subset_index
         monkeypatch.setattr(designs_module, "_subset_index", bounded_subset_index)
-        UniformCRD(n, n1).exact_tails([(np.arange(n, dtype=float), 0.0, tie_bounds(1.0))])
+        UniformCRD(n, n1).exact_tails([(np.arange(n, dtype=float), 0.0, (1.0, 1.0, 1.0))])
         assert len(built) == 2
 
     @pytest.mark.parametrize("n1", [2, 1998])
@@ -572,7 +582,7 @@ class TestUniformCRDExactTails:
     def test_counter_fits_the_cap_at_2000_choose_2(self, n1, kind):
         gen = np.random.default_rng([2000, n1, KINDS.index(kind)])
         design = UniformCRD(2000, n1)
-        columns = bounded(kernel_columns(observed_data(gen, kind, 2000, n1)))
+        columns = bounded(design, kernel_columns(observed_data(gen, kind, 2000, n1)))
         # C(2000, 2) label rows do not fit in memory; with two ones (or two
         # twos) in the label row, the scan's statistic at the pair {i, j}
         # is (coef[i] + coef[j]) + offset (or the rest of coef.sum())
@@ -636,7 +646,8 @@ def test_sum_table_equals_the_fractions(data):
     labels[data.draw(st.permutations(range(n)))[:n1]] = 1
     observed = ObservedExperiment(SampleVector.first_n(n), AssignmentVector(labels), y)
     coef, offset, stat = wilcoxon_plan(observed).column
-    tails = sum_table_tails(UniformCRD(n, n1), (coef, offset, tie_bounds(stat)))
+    tails = sum_table_tails(UniformCRD(n, n1),
+                            (coef, offset, UniformCRD(n, n1).tie_bounds(coef, offset, stat)))
     size = math.comb(n, n1)
     assert [k / size for k in tails] == uniform_crd_tails_by_fractions(y, labels)[1]
 
@@ -654,7 +665,7 @@ def test_sum_table_equals_the_scan(data):
     ones = data.draw(st.permutations(range(n)))[:n1]
     observed = data.draw(st.sampled_from([
         coef[ones].sum() + offset, 0.0, data.draw(st.integers(-40, 40)) / 2]))
-    bounds = data.draw(st.sampled_from([tie_bounds(observed),
+    bounds = data.draw(st.sampled_from([UniformCRD(n, n1).tie_bounds(coef, offset, observed),
                                         (abs(observed), observed, observed)]))
     design, column = UniformCRD(n, n1), (coef, offset, bounds)
     labels, _ = support_label_matrix(design)

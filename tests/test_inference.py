@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import uniform_crd_tails_by_fractions
 from randcompare import (
     AssignmentVector,
     CensusCRD,
@@ -207,9 +209,9 @@ class TestDegenerateExactReports:
 class TestShiftInvariance:
     """Under a uniform CRD a common shift of the responses, or a scale by a
     power of two, changes no resampling p-value on either engine; the
-    reported statistic is still D of the data as given. The tie rule's
-    absolute floor (1e-9 when |D| < 1) is not scale-free, so the scales
-    stay within 2^-16..2^16 of integer responses up to 10."""
+    reported statistic is still D of the data as given. The scales here
+    stay within 2^-16..2^16 of integer responses up to 10;
+    TestScaleFreeTies takes them to 2^-60..2^60."""
 
     @staticmethod
     def draw(data):
@@ -244,6 +246,97 @@ class TestShiftInvariance:
         scale = 2.0 ** data.draw(st.integers(-16, 16))
         assert [r.p_value for r in self.reports(scale * y, labels, seed)] == [
             r.p_value for r in self.reports(y, labels, seed)]
+
+
+def experiment(y, labels) -> ObservedExperiment:
+    return ObservedExperiment(SampleVector.first_n(len(y)), AssignmentVector(labels),
+                              np.asarray(y, dtype=float))
+
+
+class TestScaleFreeTies:
+    """The tie rule's tolerance is a bound on the rounding of the sums
+    behind the statistics, taken from the column (design.tie_bounds): it
+    scales with the data, catches every exact tie and separates the
+    distinct statistics of integer data wherever float64 can."""
+
+    @given(st.data())
+    def test_power_of_two_scale_up_to_2_to_the_60(self, data):
+        n = data.draw(st.integers(3, 12))
+        n1 = data.draw(st.integers(1, n - 1))
+        y = np.array(data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)), float)
+        labels = np.array(data.draw(st.permutations([1] * n1 + [2] * (n - n1))), np.int8)
+        scale = 2.0 ** data.draw(st.integers(-60, 60))
+        assert [r.p_value for r in TestShiftInvariance.reports(scale * y, labels, 5)] == [
+            r.p_value for r in TestShiftInvariance.reports(y, labels, 5)]
+
+    @given(st.data())
+    def test_large_levels_and_wide_spreads_match_the_fractions(self, data):
+        """Integer data with some units on a level of 1e3..1e12, where a
+        tolerance relative to |D| merged distinct statistics."""
+        n = data.draw(st.integers(3, 10))
+        n1 = data.draw(st.integers(1, n - 1))
+        level = data.draw(st.integers(10**3, 10**12))
+        small = st.integers(-5, 5)
+        y = np.array(data.draw(st.lists(st.one_of(small, small.map(lambda v: v + level)),
+                                        min_size=n, max_size=n)), float)
+        labels = np.array(data.draw(st.permutations([1] * n1 + [2] * (n - n1))), np.int8)
+        observed = experiment(y, labels)
+        difference, ranks = uniform_crd_tails_by_fractions(y, labels)
+        assert permutation_test(observed, ExactEngine()).p_value == difference[0]
+        assert wilcoxon_test(observed, ExactEngine()).p_value == min(
+            1.0, 2 * min(ranks[1], ranks[2]))
+
+    def test_a_small_gap_on_a_large_level(self):
+        # D is 1e10 + 1.5 at unit 3's assignment, 1e10 - 1.5 at unit 2's
+        # and -2e10 at unit 1's: two of three are as extreme
+        observed = experiment([0.0, 1e10, 1e10 + 1], [2, 2, 1])
+        assert permutation_test(observed, ExactEngine()).p_value == 2 / 3
+
+    @pytest.mark.parametrize("j", [0, 24, 40])
+    def test_rounding_noise_of_a_zero_difference_stays_a_tie(self, j):
+        # D is 0 in exact arithmetic; at 2^24 its rounding was 1.5e-8, past
+        # an absolute tolerance of 1e-9
+        labels = np.full(8, 2, np.int8)
+        labels[3] = 1
+        observed = experiment(2.0**j * np.array([1, -20, -29, 5, 49, 11, 12, 11]), labels)
+        assert permutation_test(observed, ExactEngine()).p_value == 1.0
+        assert permutation_test(observed, MonteCarloEngine(1000, RngStream(0))).p_value == 1.0
+
+    @pytest.mark.parametrize("arm", [1, 2])
+    def test_one_unit_alone_at_n_20000_is_ranked_exactly(self, arm):
+        """With unit i alone in an arm, |D| is n / (n - 1) times |y_i - mean|,
+        so the exact p is the share of units at least as far from the mean,
+        decided here in rational arithmetic. Units in the 20 closest pairs
+        are tested: a tolerance that grows like n * sum(|coef|) merges them."""
+        n = 20_000
+        y = np.random.default_rng(20_000).normal(size=n)
+        mean = sum(map(Fraction, y.tolist())) / n
+        spread = np.abs(y - float(mean))
+        order = np.argsort(spread)
+        closest = np.argsort(np.diff(spread[order]))[:20]
+        engine = ExactEngine()
+        for i in set(order[closest]) | set(order[closest + 1]):
+            # float spreads decide every unit but those within 1e-9 of unit i's
+            near = np.flatnonzero(np.abs(spread - spread[i]) <= 1e-9 * spread[i])
+            at_least = np.count_nonzero(spread > spread[i] * (1 + 1e-9)) + sum(
+                abs(Fraction(y[j]) - mean) >= abs(Fraction(y[i]) - mean) for j in near)
+            labels = np.full(n, 3 - arm, np.int8)
+            labels[i] = arm
+            assert permutation_test(experiment(y, labels), engine).p_value == at_least / n
+
+    def test_mixed_signs_at_2000_choose_2(self):
+        # with units {i, j} in arm 1, 2 * 1998 * D = 2000 (y_i + y_j) - 2 sum(y)
+        gen = np.random.default_rng(2000)
+        i, j = np.triu_indices(2000, 1)
+        for scale in (1, 10**8):
+            y = gen.integers(-1000, 1001, size=2000) * scale
+            ones = gen.choice(2000, 2, replace=False)
+            labels = np.full(2000, 2, np.int8)
+            labels[ones] = 1
+            key = np.abs(1000 * (y[i] + y[j]) - y.sum())
+            at_least = np.count_nonzero(key >= abs(1000 * y[ones].sum() - y.sum()))
+            p = permutation_test(experiment(y, labels), ExactEngine()).p_value
+            assert p == at_least / math.comb(2000, 2)
 
 
 class TestWilcoxon:

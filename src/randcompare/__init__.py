@@ -8,6 +8,7 @@ size/power simulation harness.
 from .core import (
     AssignmentVector,
     Hypothesis,
+    ObservedBlock,
     ObservedExperiment,
     PotentialTable,
     RealizedEffects,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -173,6 +174,77 @@ class ObservedExperiment:
             assignment=AssignmentVector.two_arms(n1, n2),
             responses=np.concatenate([arm1, arm2]),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class ObservedBlock:
+    """R >= 1 experiments on one sample with equal arm sizes, which the
+    tests score together: row r of the (R, n) matrices labels and
+    responses is experiments[r]'s. A single experiment is a block of one."""
+
+    experiments: tuple
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
+    responses: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        experiments = tuple(self.experiments)
+        if not experiments:
+            raise DataValidationError("a block needs at least one experiment")
+        first = experiments[0]
+        for e in experiments[1:]:
+            if e.n1 != first.n1 or not (e.sample is first.sample or np.array_equal(
+                    e.sample.indices, first.sample.indices)):
+                raise DataValidationError(
+                    "the experiments of a block must share one sample and its arm sizes"
+                )
+        object.__setattr__(self, "experiments", experiments)
+        object.__setattr__(self, "labels", np.stack([e.assignment.labels for e in experiments]))
+        object.__setattr__(self, "responses", np.stack([e.responses for e in experiments]))
+
+    def __len__(self) -> int:
+        return len(self.experiments)
+
+    @property
+    def sample(self) -> SampleVector:
+        return self.experiments[0].sample
+
+    @property
+    def n(self) -> int:
+        return self.experiments[0].n
+
+    @property
+    def n1(self) -> int:
+        return self.experiments[0].n1
+
+    @property
+    def n2(self) -> int:
+        return self.experiments[0].n2
+
+    @cached_property
+    def arms(self) -> tuple:
+        """The arm-1 and arm-2 responses, (R, n1) and (R, n2) matrices
+        whose rows are each experiment's arm_responses(1) and (2)."""
+        mask = self.labels == 1
+        return (self.responses[mask].reshape(len(self), self.n1),
+                self.responses[~mask].reshape(len(self), self.n2))
+
+    @cached_property
+    def arm_moments(self) -> tuple:
+        """((means, ssd) of arm 1, (means, ssd) of arm 2): each experiment's
+        arm mean and the sum of squared deviations from it, (R,) arrays.
+        Each row is reduced as ndarray.mean and np.var reduce one arm, bit
+        for bit: np.var(arm, ddof=d) is ssd / (len(arm) - d)."""
+        moments = []
+        for arm in self.arms:
+            means = arm.sum(axis=1) / arm.shape[1]
+            deviations = arm - means[:, None]
+            moments.append((means, (deviations * deviations).sum(axis=1)))
+        return tuple(moments)
+
+    @cached_property
+    def constant(self) -> list:
+        """Whether each experiment's responses are all equal."""
+        return (self.responses == self.responses[:, :1]).all(axis=1).tolist()
 
 
 class Hypothesis(enum.Enum):

@@ -140,9 +140,9 @@ class AssignmentDesign:
         Not in general: unequal inclusion weights make D move with c."""
         return False
 
-    def variance_bound(self, observed) -> float:
-        """The variance-bound estimate of var(D) over the design, from the
-        observed experiment. Only a uniform CRD defines one."""
+    def variance_bound(self, block) -> np.ndarray:
+        """The variance-bound estimate of var(D) over the design, from each
+        experiment of an ObservedBlock. Only a uniform CRD defines one."""
         raise UnsupportedDesignError(
             "the variance-bound estimator is only defined for UniformCRD; "
             "no estimator is available for general inclusion probabilities "
@@ -229,19 +229,18 @@ class UniformCRD(AssignmentDesign):
         """D(y + c) = D(y) + c * (n1 / n1 - n2 / n2) = D(y)."""
         return True
 
-    def variance_bound(self, observed) -> float:
-        """v1 / n1 + v2 / n2, with the divide-by-n arm variances."""
-        if self.n != observed.n or self.n1 != observed.n1:
+    def variance_bound(self, block) -> np.ndarray:
+        """v1 / n1 + v2 / n2 of each experiment, with the divide-by-n arm
+        variances v = ssd / n."""
+        n1, n2 = block.n1, block.n2
+        if self.n != block.n or self.n1 != n1:
             raise DesignInvalidError(
                 "design arm sizes do not match the observed assignment"
             )
-        arm1 = observed.arm_responses(1)
-        arm2 = observed.arm_responses(2)
-        if len(arm1) < 2 or len(arm2) < 2:
+        if n1 < 2 or n2 < 2:
             raise InsufficientDataError("both arms need >= 2 observations")
-        v1 = float(np.mean((arm1 - arm1.mean()) ** 2))
-        v2 = float(np.mean((arm2 - arm2.mean()) ** 2))
-        return v1 / len(arm1) + v2 / len(arm2)
+        (_, ssd1), (_, ssd2) = block.arm_moments
+        return ssd1 / n1 / n1 + ssd2 / n2 / n2
 
     def tie_bounds(self, coef, offset, observed) -> tuple:
         """stat adds k = min(n1, n2) coefficients, one arm's, bounded by

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, NoReturn, Optional, Union
 
 import numpy as np
 
-from .core import Hypothesis, ObservedExperiment
+from .core import Hypothesis, ObservedBlock, ObservedExperiment
 from .designs import (
     ENUMERATION_CAP,
     AssignmentDesign,
@@ -50,7 +50,6 @@ from .stats import (
     rank_midranks,
     rank_sum_statistic,
     resolve_weights,
-    sample_variance,
     welch_df,
     welch_se,
 )
@@ -169,17 +168,36 @@ def _report(test, observed, statistic, p_value, kind, mc_stderr=None) -> TestRep
                       entry.assumptions, observed.n1, observed.n2, bool((r == r[0]).all()))
 
 
-def _studentized(test, observed, difference, se, cdf) -> TestReport:
-    """The t and Neyman tests' common step: difference / se, with its
-    two-sided p-value against the reference law whose CDF is cdf."""
-    if se == 0.0:
-        raise DegenerateDataError("zero standard error: responses carry no variation")
-    statistic = difference / se
-    p = 2.0 * (1.0 - cdf(abs(statistic)))
-    return _report(test, observed, statistic, min(1.0, max(0.0, p)), "asymptotic")
+def _studentized(test, block, differences, ses, cdf) -> list:
+    """The t and Neyman tests' common step, on each experiment r of the
+    block: differences[r] / ses[r], with its two-sided p-value against the
+    reference law whose CDF at t is cdf(t, r); or the error that stops it.
+    Its reports are _report's, with the block's degenerate flags."""
+    entry, outcomes = TESTS[test], []
+    for r, (difference, se) in enumerate(zip(differences, ses)):
+        try:
+            if se == 0.0:
+                raise DegenerateDataError("zero standard error: responses carry no variation")
+            statistic = difference / se
+            p = 2.0 * (1.0 - cdf(abs(statistic), r))
+            outcomes.append(TestReport(test, entry.hypothesis, statistic, min(1.0, max(0.0, p)),
+                                       "asymptotic", None, entry.assumptions, block.n1,
+                                       block.n2, block.constant[r]))
+        except RandcompareError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
-def _require_two_arms(observed: ObservedExperiment) -> None:
+def _only(outcomes):
+    """The report of a block of one experiment, or the error it holds, raised."""
+    [outcome] = outcomes
+    if isinstance(outcome, RandcompareError):
+        raise outcome
+    return outcome
+
+
+def _require_two_arms(observed) -> None:
+    """Refuse an experiment, or a block of them, with an empty arm."""
     if observed.n1 < 1 or observed.n2 < 1:
         raise InsufficientDataError("both treatment arms must be nonempty")
 
@@ -306,26 +324,28 @@ def wilcoxon_test(observed: ObservedExperiment, engine: PValueEngine) -> TestRep
     return run_resampling_plans([wilcoxon_plan(observed)], engine)[0]
 
 
-def _t_test(test, observed, se_of, df_of) -> TestReport:
-    arm1 = observed.arm_responses(1)
-    arm2 = observed.arm_responses(2)
-    if len(arm1) < 2 or len(arm2) < 2:
+def _t_block(test, block, se_of, df_of) -> list:
+    """A t test on each experiment of the block, from one set of arm
+    reductions; se_of and df_of take Python floats, (v1, n1, v2, n2)."""
+    n1, n2 = block.n1, block.n2
+    if n1 < 2 or n2 < 2:
         raise InsufficientDataError("both arms need >= 2 observations")
-    arms = (sample_variance(arm1), len(arm1), sample_variance(arm2), len(arm2))
-    # cdf finds the degrees of freedom, so welch_df runs after the zero-se check
-    return _studentized(test, observed, float(arm1.mean() - arm2.mean()), se_of(*arms),
-                        lambda t: student_t_cdf(t, df_of(*arms)))
+    (mean1, ssd1), (mean2, ssd2) = block.arm_moments
+    arms = [(v1, n1, v2, n2) for v1, v2 in zip((ssd1 / (n1 - 1)).tolist(),
+                                               (ssd2 / (n2 - 1)).tolist())]
+    # cdf finds the degrees of freedom, so df_of runs after the zero-se check
+    return _studentized(test, block, (mean1 - mean2).tolist(), [se_of(*a) for a in arms],
+                        lambda t, r: student_t_cdf(t, df_of(*arms[r])))
 
 
 def welch_t_test(observed: ObservedExperiment) -> TestReport:
     """Unequal-variance t test of equal treatment means."""
-    return _t_test("welch_t", observed, welch_se, welch_df)
+    return _only(TESTS["welch_t"].build(ObservedBlock((observed,)), None, None))
 
 
 def pooled_t_test(observed: ObservedExperiment) -> TestReport:
     """Equal-variance two-sample t test of equal treatment means."""
-    return _t_test("pooled_t", observed, pooled_se,
-                   lambda v1, n1, v2, n2: float(n1 + n2 - 2))
+    return _only(TESTS["pooled_t"].build(ObservedBlock((observed,)), None, None))
 
 
 def fisher_randomization_test(
@@ -340,16 +360,29 @@ def fisher_randomization_test(
     return run_resampling_plans([fisher_randomization_plan(observed, design)], engine)[0]
 
 
+def _neyman_block(block: ObservedBlock, design: AssignmentDesign) -> list:
+    """The Neyman test on each experiment of the block: D over the
+    variance-bound standard error. Only a uniform CRD has a variance bound,
+    so D's weights are its arm sizes, none zero. Each arm's weighted sum
+    is reduced as d_statistic reduces it, from a total of 0.0, so that a D
+    of -0.0 reads 0.0 there and here."""
+    _require_two_arms(block)
+    se = np.sqrt(design.variance_bound(block))
+    weights, arm1 = design.weight_table(block.sample), block.labels == 1
+    scaled = block.responses / np.where(arm1, weights[0], weights[1])
+    sum1, sum2 = (scaled[mask].reshape(arm.shape).sum(axis=1)
+                  for mask, arm in zip((arm1, ~arm1), block.arms))
+    d = 0.0 + sum1 + -1.0 * sum2
+    return _studentized("neyman_rand", block, d.tolist(), se.tolist(),
+                        lambda t, r: normal_cdf(t))
+
+
 def neyman_randomization_test(
     observed: ObservedExperiment, design: AssignmentDesign
 ) -> TestReport:
     """Normal-approximation test of the sample average null, using the
     variance-bound standard error."""
-    _require_two_arms(observed)
-    se = neyman_se(observed, design)
-    weights = resolve_weights(design, observed.sample, observed.assignment)
-    d = d_statistic(observed.responses, observed.assignment, weights)
-    return _studentized("neyman_rand", observed, d, se, normal_cdf)
+    return _only(TESTS["neyman_rand"].build(ObservedBlock((observed,)), design, None))
 
 
 def neyman_selection_test(
@@ -371,7 +404,8 @@ def neyman_selection_test(
     weights = resolve_weights(design, observed.sample, observed.assignment)
     se = neyman_se(observed, census.assignment_design())
     d = d_statistic(observed.responses, observed.assignment, weights)
-    return _studentized("neyman_sel", observed, d, se, normal_cdf)
+    return _only(_studentized("neyman_sel", ObservedBlock((observed,)), [d], [se],
+                              lambda t, r: normal_cdf(t)))
 
 
 def fisher_selection_test(
@@ -432,13 +466,30 @@ def _neyman_sel(observed, design, census):
     return neyman_selection_test(observed, census)
 
 
+def _each(build) -> Callable:
+    """A block builder from build(observed, design, census), which returns
+    one experiment's plan or report: each experiment's, or its error."""
+    def build_block(block, design, census) -> list:
+        outcomes = []
+        for observed in block.experiments:
+            try:
+                outcomes.append(build(observed, design, census))
+            except RandcompareError as exc:
+                outcomes.append(exc)
+        return outcomes
+    return build_block
+
+
 class Procedure(NamedTuple):
     """One test: its command-line spelling, the null it addresses, the
-    codes of the model assumptions it rests on, and build(observed,
-    design, census), which returns its ResamplingPlan, for run_tests to
-    score, or its TestReport. census is the selection design the data came
-    from, or None. Builders call each test by this module's global name,
-    so a rebinding of that name reaches them."""
+    codes of the model assumptions it rests on, and build(block, design,
+    census), which returns for each experiment of the ObservedBlock its
+    ResamplingPlan, for run_block to score, its TestReport, or the
+    RandcompareError it raised; an error of the whole block is raised.
+    census is the selection design the data came from, or None. The
+    closed-form tests score the block from one set of arm reductions, the
+    others one experiment at a time. Builders call each test by this
+    module's global name, so a rebinding of that name reaches them."""
 
     spelling: str
     hypothesis: Hypothesis
@@ -450,59 +501,80 @@ class Procedure(NamedTuple):
 # because its reference distribution is not computable.
 TESTS = {
     "permutation": Procedure("permutation", Hypothesis.DUP, ("A1", "A2", "A3"),
-                             lambda obs, design, census: permutation_plan(obs)),
+                             _each(lambda obs, design, census: permutation_plan(obs))),
     "wilcoxon": Procedure("wilcoxon", Hypothesis.DUP, ("A1", "A2", "A3", "A4"),
-                          lambda obs, design, census: wilcoxon_plan(obs)),
+                          _each(lambda obs, design, census: wilcoxon_plan(obs))),
     "welch_t": Procedure("welch", Hypothesis.EUP, ("A1", "A2", "A3", "A5"),
-                         lambda obs, design, census: welch_t_test(obs)),
+                         lambda block, design, census: _t_block(
+                             "welch_t", block, welch_se, welch_df)),
     "pooled_t": Procedure("pooled", Hypothesis.EUP, ("A1", "A2", "A3", "A6"),
-                          lambda obs, design, census: pooled_t_test(obs)),
+                          lambda block, design, census: _t_block(
+                              "pooled_t", block, pooled_se,
+                              lambda v1, n1, v2, n2: float(n1 + n2 - 2))),
     "fisher_rand": Procedure("fisher-rand", Hypothesis.RUs, ("B1", "B2"),
-                             lambda obs, design, census: fisher_randomization_plan(obs, design)),
+                             _each(lambda obs, design, census:
+                                   fisher_randomization_plan(obs, design))),
     "neyman_rand": Procedure("neyman-rand", Hypothesis.RAs, ("B1", "B2"),
-                             lambda obs, design, census: neyman_randomization_test(obs, design)),
-    "neyman_sel": Procedure("neyman-sel", Hypothesis.RAP, ("C1", "C2"), _neyman_sel),
+                             lambda block, design, census: _neyman_block(block, design)),
+    "neyman_sel": Procedure("neyman-sel", Hypothesis.RAP, ("C1", "C2"), _each(_neyman_sel)),
     "fisher_sel": Procedure("fisher-sel", Hypothesis.RUP, ("C1", "C2"),
-                            lambda obs, design, census: fisher_selection_test(obs, census)),
+                            _each(lambda obs, design, census:
+                                  fisher_selection_test(obs, census))),
     "fisher_exact": Procedure("fisher-exact", Hypothesis.RUs, ("B1", "B2"),
-                              lambda obs, design, census: fisher_exact_2x2(obs)),
+                              _each(lambda obs, design, census: fisher_exact_2x2(obs))),
 }
+
+
+def run_block(block: ObservedBlock, design: AssignmentDesign, engines, names,
+              census=None):
+    """Yield, for each test named (keys of TESTS) in order, its outcome on
+    each experiment of the block: a TestReport, or the RandcompareError it
+    raised, so that a failing test hides no other and the caller decides
+    which errors to raise. engines[r] scores experiment r's resampling
+    plans.
+
+    The plans of one experiment and one design are scored on one
+    run_resampling_plans call, whose error is the result of each, made
+    when the first of them is reached: a caller that stops at an error
+    pays for no later test's draws. Under the data's own uniform CRD,
+    permutation and fisher_rand have one plan (the same weights over the
+    same support): the first built lends it to the other. The experiments
+    of a block share their arm sizes, so each of them builds that plan, or
+    none does."""
+    results, shared = [], None
+    for name in names:
+        difference = name in ("permutation", "fisher_rand")
+        if difference and shared is not None:
+            outcomes = [replace(plan, test=name) for plan in shared]
+        else:
+            try:
+                outcomes = TESTS[name].build(block, design, census)
+            except RandcompareError as exc:
+                outcomes = [exc] * len(block)
+            if (difference and all(isinstance(plan, ResamplingPlan) for plan in outcomes)
+                    and design == outcomes[0].design == UniformCRD(block.n, block.n1)):
+                shared = outcomes
+        results.append(outcomes)
+    for i, outcomes in enumerate(results):
+        for r, result in enumerate(outcomes):
+            if isinstance(result, ResamplingPlan):
+                positions = [j for j in range(i, len(results))
+                             if isinstance(results[j][r], ResamplingPlan)
+                             and results[j][r].design == result.design]
+                try:
+                    reports = run_resampling_plans([results[j][r] for j in positions],
+                                                   engines[r])
+                except RandcompareError as exc:
+                    reports = [exc] * len(positions)
+                for j, report in zip(positions, reports):
+                    results[j][r] = report
+        yield results[i]
 
 
 def run_tests(observed: ObservedExperiment, design: AssignmentDesign,
               engine: PValueEngine, names, census=None):
     """Yield the tests named (keys of TESTS) on observed, in order: each
-    one's TestReport, or the RandcompareError it raised, so that a failing
-    test hides no other and the caller decides which errors to raise.
-
-    Plans of one design are scored on one run_resampling_plans call, whose
-    error is the result of each, made when the first of them is reached: a
-    caller that stops at an error pays for no later test's draws. Under the
-    data's own uniform CRD, permutation and fisher_rand have one plan (the
-    same weights over the same support): the first built lends it to the
-    other."""
-    results, shared = [], None
-    for name in names:
-        difference = name in ("permutation", "fisher_rand")
-        try:
-            if difference and shared is not None:
-                result = replace(shared, test=name)
-            else:
-                result = TESTS[name].build(observed, design, census)
-                if difference and design == result.design == UniformCRD(observed.n, observed.n1):
-                    shared = result
-        except RandcompareError as exc:
-            result = exc
-        results.append(result)
-    for i, result in enumerate(results):
-        if isinstance(result, ResamplingPlan):
-            positions = [j for j in range(i, len(results))
-                         if isinstance(results[j], ResamplingPlan)
-                         and results[j].design == result.design]
-            try:
-                reports = run_resampling_plans([results[j] for j in positions], engine)
-            except RandcompareError as exc:
-                reports = [exc] * len(positions)
-            for j, report in zip(positions, reports):
-                results[j] = report
-        yield results[i]
+    one's TestReport, or the RandcompareError it raised. This is run_block
+    on the block of observed alone, scored by engine."""
+    for (outcome,) in run_block(ObservedBlock((observed,)), design, (engine,), names, census):
+        yield outcome

@@ -13,14 +13,18 @@ replicate; the "process" row fixes the assignment and redraws the
 potential table. Rejection rates are reported in percent with the
 binomial standard error sqrt(r(100 - r) / replicates).
 
-Each replicate runs the library's own tests through run_tests, as the
-test command does: under exact_small, when the support fits the
+Each replicate runs the library's own tests, as the test command does,
+through run_tests' block form: a row is split into near-equal blocks of
+contiguous replicates, at least one per thread and at most MC_CHUNK
+responses each, and each block is one run_block call. The closed-form
+tests score a block from one set of arm reductions; the resampling tests
+score each replicate under exact_small, when the support fits the
 enumeration cap, on an ExactEngine, which counts a uniform CRD's exact
-tails without enumerating it; otherwise on a MonteCarloEngine per
+tails without enumerating it, and otherwise on a MonteCarloEngine per
 replicate. The design is the data's own uniform CRD, so fisher_rand's
 plan is permutation's: one column, scored once, gives both p-values.
 Binary scenarios read that p-value from an exact table and report no
-rank sum.
+rank sum. How a row is split moves no result.
 
 Reproducibility contract: replicate r of the randomization row consumes
 substreams (2, r) for data and (4, 0, r) for the per-replicate Monte
@@ -42,6 +46,7 @@ import numpy as np
 
 from .core import (
     Hypothesis,
+    ObservedBlock,
     ObservedExperiment,
     PotentialTable,
     SampleVector,
@@ -56,11 +61,13 @@ from .errors import (
     UnknownScenarioError,
 )
 from .inference import (
+    MC_CHUNK,
     ExactEngine,
     MonteCarloEngine,
+    TestReport,
     check_mc_budget,
     hypergeometric_counts,
-    run_tests,
+    run_block,
 )
 
 # Everything below 100 belongs to the bulk mixture component, everything
@@ -632,7 +639,11 @@ def run_size_power(
     mc_budget defaults to 10000 resamples per replicate for populations
     of 20 units and 4000 for larger ones; like MonteCarloEngine, it
     refuses a budget below 1000. exact_small switches the resampling
-    tests to exact tails when the support fits the cap.
+    tests to exact tails when the support fits the cap. Each replicate
+    is drawn on its own substreams and runs through run_tests' block
+    form, run_block, in blocks of contiguous replicates: at least
+    threads of them, each of at most max(1, MC_CHUNK // n) replicates.
+    rows and test_suite must each name at least one item, none twice.
     Returns one PowerEstimate per (row, test), rows outermost.
     """
     if isinstance(scenario, str):
@@ -641,12 +652,15 @@ def run_size_power(
         raise DataValidationError("need at least 100 replicates")
     if not (0.0 < alpha <= 1.0):
         raise DataValidationError("alpha must lie in (0, 1]")
-    for row in rows:
-        if row not in ("randomization", "process"):
-            raise DataValidationError(f"unknown row kind {row!r}")
-    for test in test_suite:
-        if test not in DEFAULT_TEST_SUITE:
-            raise DataValidationError(f"unknown test name {test!r}")
+    for name, given, known in (("row kind", rows, ("randomization", "process")),
+                               ("test name", test_suite, DEFAULT_TEST_SUITE)):
+        if not given:
+            raise DataValidationError(f"no {name}s given")
+        for i, item in enumerate(given):
+            if item not in known:
+                raise DataValidationError(f"unknown {name} {item!r}")
+            if item in given[:i]:
+                raise DataValidationError(f"duplicate {name} {item!r}")
     if threads < 1:
         raise DataValidationError("threads must be >= 1")
     if rng is None:
@@ -662,6 +676,11 @@ def run_size_power(
         test_suite if scenario.binary else ())
     run = [test for test in test_suite if test not in tabled]
     exact = ExactEngine() if exact_small and not design.support_exceeds(ENUMERATION_CAP) else None
+    # near-equal blocks of contiguous replicates, at least one per thread,
+    # each of at most MC_CHUNK responses
+    count = min(replicates, max(threads, -(-replicates // max(1, MC_CHUNK // n))))
+    blocks = [range(b * replicates // count, (b + 1) * replicates // count)
+              for b in range(count)]
 
     estimates: list = []
     for row in rows:
@@ -671,39 +690,52 @@ def run_size_power(
         else:
             fixed = sample_assignment(design, rng.substream(1, 0))
 
-        def replicate(r) -> list:
-            """Each test's decision on replicate r: True to reject, None
-            where the test does not apply."""
+        def observe(r) -> ObservedExperiment:
+            """Replicate r's experiment, drawn on its own substream."""
             if row_key == 0:
                 table, assignment = fixed, sample_assignment(design, rng.substream(2, r))
             else:
                 table = generate_population(scenario, rng.substream(3, r).generator())
                 assignment = fixed
-            responses = select_components(table, sample, assignment)
-            observed = ObservedExperiment(sample=sample, assignment=assignment,
-                                          responses=responses)
+            return ObservedExperiment(sample=sample, assignment=assignment,
+                                      responses=select_components(table, sample, assignment))
+
+        def score(replicates_of_block) -> list:
+            """Each replicate's decisions, one per test: True to reject,
+            None where the test does not apply."""
+            block = ObservedBlock(tuple(observe(r) for r in replicates_of_block))
             p = {}
             if tabled:
-                m = int(round(float(responses.sum())))
-                k = int(round(float(observed.arm_responses(1).sum())))
-                k_lo, tails = _binary_abs_tail(n, design.n1, m)
-                p = {"permutation": tails[k - k_lo], "fisher_rand": tails[k - k_lo],
-                     "wilcoxon": None}
-            engine = exact or MonteCarloEngine(budget, rng.substream(4, row_key, r))
-            for test, result in zip(run, run_tests(observed, design, engine, run)):
-                if isinstance(result, DegenerateDataError):
-                    p[test] = 1.0  # a draw with no variation cannot reject
-                elif isinstance(result, RandcompareError):
-                    raise result
-                else:
-                    p[test] = result.p_value
-            return [None if p[test] is None else p[test] <= alpha for test in test_suite]
+                ms = np.rint(block.responses.sum(axis=1)).astype(int).tolist()
+                ks = np.rint(block.arms[0].sum(axis=1)).astype(int).tolist()
+                tails = [_binary_abs_tail(n, design.n1, m) for m in ms]
+                p["permutation"] = p["fisher_rand"] = [
+                    tail[k - k_lo] for (k_lo, tail), k in zip(tails, ks)]
+                p["wilcoxon"] = [None] * len(block)
+            engines = [exact or MonteCarloEngine(budget, rng.substream(4, row_key, r))
+                       for r in replicates_of_block]
+            p.update(zip(run, run_block(block, design, engines, run)))
+            decisions = []
+            for r in range(len(block)):
+                row_decisions = []
+                for test in test_suite:
+                    result = p[test][r]
+                    if isinstance(result, DegenerateDataError):
+                        result = 1.0  # a draw with no variation cannot reject
+                    elif isinstance(result, RandcompareError):
+                        raise result
+                    elif isinstance(result, TestReport):
+                        result = result.p_value
+                    row_decisions.append(None if result is None else result <= alpha)
+                decisions.append(row_decisions)
+            return decisions
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(replicate, range(replicates)))
+                scored = list(pool.map(score, blocks))
         else:
-            results = [replicate(r) for r in range(replicates)]
+            scored = map(score, blocks)
+        results = [decisions for block in scored for decisions in block]
         for test, decisions in zip(test_suite, zip(*results)):
             rate = stderr = rejections = None
             if None not in decisions:

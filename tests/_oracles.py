@@ -103,3 +103,45 @@ def uniform_crd_tails_by_fractions(responses, labels):
                   sum(v >= obs for v in values), sum(v <= obs for v in values))
         tails.append([float(Fraction(k, size)) for k in counts])
     return tails
+
+
+def closed_form_by_arms(observed, design):
+    """{test: (statistic, p_value, degenerate), or (error type, message)}
+    of welch_t, pooled_t and neyman_rand on one experiment, from numpy's
+    one-dimensional reductions of each arm in the order the tests were
+    first written with: np.var(arm, ddof=1) for the t tests, the mean of
+    (arm - arm.mean()) ** 2 for the variance bound, and d_statistic."""
+    from randcompare import (DegenerateDataError, RandcompareError, d_statistic, normal_cdf,
+                             pooled_se, resolve_weights, student_t_cdf, welch_df, welch_se)
+
+    arm1, arm2 = observed.arm_responses(1), observed.arm_responses(2)
+    n1, n2 = len(arm1), len(arm2)
+    r = observed.responses
+    degenerate = bool(np.ptp(r) == 0)
+
+    def studentized(difference, se, cdf):
+        if se == 0.0:
+            raise DegenerateDataError("zero standard error: responses carry no variation")
+        statistic = difference / se
+        return statistic, min(1.0, max(0.0, 2.0 * (1.0 - cdf(abs(statistic))))), degenerate
+
+    v1, v2 = float(np.var(arm1, ddof=1)), float(np.var(arm2, ddof=1))
+    difference = float(arm1.mean() - arm2.mean())
+    bound = (float(np.mean((arm1 - arm1.mean()) ** 2)) / n1
+             + float(np.mean((arm2 - arm2.mean()) ** 2)) / n2)
+    weights = resolve_weights(design, observed.sample, observed.assignment)
+    runs = {
+        "welch_t": lambda: studentized(difference, welch_se(v1, n1, v2, n2),
+                                       lambda t: student_t_cdf(t, welch_df(v1, n1, v2, n2))),
+        "pooled_t": lambda: studentized(difference, pooled_se(v1, n1, v2, n2),
+                                        lambda t: student_t_cdf(t, float(n1 + n2 - 2))),
+        "neyman_rand": lambda: studentized(
+            d_statistic(r, observed.assignment, weights), float(np.sqrt(bound)), normal_cdf),
+    }
+    results = {}
+    for name, run in runs.items():
+        try:
+            results[name] = run()
+        except RandcompareError as exc:
+            results[name] = (type(exc), str(exc))
+    return results

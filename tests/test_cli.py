@@ -738,22 +738,25 @@ def test_table_names_each_report(tmp_path):
 
 
 def test_closed_form_tests_have_one_patch_point(monkeypatch, tmp_path):
-    """The command and the harness call a closed-form test through its
-    name in randcompare.inference, which the benchmark's spans rebind."""
+    """The command, the harness and the public function build a
+    closed-form test through its entry in randcompare.inference.TESTS: the
+    harness once per block of replicates, the others on a block of one."""
     calls = []
-    welch = randcompare.inference.welch_t_test
+    entry = randcompare.inference.TESTS["welch_t"]
 
-    def counting(observed):
-        calls.append(observed.n)
-        return welch(observed)
+    def counting(block, design, census):
+        calls.append(len(block))
+        return entry.build(block, design, census)
 
-    monkeypatch.setattr(randcompare.inference, "welch_t_test", counting)
+    monkeypatch.setitem(randcompare.inference.TESTS, "welch_t", entry._replace(build=counting))
     randcompare.simulation.run_size_power("t3.sc1", test_suite=("welch_t",),
                                           replicates=100, rng=RngStream(5))
-    assert len(calls) == 200
+    assert calls == [100, 100]
     code, _ = run_cli("test", "--data", "cellphone", "--tests", "welch")
     assert code == 0
-    assert len(calls) == 201
+    assert calls == [100, 100, 1]
+    randcompare.welch_t_test(randcompare.ObservedExperiment.from_arms([1.0, 2.0], [3.0, 5.0]))
+    assert calls == [100, 100, 1, 1]
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

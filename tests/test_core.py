@@ -9,6 +9,7 @@ from randcompare import (
     BoundsError,
     DataValidationError,
     Hypothesis,
+    ObservedBlock,
     ObservedExperiment,
     PotentialTable,
     SampleVector,
@@ -130,6 +131,29 @@ class TestObservedExperiment:
         assert list(obs.assignment.labels) == [1, 2, 2]
         assert list(obs.sample.indices) == [1, 2, 3]
         assert list(obs.responses) == [5.0, 6.0, 7.0]
+
+
+class TestObservedBlock:
+    def test_rows_are_the_experiments(self, six_obs):
+        other = ObservedExperiment(six_obs.sample, AssignmentVector([2, 1, 2, 1, 1, 2]),
+                                   np.array([2.0, 7.0, 1.0, 8.0, 2.0, 8.0]))
+        block = ObservedBlock((six_obs, other))
+        assert len(block) == 2 and (block.n, block.n1, block.n2) == (6, 3, 3)
+        for row, obs in enumerate((six_obs, other)):
+            assert list(block.responses[row]) == list(obs.responses)
+            for t, arm in zip((1, 2), block.arms):
+                assert list(arm[row]) == list(obs.arm_responses(t))
+        assert block.constant == [False, False]
+
+    def test_refuses_an_empty_or_mixed_block(self, six_obs):
+        with pytest.raises(DataValidationError, match="at least one"):
+            ObservedBlock(())
+        other_arms = ObservedExperiment.from_arms([1.0, 2.0], [3.0, 4.0, 5.0, 6.0])
+        other_sample = ObservedExperiment(SampleVector([2, 3, 4, 5, 6, 7]),
+                                          six_obs.assignment, six_obs.responses)
+        for other in (other_arms, other_sample):
+            with pytest.raises(DataValidationError, match="share one sample"):
+                ObservedBlock((six_obs, other))
 
 
 class TestSelectComponents:

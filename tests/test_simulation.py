@@ -16,9 +16,11 @@ from randcompare import (
     Identity,
     MonteCarloEngine,
     Normal,
+    ObservedBlock,
     ObservedExperiment,
     PotentialTable,
     REFERENCE_RATES,
+    RandcompareError,
     RngStream,
     SampleVector,
     Scale,
@@ -50,7 +52,10 @@ from randcompare import (
 import randcompare.designs
 import randcompare.inference
 import randcompare.simulation
+from randcompare.inference import run_block
 from randcompare.simulation import _toml_subset_loads
+
+from _oracles import closed_form_by_arms
 
 BIG = 200_000
 
@@ -310,6 +315,16 @@ class TestRunSizePower:
         with pytest.raises(DataValidationError, match=">= 1000"):
             run_size_power("t3.sc1", replicates=100, rng=RngStream(0), mc_budget=999)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(test_suite=("welch_t", "welch_t")), "duplicate test name 'welch_t'"),
+        (dict(rows=("process", "process")), "duplicate row kind 'process'"),
+        (dict(test_suite=()), "no test names given"),
+        (dict(rows=()), "no row kinds given"),
+    ], ids=["duplicate-test", "duplicate-row", "no-tests", "no-rows"])
+    def test_refuses_duplicate_or_empty_names(self, kwargs, message):
+        with pytest.raises(DataValidationError, match=message):
+            run_size_power("t3.sc6", replicates=100, rng=RngStream(0), **kwargs)
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one(self, threads):
         with pytest.raises(DataValidationError, match="threads must be >= 1"):
@@ -447,6 +462,31 @@ class TestRunSizePower:
         assert [(e.row, e.test_name, e.rejections) for e in big] == [
             (e.row, e.test_name, e.rejections) for e in default]
 
+    @pytest.mark.parametrize("sid, kwargs", [
+        ("t6.sc6", {}), ("t3.sc5", {}), ("t3.sc1", dict(exact_small=True)),
+    ], ids=["binary", "monte_carlo", "exact"])
+    def test_estimates_do_not_depend_on_the_split(self, monkeypatch, sid, kwargs):
+        """Blocks of replicates are scored together; how a row is split,
+        by threads or by the block cap MC_CHUNK sets, moves no estimate."""
+        reps, n = 100, get_scenario(sid).n_population
+        kwargs = dict(replicates=reps, rng=RngStream(4), mc_budget=1000, **kwargs)
+        one = run_size_power(sid, threads=1, **kwargs)
+        for threads in (2, 3):
+            assert run_size_power(sid, threads=threads, **kwargs) == one, threads
+        sizes = []
+        block = randcompare.simulation.ObservedBlock
+
+        def recording(experiments):
+            sizes.append(len(experiments))
+            return block(experiments)
+
+        monkeypatch.setattr(randcompare.simulation, "ObservedBlock", recording)
+        for size in (1, 7, reps):
+            sizes.clear()
+            monkeypatch.setattr(randcompare.simulation, "MC_CHUNK", size * n)
+            assert run_size_power(sid, threads=1, **kwargs) == one, size
+            assert max(sizes) == size and sum(sizes) == 2 * reps
+
     def test_exact_small_close_to_mc(self):
         kwargs = dict(replicates=200, rows=("randomization",))
         mc = run_size_power("t3.sc1", rng=RngStream(6), **kwargs)
@@ -458,6 +498,84 @@ class TestRunSizePower:
 
 def _mc_stream(master, row, replicate):
     return master.substream(4, 0 if row == "randomization" else 1, replicate)
+
+
+def _harness_experiments(scenario, master, row, replicates):
+    """The experiments of a harness row, drawn on the harness's substreams."""
+    n = scenario.n_population
+    design, sample = UniformCRD(n, scenario.n1), SampleVector.first_n(n)
+    fixed = (draw_fixed_population(scenario, master) if row == "randomization"
+             else sample_assignment(design, master.substream(1, 0)))
+    experiments = []
+    for r in range(replicates):
+        if row == "randomization":
+            table, assignment = fixed, sample_assignment(design, master.substream(2, r))
+        else:
+            table = generate_population(scenario, master.substream(3, r).generator())
+            assignment = fixed
+        experiments.append(ObservedExperiment(sample, assignment,
+                                              select_components(table, sample, assignment)))
+    return design, experiments
+
+
+class TestBlockMatchesStandaloneTests:
+    """A block's closed-form tests come from one set of arm reductions; each
+    experiment's result equals, bit for bit, the public function's and the
+    one-dimensional reductions' on that experiment alone."""
+
+    CLOSED_FORM = ("welch_t", "pooled_t", "neyman_rand")
+
+    @staticmethod
+    def _result(outcome):
+        if isinstance(outcome, Exception):
+            return type(outcome), str(outcome)
+        return outcome.statistic, outcome.p_value, outcome.degenerate
+
+    def test_every_scenario_row(self):
+        # at seed 2 the process rows of t3.sc7 and t4.sc6 each draw one
+        # replicate whose arms are both constant
+        degenerate = 0
+        for sid in known_scenarios():
+            scenario = get_scenario(sid)
+            for row in ("randomization", "process"):
+                design, experiments = _harness_experiments(scenario, RngStream(2), row, 100)
+                block = ObservedBlock(experiments)
+                batched = dict(zip(self.CLOSED_FORM, run_block(
+                    block, design, [ExactEngine()] * len(block), self.CLOSED_FORM)))
+                for r, obs in enumerate(experiments):
+                    public = {}
+                    for name, test in (("welch_t", welch_t_test), ("pooled_t", pooled_t_test),
+                                       ("neyman_rand", lambda o: neyman_randomization_test(
+                                           o, design))):
+                        try:
+                            public[name] = self._result(test(obs))
+                        except RandcompareError as exc:
+                            public[name] = self._result(exc)
+                    reference = closed_form_by_arms(obs, design)
+                    for name in self.CLOSED_FORM:
+                        got = self._result(batched[name][r])
+                        # equal floats compare equal; the signs of zero must match too
+                        assert repr(got) == repr(public[name]) == repr(reference[name]), (
+                            sid, row, r, name)
+                    if sid in ("t3.sc6", "t3.sc7", "t4.sc6"):
+                        degenerate += public["welch_t"][0] is DegenerateDataError
+        # the binary scenarios reach draws whose arms are both constant
+        assert degenerate >= 1
+
+    def test_a_negative_zero_difference_reads_zero(self):
+        # arms of negative zeros: d_statistic adds the arms' sums to 0.0, so
+        # its D reads 0.0, and the block's must too
+        experiments = [ObservedExperiment.from_arms(arm1, arm2) for arm1, arm2 in (
+            ([-0.0, -0.0], [-1.0, 1.0]), ([-1.0, 1.0], [0.0, 0.0]))]
+        design = UniformCRD(4, 2)
+        block = ObservedBlock(experiments)
+        batched = dict(zip(self.CLOSED_FORM, run_block(
+            block, design, [ExactEngine()] * len(block), self.CLOSED_FORM)))
+        for r, obs in enumerate(experiments):
+            reference = closed_form_by_arms(obs, design)
+            for name in self.CLOSED_FORM:
+                assert repr(self._result(batched[name][r])) == repr(reference[name]), name
+        assert repr(batched["neyman_rand"][0].statistic) == "0.0"
 
 
 class TestKernelMatchesStandaloneTests:

@@ -104,10 +104,11 @@ class AssignmentDesign:
     A design provides ``support_size``; ``inclusion_table()``, the (2, n)
     table of P(position j gets treatment t); ``support_labels()``, the
     (M, n) int8 support labels and their (M,) probabilities, with no cap
-    check; ``sample_batch(size, gen)``, a (size, n) label matrix of
-    independent draws; ``contains(labels)``; and ``outside_support``, the
-    error message for an observed assignment it cannot produce. Its exact
-    tails scan the enumerated support unless it counts them otherwise.
+    check; ``sample_batch(size, gen)``, the (size, n) float64 arm-1
+    indicator rows of independent draws, the matrix the resampling kernel
+    multiplies; ``contains(labels)``; and ``outside_support``, the error
+    message for an observed assignment it cannot produce. Its exact tails
+    scan the enumerated support unless it counts them otherwise.
     """
 
     n: int
@@ -132,7 +133,7 @@ class AssignmentDesign:
         (coef, offset, bounds) column, by scan_tails over the enumerated
         support; this scan reuses nothing, so it ignores memo."""
         labels, probs = support_label_matrix(self)
-        return scan_tails(labels, columns, probs)
+        return scan_tails((labels == 1).astype(np.float64), columns, probs)
 
     def shift_invariant(self) -> bool:
         """Whether the weighted difference D of y + c equals D of y at
@@ -308,8 +309,11 @@ class UniformCRD(AssignmentDesign):
         return tails
 
     def sample_batch(self, size: int, gen: np.random.Generator) -> np.ndarray:
-        """Row-wise Fisher-Yates shuffles of the sorted labels."""
-        return gen.permuted(np.tile(self._template(), (size, 1)), axis=1)
+        """Row-wise Fisher-Yates shuffles, in place, of n1 ones then n2
+        zeros: the swaps of the sorted labels' shuffles, which do not depend
+        on the items swapped, made on the 8-byte items numpy moves fastest."""
+        mask = np.tile(np.repeat([1.0, 0.0], [self.n1, self.n2]), (size, 1))
+        return gen.permuted(mask, axis=1, out=mask)
 
     def contains(self, labels) -> bool:
         return np.array_equal(np.sort(labels), self._template())
@@ -340,6 +344,7 @@ class Explicit(_EqualByContent, AssignmentDesign):
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", _support_probs(self.probs, len(support)))
         object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_mask", (labels == 1).astype(np.float64))
 
     def _key(self) -> tuple:
         return self._labels.shape, self._labels.tobytes(), self.probs.tobytes()
@@ -362,8 +367,8 @@ class Explicit(_EqualByContent, AssignmentDesign):
         return self._labels, self.probs
 
     def sample_batch(self, size: int, gen: np.random.Generator) -> np.ndarray:
-        """Categorical draws of support rows."""
-        return self._labels[gen.choice(len(self.support), size=size, p=self.probs)]
+        """Categorical draws of support rows, as their arm-1 indicators."""
+        return self._mask[gen.choice(len(self.support), size=size, p=self.probs)]
 
     def contains(self, labels) -> bool:
         if len(labels) != self.n:
@@ -443,14 +448,13 @@ def support_label_matrix(design: AssignmentDesign):
     return design.support_labels()
 
 
-def scan_tails(labels, columns, probs=None) -> list:
+def scan_tails(mask, columns, probs=None) -> list:
     """[abs, upper, lower] tails of each (coef, offset, (thr, upper, lower))
-    column over the rows of a label matrix: hit counts, or with probs the
-    probability masses of those rows. A row with arm-1 indicators m has
+    column over the rows of a float64 arm-1 indicator matrix: hit counts,
+    or with probs the probability masses of those rows. A row m has
     statistic stat = m @ coef + offset, which is in the abs tail when
     |stat| >= thr, the upper when stat >= upper, the lower when
     stat <= lower."""
-    mask = (labels == 1).astype(np.float64)
     tails = []
     for coef, offset, (thr, upper, lower) in columns:
         stats = mask @ coef + offset
@@ -599,14 +603,15 @@ class TailMemo:
 
 def sample_assignment(design: AssignmentDesign, rng: RngStream) -> AssignmentVector:
     """One seeded draw from the design: the first row of a one-row batch
-    drawn from the start of rng."""
-    return AssignmentVector(sample_assignment_batch(design, 1, rng.generator())[0])
+    drawn from the start of rng, arm-1 indicators m made labels 2 - m."""
+    return AssignmentVector(2 - sample_assignment_batch(design, 1, rng.generator())[0])
 
 
 def sample_assignment_batch(
     design: AssignmentDesign, size: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """(size, n) int8 label matrix of independent draws."""
+    """(size, n) float64 arm-1 indicator rows of independent draws: 1.0
+    where a unit gets treatment 1, 0.0 where it gets treatment 2."""
     return design.sample_batch(size, gen)
 
 

@@ -54,7 +54,8 @@ from .stats import (
     welch_se,
 )
 
-# Monte Carlo draws are made and scored in batches of at most this many.
+# Monte Carlo draws are made and scored in batches of at most this many
+# float64 arm-1 indicator rows, MC_CHUNK * n * 8 bytes (4 MiB at n = 64).
 MC_CHUNK = 8_192
 
 # The smallest Monte Carlo budget any engine or the harness accepts.
@@ -111,14 +112,15 @@ class MonteCarloEngine:
     def tails(self, design: AssignmentDesign, columns) -> list:
         """ExactEngine.tails as hit counts over budget draws from design on
         rng.generator(), made in chunks of MC_CHUNK and shared by every
-        column."""
+        column. Each chunk is scored before the next is drawn, so one chunk
+        is alive at a time."""
         gen = self.rng.generator()
         bounded = [(coef, offset, design.tie_bounds(coef, offset, observed))
                    for coef, offset, observed in columns]
         totals = np.zeros((len(columns), 3), dtype=np.int64)
         for start in range(0, self.budget, MC_CHUNK):
-            labels = sample_assignment_batch(design, min(MC_CHUNK, self.budget - start), gen)
-            totals += scan_tails(labels, bounded)
+            size = min(MC_CHUNK, self.budget - start)
+            totals += scan_tails(sample_assignment_batch(design, size, gen), bounded)
         return totals.tolist()
 
     def denominator(self, design: AssignmentDesign) -> int:

@@ -75,6 +75,20 @@ def joint_inclusion_by_scan(design, sample):
     return pi
 
 
+def label_draws(design, size, gen):
+    """(size, n) int8 labels of independent draws: a row-wise shuffle of
+    the sorted int8 labels for a uniform CRD, categorical draws of support
+    rows otherwise. The reference the designs' indicator-row samplers must
+    reproduce bit for bit, as labels == 1, on the same generator."""
+    from randcompare import UniformCRD
+
+    if isinstance(design, UniformCRD):
+        labels = np.repeat(np.int8([1, 2]), [design.n1, design.n2])
+        return gen.permuted(np.tile(labels, (size, 1)), axis=1)
+    labels, probs = design.support_labels()
+    return labels[gen.choice(len(labels), size=size, p=probs)]
+
+
 def uniform_crd_tails_by_fractions(responses, labels):
     """[abs, upper, lower] tail masses of the difference of arm means and of
     the arm-1 midrank sum over every relabeling at the observed arm sizes,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import joint_inclusion_by_scan, uniform_crd_tails_by_fractions
+from _oracles import joint_inclusion_by_scan, label_draws, uniform_crd_tails_by_fractions
 from randcompare import (
     AssignmentVector,
     CensusCRD,
@@ -213,6 +213,9 @@ class TestExplicit:
             explicit_from_json("  [1, 2")
 
 
+CHUNKS = ((1, 63, 256, 680, 3000), (1, 63, 256, 680, 3000, 6000))
+
+
 def assert_chunks_are_one_batch(design, chunks):
     gen = RngStream(12).generator()
     chunked = np.concatenate([design.sample_batch(size, gen) for size in chunks])
@@ -251,8 +254,8 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n, chunks", [
-        (100, (1, 63, 256, 680, 3000)),
-        (20, (1, 63, 256, 680, 3000, 6000)),
+        (100, CHUNKS[0]),
+        (20, CHUNKS[1]),
     ])
     def test_batch_in_chunks_is_one_batch(self, n, chunks):
         # the prefix property a lazy Monte Carlo draw rests on: the chunks
@@ -264,6 +267,32 @@ class TestSampling:
     def test_explicit_batch_in_chunks_is_one_batch(self):
         d = Explicit(support=([1, 1, 2, 2], [2, 1, 2, 1], [1, 2, 1, 2]), probs=[0.5, 0.3, 0.2])
         assert_chunks_are_one_batch(d, (1, 63, 256, 680, 3000, 6000))
+
+    @pytest.mark.parametrize("chunks", CHUNKS)
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n, n1", [(64, 32), (100, 50), (20, 10), (10, 3), (10, 7)])
+    def test_indicator_rows_are_the_label_draws(self, n, n1, seed, chunks):
+        # the float64 rows shuffle what the int8 labels shuffled: the same
+        # swaps on the same substream, chunk by chunk
+        design = UniformCRD(n, n1)
+        gen, before = RngStream(seed).generator(), RngStream(seed).generator()
+        for size in chunks:
+            batch = sample_assignment_batch(design, size, gen)
+            expected = (label_draws(design, size, before) == 1).astype(np.float64)
+            assert batch.dtype == np.float64
+            assert batch.tobytes() == expected.tobytes()
+
+    def test_explicit_draws_the_same_labels(self):
+        d = Explicit(support=([1, 1, 2, 2], [2, 1, 2, 1], [1, 2, 1, 2]), probs=[0.5, 0.3, 0.2])
+        root = RngStream(31)
+        for k in range(50):
+            stream = root.substream(k)
+            drawn = sample_assignment(d, stream)
+            assert np.array_equal(drawn.labels, label_draws(d, 1, stream.generator())[0])
+        gen, before = RngStream(5).generator(), RngStream(5).generator()
+        for size in CHUNKS[1]:
+            expected = (label_draws(d, size, before) == 1).astype(np.float64)
+            assert sample_assignment_batch(d, size, gen).tobytes() == expected.tobytes()
 
     def test_batch_approximately_uniform(self):
         # 20000 draws over the C(4,2)=6 equally likely label vectors
@@ -414,7 +443,8 @@ class TestDesignContract:
     def test_sampled_rows_are_contained(self, design):
         batch = sample_assignment_batch(design, 200, RngStream(6).generator())
         assert batch.shape == (200, design.n)
-        assert all(design.contains(row) for row in batch)
+        # arm-1 indicator rows m are the labels 2 - m
+        assert all(design.contains(2 - row) for row in batch)
 
     def test_contains_exactly_the_support(self, design):
         labels, _ = support_label_matrix(design)
@@ -429,7 +459,7 @@ class TestDesignContract:
             stream = root.substream(k)
             single = sample_assignment(design, stream)
             batch = sample_assignment_batch(design, 1, stream.generator())
-            assert np.array_equal(single.labels, batch[0])
+            assert np.array_equal(single.labels, 2 - batch[0])
 
     def test_single_draw_keeps_the_stream(self, design):
         # the draws of substreams (1, 0) and (2, r) in the size/power
@@ -556,9 +586,10 @@ class TestUniformCRDExactTails:
         gen = np.random.default_rng([n, n1, KINDS.index(kind)])
         design = UniformCRD(n, n1)
         labels, _ = support_label_matrix(design)
+        mask = (labels == 1).astype(np.float64)
         for _ in range(3 if n < 20 else 1):
             columns = bounded(design, kernel_columns(observed_data(gen, kind, n, n1)))
-            assert design.exact_tails(columns) == scan_tails(labels, columns)
+            assert design.exact_tails(columns) == scan_tails(mask, columns)
 
     @pytest.mark.parametrize("n, n1", [(60, 59), (60, 1), (2000, 1998), (21, 11), (20, 10)])
     def test_counter_builds_no_more_sums_than_the_support_has_points(self, n, n1, monkeypatch):
@@ -669,7 +700,7 @@ def test_sum_table_equals_the_scan(data):
                                         (abs(observed), observed, observed)]))
     design, column = UniformCRD(n, n1), (coef, offset, bounds)
     labels, _ = support_label_matrix(design)
-    expected = scan_tails(labels, [column])
+    expected = scan_tails((labels == 1).astype(np.float64), [column])
     assert [sum_table_tails(design, column)] == expected
     assert design.exact_tails([column]) == expected
 

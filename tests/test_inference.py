@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,7 @@ from randcompare import (
 import randcompare.cli
 from randcompare.designs import sample_assignment_batch
 from randcompare.inference import (
+    MC_CHUNK,
     TESTS,
     fisher_randomization_plan,
     permutation_plan,
@@ -118,6 +120,20 @@ class TestEngines:
         alone = [MonteCarloEngine(5000, RngStream(4)).tails(design, [c])[0]
                  for c in columns]
         assert together == alone
+
+    def test_kernel_holds_one_chunk_at_a_time(self):
+        # a chunk is MC_CHUNK float64 indicator rows of n = 64 units; scored
+        # before the next is drawn, two chunks are never alive at once
+        design, coef = UniformCRD(64, 32), np.arange(64.0)
+        columns = [(coef, 0.0, 1000.0), (-coef, 1.0, 900.0)]
+        engine = MonteCarloEngine(3 * MC_CHUNK, RngStream(0))
+        tracemalloc.start()
+        try:
+            engine.tails(design, columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * MC_CHUNK * 64 * 8
 
     def test_kernel_exact_masses(self, tiny_obs):
         # arm-1 sums of (1,2,3,4) over the 6 splits: 3,4,5,5,6,7; each tail

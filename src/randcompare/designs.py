@@ -120,6 +120,15 @@ class AssignmentDesign:
         """Whether the support has more than limit points."""
         return self.support_size > limit
 
+    def contains(self, labels) -> bool:
+        """Whether the design can produce the label vector labels. Labels
+        other than 1 and 2, such as a sampled arm-1 indicator row, are
+        refused rather than read as outside the support."""
+        labels = np.asarray(labels)
+        if not np.all((labels == 1) | (labels == 2)):
+            raise DataValidationError("treatment labels must be 1 or 2")
+        return self._contains(labels)
+
     def tie_bounds(self, coef, offset, observed) -> tuple:
         """(thr, upper, lower) of a column: stat = m @ coef + offset is in
         the abs tail when |stat| >= thr, the upper when stat >= upper, the
@@ -315,7 +324,7 @@ class UniformCRD(AssignmentDesign):
         mask = np.tile(np.repeat([1.0, 0.0], [self.n1, self.n2]), (size, 1))
         return gen.permuted(mask, axis=1, out=mask)
 
-    def contains(self, labels) -> bool:
+    def _contains(self, labels) -> bool:
         return np.array_equal(np.sort(labels), self._template())
 
 
@@ -370,7 +379,7 @@ class Explicit(_EqualByContent, AssignmentDesign):
         """Categorical draws of support rows, as their arm-1 indicators."""
         return self._mask[gen.choice(len(self.support), size=size, p=self.probs)]
 
-    def contains(self, labels) -> bool:
+    def _contains(self, labels) -> bool:
         if len(labels) != self.n:
             return False
         return bool(np.any(np.all(self._labels == labels, axis=1)))

@@ -14,8 +14,10 @@ statistics, the doubled smaller tail (capped at 1) for the rank sum.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple, NoReturn, Optional, Union
 
 import numpy as np
@@ -57,6 +59,12 @@ from .stats import (
 # Monte Carlo draws are made and scored in batches of at most this many
 # float64 arm-1 indicator rows, MC_CHUNK * n * 8 bytes (4 MiB at n = 64).
 MC_CHUNK = 8_192
+
+# Draws that a stop rule may end early come in batches of at most this
+# many rows, the rule checked after each. It divides MC_CHUNK, so every
+# row sits at the same place modulo any power of two up to it as on the
+# MC_CHUNK path.
+STOP_CHUNK = 512
 
 # The smallest Monte Carlo budget any engine or the harness accepts.
 MIN_MC_BUDGET = 1000
@@ -109,17 +117,30 @@ class MonteCarloEngine:
     def __post_init__(self):
         check_mc_budget(self.budget)
 
-    def tails(self, design: AssignmentDesign, columns) -> list:
+    def tails(self, design: AssignmentDesign, columns, stop=None) -> list:
         """ExactEngine.tails as hit counts over budget draws from design on
         rng.generator(), made in chunks of MC_CHUNK and shared by every
         column. Each chunk is scored before the next is drawn, so one chunk
-        is alive at a time."""
+        is alive at a time.
+
+        stop(totals, drawn), if given, is asked before each chunk, chunks of
+        STOP_CHUNK then, whether the (columns, 3) hit counts of the first
+        drawn draws are enough; if so the draws end there and those counts
+        are returned. The draws that are made are the budget's first ones,
+        bit for bit: chunks drawn one after another from one generator are
+        the rows of one batch. The size/power harness stops once every
+        decision p <= alpha is fixed, so its decisions are the full
+        budget's; the test command and the test functions pass no stop and
+        report full-budget p-values."""
         gen = self.rng.generator()
         bounded = [(coef, offset, design.tie_bounds(coef, offset, observed))
                    for coef, offset, observed in columns]
         totals = np.zeros((len(columns), 3), dtype=np.int64)
-        for start in range(0, self.budget, MC_CHUNK):
-            size = min(MC_CHUNK, self.budget - start)
+        chunk = MC_CHUNK if stop is None else STOP_CHUNK
+        for start in range(0, self.budget, chunk):
+            if stop is not None and stop(totals, start):
+                break
+            size = min(chunk, self.budget - start)
             totals += scan_tails(sample_assignment_batch(design, size, gen), bounded)
         return totals.tolist()
 
@@ -247,23 +268,75 @@ class ResamplingPlan:
         else:
             (p, upper, lower), stderr = (t / denominator for t in tails), None
         if self.test == "wilcoxon":
-            p = min(1.0, 2.0 * min(upper, lower))
+            p = _doubled(min(upper, lower))
             if stderr is not None:
                 # stderr of the doubled smaller tail, before the cap at 1
                 stderr = 2.0 * (se_up if upper <= lower else se_lo)
         return _report(self.test, self.observed, self.statistic, p, kind, stderr)
 
+    def rejection_bound(self, alpha: float, budget: int) -> int:
+        """The largest hit count h whose report out of budget Monte Carlo
+        draws has p <= alpha, or -1 if there is none. The count is the one
+        report reads the p-value from: the abs tail, or for the rank sum
+        the smaller of the two tails."""
+        return _rejection_bound(self.test == "wilcoxon", alpha, budget)
 
-def run_resampling_plans(plans, engine: PValueEngine) -> list:
+    def stop_rule(self, alpha: float, budget: int) -> Callable:
+        """decided(tails, drawn): whether the hit counts tails of the first
+        drawn of budget draws fix this plan's decision p <= alpha. Under
+        the add-one rule the count only grows with the draws, so the
+        decision is fixed once the count is past rejection_bound (p > alpha
+        whatever follows) or cannot get past it in the draws left (p <=
+        alpha whatever follows)."""
+        bound, doubled = self.rejection_bound(alpha, budget), self.test == "wilcoxon"
+
+        def decided(tails, drawn) -> bool:
+            count = min(tails[1], tails[2]) if doubled else tails[0]
+            return count > bound or count + (budget - drawn) <= bound
+        return decided
+
+
+def _doubled(p: float) -> float:
+    """The rank sum's two-sided p-value from its smaller tail's."""
+    return min(1.0, 2.0 * p)
+
+
+@lru_cache(maxsize=None)
+def _rejection_bound(doubled: bool, alpha: float, budget: int) -> int:
+    """ResamplingPlan.rejection_bound, doubled for the rank sum: a
+    bisection over the report's own float p-values, which do not fall as
+    the count grows."""
+    def accepts(h) -> bool:
+        p, _ = add_one_pvalue(h, budget)
+        return (_doubled(p) if doubled else p) > alpha
+    return bisect.bisect_left(range(budget + 1), True, key=accepts) - 1
+
+
+def run_resampling_plans(plans, engine: PValueEngine, alpha: Optional[float] = None) -> list:
     """Reports of resampling tests that share one design, from one
     engine.tails call: one exact count, or one set of draws from engine.rng.
-    Equal columns are scored once."""
+    Equal columns are scored once.
+
+    With alpha, a Monte Carlo engine stops drawing once every plan's
+    decision p <= alpha is fixed (ResamplingPlan.stop_rule), and a report
+    then carries the p-value of the counts so far, a bound that decided
+    it: only whether p <= alpha is meaningful there. The decisions are
+    those of the full budget's reports. run_size_power is the only caller
+    that passes alpha, and such reports never leave it."""
     design = plans[0].design
     if any(plan.design != design for plan in plans):
         raise ValueError("plans scored together must share one design")
     keys = [(plan.coef.tobytes(), plan.offset, plan.compared) for plan in plans]
     columns = dict(zip(keys, (plan.column for plan in plans)))
-    tails = dict(zip(columns, engine.tails(design, list(columns.values()))))
+    if alpha is None or engine.kind != "monte_carlo":
+        counts = engine.tails(design, list(columns.values()))
+    else:
+        index = {key: i for i, key in enumerate(columns)}
+        rules = [(index[key], plan.stop_rule(alpha, engine.budget))
+                 for plan, key in zip(plans, keys)]
+        counts = engine.tails(design, list(columns.values()), lambda totals, drawn: all(
+            decided(totals[i], drawn) for i, decided in rules))
+    tails = dict(zip(columns, counts))
     denominator = engine.denominator(design)
     return [plan.report(tails[key], denominator, engine.kind) for plan, key in zip(plans, keys)]
 
@@ -528,12 +601,13 @@ TESTS = {
 
 
 def run_block(block: ObservedBlock, design: AssignmentDesign, engines, names,
-              census=None):
+              census=None, alpha: Optional[float] = None):
     """Yield, for each test named (keys of TESTS) in order, its outcome on
     each experiment of the block: a TestReport, or the RandcompareError it
     raised, so that a failing test hides no other and the caller decides
     which errors to raise. engines[r] scores experiment r's resampling
-    plans.
+    plans, on run_resampling_plans with alpha: given alpha, a Monte Carlo
+    report is a decision, not a p-value.
 
     The plans of one experiment and one design are scored on one
     run_resampling_plans call, whose error is the result of each, made
@@ -565,7 +639,7 @@ def run_block(block: ObservedBlock, design: AssignmentDesign, engines, names,
                              and results[j][r].design == result.design]
                 try:
                     reports = run_resampling_plans([results[j][r] for j in positions],
-                                                   engines[r])
+                                                   engines[r], alpha)
                 except RandcompareError as exc:
                     reports = [exc] * len(positions)
                 for j, report in zip(positions, reports):

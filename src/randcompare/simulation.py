@@ -21,8 +21,10 @@ tests score a block from one set of arm reductions; the resampling tests
 score each replicate under exact_small, when the support fits the
 enumeration cap, on an ExactEngine, which counts a uniform CRD's exact
 tails without enumerating it, and otherwise on a MonteCarloEngine per
-replicate. The design is the data's own uniform CRD, so fisher_rand's
-plan is permutation's: one column, scored once, gives both p-values.
+replicate, whose draws stop once each of the replicate's decisions
+p <= alpha is fixed (run_resampling_plans). The design is the data's
+own uniform CRD, so fisher_rand's plan is permutation's: one column,
+scored once, gives both p-values.
 Binary scenarios read that p-value from an exact table and report no
 rank sum. How a row is split moves no result.
 
@@ -643,6 +645,10 @@ def run_size_power(
     is drawn on its own substreams and runs through run_tests' block
     form, run_block, in blocks of contiguous replicates: at least
     threads of them, each of at most max(1, MC_CHUNK // n) replicates.
+    Only p <= alpha is recorded, so a replicate's Monte Carlo draws stop
+    once every one of its decisions is fixed: the budget is an upper
+    bound on the draws, and every decision is the full budget's, bit for
+    bit. The test command still reports full-budget p-values.
     rows and test_suite must each name at least one item, none twice.
     Returns one PowerEstimate per (row, test), rows outermost.
     """
@@ -714,7 +720,7 @@ def run_size_power(
                 p["wilcoxon"] = [None] * len(block)
             engines = [exact or MonteCarloEngine(budget, rng.substream(4, row_key, r))
                        for r in replicates_of_block]
-            p.update(zip(run, run_block(block, design, engines, run)))
+            p.update(zip(run, run_block(block, design, engines, run, alpha=alpha)))
             decisions = []
             for r in range(len(block)):
                 row_decisions = []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import randcompare
+import randcompare.inference
 from randcompare import (
     AssignmentVector,
     ObservedExperiment,
@@ -37,6 +38,20 @@ def cellphone():
 def tiny_obs():
     """Four units, two per arm, distinct responses."""
     return ObservedExperiment.from_arms([1.0, 2.0], [3.0, 4.0])
+
+
+@pytest.fixture
+def drawn_rows(monkeypatch):
+    """The sizes of the Monte Carlo batches drawn from here on."""
+    rows = []
+    batch = randcompare.inference.sample_assignment_batch
+
+    def counting(design, size, gen):
+        rows.append(size)
+        return batch(design, size, gen)
+
+    monkeypatch.setattr(randcompare.inference, "sample_assignment_batch", counting)
+    return rows
 
 
 @pytest.fixture

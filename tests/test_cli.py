@@ -387,6 +387,14 @@ class TestGroupedResampling:
         assert "needs a census" in capsys.readouterr().err
         assert sum(drawn) == 0
 
+    def test_all_draws_its_budget_once(self, drawn_rows, six_files):
+        """The test command reports full-budget p-values: no draw is spared."""
+        data, _ = six_files
+        code, _ = run_cli("test", "--data", data, "--tests", "all", "--design", "crd",
+                          "--mc", "2000")
+        assert code == 0
+        assert drawn_rows == [2000]
+
     def test_all_scores_two_columns(self, monkeypatch, six_files):
         """fisher-rand and permutation have one column under --design crd."""
         widths = []

@@ -446,6 +446,13 @@ class TestDesignContract:
         # arm-1 indicator rows m are the labels 2 - m
         assert all(design.contains(2 - row) for row in batch)
 
+    def test_indicator_rows_are_refused(self, design):
+        batch = sample_assignment_batch(design, 20, RngStream(6).generator())
+        for row in batch:
+            with pytest.raises(DataValidationError, match="treatment labels must be 1 or 2"):
+                design.contains(row)
+            assert design.contains(2 - row)
+
     def test_contains_exactly_the_support(self, design):
         labels, _ = support_label_matrix(design)
         support = {tuple(row) for row in labels}

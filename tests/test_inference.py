@@ -153,6 +153,75 @@ class TestEngines:
             Report("x", Hypothesis.DUP, 0.0, 1.5, "exact", None, (), 1, 1)
 
 
+STOP_BUDGETS = (1000, 4000, 10_000, 100_000)
+
+
+def stop_alphas(budget):
+    """The levels each stop rule is checked at: below the smallest add-one
+    p-value, at it, the usual ones, and 1."""
+    return (1 / (budget + 2), 1 / (budget + 1), 0.01, 0.05, 0.1, 0.5, 1.0)
+
+
+class TestStopRule:
+    """The harness's lazy decisions, ResamplingPlan.rejection_bound and
+    stop_rule, against brute force over the report's own p-values."""
+
+    @pytest.mark.parametrize("budget", STOP_BUDGETS)
+    def test_bounds_match_a_scan_of_every_count(self, six_obs, budget):
+        for plan in (permutation_plan(six_obs), wilcoxon_plan(six_obs)):
+            p = [plan.report([h, h, h], budget, "monte_carlo").p_value
+                 for h in range(budget + 1)]
+            for alpha in stop_alphas(budget):
+                expected = max((h for h, value in enumerate(p) if value <= alpha), default=-1)
+                assert plan.rejection_bound(alpha, budget) == expected, (plan.test, alpha)
+
+    def test_decided_when_every_reachable_count_agrees(self, six_obs):
+        # a plan is decided when each count it can still reach gives the
+        # same decision; the rank sum reads its smaller tail, either one
+        budget = 1000
+        for plan in (permutation_plan(six_obs), wilcoxon_plan(six_obs)):
+            for alpha in stop_alphas(budget):
+                decided = plan.stop_rule(alpha, budget)
+                bound = plan.rejection_bound(alpha, budget)
+                for drawn in (0, 1, 500, 999, 1000):
+                    left = budget - drawn
+                    for count in {0, drawn, bound - left - 1, bound - left, bound - left + 1,
+                                  bound, bound + 1}:
+                        if not 0 <= count <= drawn:
+                            continue
+                        reachable = {
+                            plan.report([k, k, k], budget, "monte_carlo").p_value <= alpha
+                            for k in range(count, count + left + 1)}
+                        if plan.test == "wilcoxon":
+                            layouts = ([drawn, count, drawn], [drawn, drawn, count])
+                        else:
+                            layouts = ([count, drawn - count, drawn],)
+                        for tails in layouts:
+                            assert decided(tails, drawn) == (len(reachable) == 1), (
+                                plan.test, alpha, drawn, tails)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stopped_decisions_are_the_full_budgets(self, seed):
+        gen = np.random.default_rng(seed)
+        for _ in range(8):
+            observed = random_instance(gen, 10, 24)
+            design = UniformCRD(observed.n, observed.n1)
+            plans = [permutation_plan(observed), wilcoxon_plan(observed),
+                     fisher_randomization_plan(observed, design)]
+            full = run_resampling_plans(plans, MonteCarloEngine(2000, RngStream(seed)))
+            alphas = (1 / 2002, 1 / 2001, 0.01, 0.05, 0.5, *(r.p_value for r in full))
+            for alpha in alphas:
+                lazy = run_resampling_plans(plans, MonteCarloEngine(2000, RngStream(seed)),
+                                            alpha)
+                assert [r.p_value <= alpha for r in lazy] == [r.p_value <= alpha
+                                                              for r in full], alpha
+
+    def test_kernel_without_a_rule_draws_its_budget(self, drawn_rows, six_obs):
+        engine = MonteCarloEngine(MC_CHUNK + 1000, RngStream(9))
+        run_resampling_plans([permutation_plan(six_obs)], engine)
+        assert drawn_rows == [MC_CHUNK, 1000]
+
+
 class TestPermutation:
     def test_exact_hand_case(self, tiny_obs):
         # responses (1,2 | 3,4): |mean diff| >= 2 for 2 of the 6 splits

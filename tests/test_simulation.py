@@ -391,6 +391,25 @@ class TestRunSizePower:
         assert [(e.row, e.rejections) for e in welch] == expected
         assert [(e.row, e.rejections) for e in exact] == expected
 
+    def test_alpha_one_draws_nothing(self, drawn_rows):
+        # every p-value is at most 1, so at alpha = 1 the full budgets
+        # reject every replicate too
+        estimates = run_size_power("t3.sc1", replicates=100, rng=RngStream(5), alpha=1.0)
+        assert sum(drawn_rows) == 0
+        assert [e.rejections for e in estimates] == [100] * len(estimates)
+
+    def test_alpha_below_every_p_value_draws_nothing(self, drawn_rows):
+        # the smallest add-one p-value of 1000 draws is 1/1001
+        estimates = run_size_power("t3.sc1", test_suite=("permutation", "wilcoxon", "fisher_rand"),
+                                   replicates=100, rng=RngStream(5), alpha=1 / 1002,
+                                   mc_budget=1000)
+        assert sum(drawn_rows) == 0
+        assert [e.rejections for e in estimates] == [0] * len(estimates)
+
+    def test_decided_replicates_stop_drawing(self, drawn_rows):
+        run_size_power("t3.sc1", replicates=100, rng=RngStream(11), rows=("randomization",))
+        assert 0 < sum(drawn_rows) < 100 * 10_000
+
     @pytest.mark.parametrize("exact_small", [False, True])
     def test_each_replicate_scores_two_columns(self, monkeypatch, exact_small):
         """fisher_rand and permutation have one column, scored once, and
@@ -399,9 +418,9 @@ class TestRunSizePower:
         engine_class = ExactEngine if exact_small else MonteCarloEngine
         tails = engine_class.tails
 
-        def counting(engine, design, columns):
+        def counting(engine, design, columns, *stop):
             widths.append(len(columns))
-            return tails(engine, design, columns)
+            return tails(engine, design, columns, *stop)
 
         built = []
         affine = randcompare.inference.d_affine_form

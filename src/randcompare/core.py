@@ -235,10 +235,13 @@ class ObservedBlock:
         Each row is reduced as ndarray.mean and np.var reduce one arm, bit
         for bit: np.var(arm, ddof=d) is ssd / (len(arm) - d)."""
         moments = []
-        for arm in self.arms:
-            means = arm.sum(axis=1) / arm.shape[1]
-            deviations = arm - means[:, None]
-            moments.append((means, (deviations * deviations).sum(axis=1)))
+        # finite but huge responses overflow to inf or nan here, which the
+        # tests refuse; numpy need not warn about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for arm in self.arms:
+                means = arm.sum(axis=1) / arm.shape[1]
+                deviations = arm - means[:, None]
+                moments.append((means, (deviations * deviations).sum(axis=1)))
         return tuple(moments)
 
     @cached_property

@@ -191,32 +191,99 @@ def _report(test, observed, statistic, p_value, kind, mc_stderr=None) -> TestRep
                       entry.assumptions, observed.n1, observed.n2, bool((r == r[0]).all()))
 
 
-def _studentized(test, block, differences, ses, cdf) -> list:
+class ClosedFormPlan(NamedTuple):
+    """A closed-form test on one experiment up to its reference CDF: its
+    studentized statistic, and df, the degrees of freedom of the t law the
+    statistic is referred to, or None for the standard normal.
+    score_closed_form turns plans into reports, reading their p-values
+    with one CDF call per law."""
+
+    test: str
+    statistic: float
+    df: Optional[float]
+    n1: int
+    n2: int
+    degenerate: bool
+
+    def report(self, p_value: float) -> TestReport:
+        """The TestReport once the plan's p-value is read."""
+        entry = TESTS[self.test]
+        return TestReport(self.test, entry.hypothesis, self.statistic, p_value, "asymptotic",
+                          None, entry.assumptions, self.n1, self.n2, self.degenerate)
+
+
+def closed_form_laws(plans) -> tuple:
+    """(statistics, dfs), float64 arrays of the plans' studentized
+    statistics and of the degrees of freedom of their t laws, nan for the
+    standard normal: what closed_form_p_values reads, without the plans."""
+    return (np.array([plan.statistic for plan in plans], dtype=np.float64),
+            np.array([np.nan if plan.df is None else plan.df for plan in plans],
+                     dtype=np.float64))
+
+
+def closed_form_p_values(statistics, dfs) -> np.ndarray:
+    """The two-sided p-value min(1, max(0, 2 (1 - F(|t|)))) of each
+    statistic t of closed_form_laws, F the CDF of its law: one
+    student_t_cdf call for those with degrees of freedom and one
+    normal_cdf call for the rest."""
+    t, t_law = np.abs(statistics), ~np.isnan(dfs)
+    cdf = np.empty_like(t)
+    if t_law.any():
+        cdf[t_law] = student_t_cdf(t[t_law], dfs[t_law])
+    if not t_law.all():
+        cdf[~t_law] = normal_cdf(t[~t_law])
+    return np.minimum(1.0, np.maximum(0.0, 2.0 * (1.0 - cdf)))
+
+
+def score_closed_form(outcomes) -> list:
+    """outcomes, test outcomes from any number of blocks, with each
+    ClosedFormPlan replaced by its TestReport; closed_form_p_values reads
+    all of their p-values at once."""
+    plans = [outcome for outcome in outcomes if isinstance(outcome, ClosedFormPlan)]
+    p_values = iter(closed_form_p_values(*closed_form_laws(plans)).tolist())
+    return [outcome.report(next(p_values)) if isinstance(outcome, ClosedFormPlan) else outcome
+            for outcome in outcomes]
+
+
+def _finite(value: float, what: str) -> float:
+    """value, or a DataValidationError where it is not finite."""
+    if not math.isfinite(value):
+        raise DataValidationError(
+            f"the {what} is not finite: the responses are too large for this test")
+    return value
+
+
+def _studentized(test, block, differences, ses, df_of=None) -> list:
     """The t and Neyman tests' common step, on each experiment r of the
-    block: differences[r] / ses[r], with its two-sided p-value against the
-    reference law whose CDF at t is cdf(t, r); or the error that stops it.
-    Its reports are _report's, with the block's degenerate flags."""
-    entry, outcomes = TESTS[test], []
+    block: differences[r] / ses[r] as a ClosedFormPlan, or the error that
+    stops it. df_of(r), called once experiment r's standard error has
+    passed its checks, gives the degrees of freedom of its t law; without
+    df_of the law is the standard normal."""
+    outcomes = []
     for r, (difference, se) in enumerate(zip(differences, ses)):
         try:
             if se == 0.0:
                 raise DegenerateDataError("zero standard error: responses carry no variation")
-            statistic = difference / se
-            p = 2.0 * (1.0 - cdf(abs(statistic), r))
-            outcomes.append(TestReport(test, entry.hypothesis, statistic, min(1.0, max(0.0, p)),
-                                       "asymptotic", None, entry.assumptions, block.n1,
-                                       block.n2, block.constant[r]))
+            _finite(se, "standard error")
+            df = None if df_of is None else _finite(df_of(r), "degrees of freedom")
+            outcomes.append(ClosedFormPlan(test, _finite(difference / se, "statistic"), df,
+                                           block.n1, block.n2, block.constant[r]))
         except RandcompareError as exc:
             outcomes.append(exc)
     return outcomes
 
 
 def _only(outcomes):
-    """The report of a block of one experiment, or the error it holds, raised."""
+    """The outcome of a block of one experiment, or the error it holds, raised."""
     [outcome] = outcomes
     if isinstance(outcome, RandcompareError):
         raise outcome
     return outcome
+
+
+def _closed_form_test(test, observed, design=None) -> TestReport:
+    """The test's TESTS entry on the block of observed alone, scored."""
+    return _only(score_closed_form(TESTS[test].build(ObservedBlock((observed,)), design, None)))
 
 
 def _require_two_arms(observed) -> None:
@@ -408,19 +475,20 @@ def _t_block(test, block, se_of, df_of) -> list:
     (mean1, ssd1), (mean2, ssd2) = block.arm_moments
     arms = [(v1, n1, v2, n2) for v1, v2 in zip((ssd1 / (n1 - 1)).tolist(),
                                                (ssd2 / (n2 - 1)).tolist())]
-    # cdf finds the degrees of freedom, so df_of runs after the zero-se check
-    return _studentized(test, block, (mean1 - mean2).tolist(), [se_of(*a) for a in arms],
-                        lambda t, r: student_t_cdf(t, df_of(*arms[r])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        differences = (mean1 - mean2).tolist()
+    return _studentized(test, block, differences, [se_of(*a) for a in arms],
+                        lambda r: df_of(*arms[r]))
 
 
 def welch_t_test(observed: ObservedExperiment) -> TestReport:
     """Unequal-variance t test of equal treatment means."""
-    return _only(TESTS["welch_t"].build(ObservedBlock((observed,)), None, None))
+    return _closed_form_test("welch_t", observed)
 
 
 def pooled_t_test(observed: ObservedExperiment) -> TestReport:
     """Equal-variance two-sample t test of equal treatment means."""
-    return _only(TESTS["pooled_t"].build(ObservedBlock((observed,)), None, None))
+    return _closed_form_test("pooled_t", observed)
 
 
 def fisher_randomization_test(
@@ -444,12 +512,12 @@ def _neyman_block(block: ObservedBlock, design: AssignmentDesign) -> list:
     _require_two_arms(block)
     se = np.sqrt(design.variance_bound(block))
     weights, arm1 = design.weight_table(block.sample), block.labels == 1
-    scaled = block.responses / np.where(arm1, weights[0], weights[1])
-    sum1, sum2 = (scaled[mask].reshape(arm.shape).sum(axis=1)
-                  for mask, arm in zip((arm1, ~arm1), block.arms))
-    d = 0.0 + sum1 + -1.0 * sum2
-    return _studentized("neyman_rand", block, d.tolist(), se.tolist(),
-                        lambda t, r: normal_cdf(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = block.responses / np.where(arm1, weights[0], weights[1])
+        sum1, sum2 = (scaled[mask].reshape(arm.shape).sum(axis=1)
+                      for mask, arm in zip((arm1, ~arm1), block.arms))
+        d = 0.0 + sum1 + -1.0 * sum2
+    return _studentized("neyman_rand", block, d.tolist(), se.tolist())
 
 
 def neyman_randomization_test(
@@ -457,13 +525,14 @@ def neyman_randomization_test(
 ) -> TestReport:
     """Normal-approximation test of the sample average null, using the
     variance-bound standard error."""
-    return _only(TESTS["neyman_rand"].build(ObservedBlock((observed,)), design, None))
+    return _closed_form_test("neyman_rand", observed, design)
 
 
-def neyman_selection_test(
+def neyman_selection_plan(
     observed: ObservedExperiment, design: SelectionDesign
-) -> TestReport:
-    """Normal-approximation test of the population average null.
+) -> ClosedFormPlan:
+    """The population average test's plan: D over the variance-bound
+    standard error of the census the selection design reduces to.
 
     Only census-reducible designs are supported: when the sample is the
     whole population the joint inclusion weights collapse to arm sizes
@@ -478,9 +547,16 @@ def neyman_selection_test(
         )
     weights = resolve_weights(design, observed.sample, observed.assignment)
     se = neyman_se(observed, census.assignment_design())
-    d = d_statistic(observed.responses, observed.assignment, weights)
-    return _only(_studentized("neyman_sel", ObservedBlock((observed,)), [d], [se],
-                              lambda t, r: normal_cdf(t)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = d_statistic(observed.responses, observed.assignment, weights)
+    return _only(_studentized("neyman_sel", ObservedBlock((observed,)), [d], [se]))
+
+
+def neyman_selection_test(
+    observed: ObservedExperiment, design: SelectionDesign
+) -> TestReport:
+    """Normal-approximation test of the population average null."""
+    return score_closed_form([neyman_selection_plan(observed, design)])[0]
 
 
 def fisher_selection_test(
@@ -538,7 +614,7 @@ def _neyman_sel(observed, design, census):
         raise UnsupportedDesignError(
             "the population average test needs a census design, and none was given"
         )
-    return neyman_selection_test(observed, census)
+    return neyman_selection_plan(observed, census)
 
 
 def _each(build) -> Callable:
@@ -559,12 +635,13 @@ class Procedure(NamedTuple):
     """One test: its command-line spelling, the null it addresses, the
     codes of the model assumptions it rests on, and build(block, design,
     census), which returns for each experiment of the ObservedBlock its
-    ResamplingPlan, for run_block to score, its TestReport, or the
-    RandcompareError it raised; an error of the whole block is raised.
-    census is the selection design the data came from, or None. The
-    closed-form tests score the block from one set of arm reductions, the
-    others one experiment at a time. Builders call each test by this
-    module's global name, so a rebinding of that name reaches them."""
+    ResamplingPlan, for run_block to score, its ClosedFormPlan, for the
+    caller to score, its TestReport, or the RandcompareError it raised;
+    an error of the whole block is raised. census is the selection design
+    the data came from, or None. The t and Neyman randomization tests
+    build the block from one set of arm reductions, the others one
+    experiment at a time. Builders call each test by this module's
+    global name, so a rebinding of that name reaches them."""
 
     spelling: str
     hypothesis: Hypothesis
@@ -603,11 +680,14 @@ TESTS = {
 def run_block(block: ObservedBlock, design: AssignmentDesign, engines, names,
               census=None, alpha: Optional[float] = None):
     """Yield, for each test named (keys of TESTS) in order, its outcome on
-    each experiment of the block: a TestReport, or the RandcompareError it
-    raised, so that a failing test hides no other and the caller decides
-    which errors to raise. engines[r] scores experiment r's resampling
-    plans, on run_resampling_plans with alpha: given alpha, a Monte Carlo
-    report is a decision, not a p-value.
+    each experiment of the block: a TestReport, a closed-form test's
+    ClosedFormPlan, or the RandcompareError it raised, so that a failing
+    test hides no other and the caller decides which errors to raise. The
+    caller reads the plans' p-values, on score_closed_form or
+    closed_form_p_values, as many blocks at a time as it likes: the CDFs
+    are array functions whose cost is mostly per call. engines[r] scores
+    experiment r's resampling plans, on run_resampling_plans with alpha:
+    given alpha, a Monte Carlo report is a decision, not a p-value.
 
     The plans of one experiment and one design are scored on one
     run_resampling_plans call, whose error is the result of each, made
@@ -651,6 +731,6 @@ def run_tests(observed: ObservedExperiment, design: AssignmentDesign,
               engine: PValueEngine, names, census=None):
     """Yield the tests named (keys of TESTS) on observed, in order: each
     one's TestReport, or the RandcompareError it raised. This is run_block
-    on the block of observed alone, scored by engine."""
-    for (outcome,) in run_block(ObservedBlock((observed,)), design, (engine,), names, census):
-        yield outcome
+    on the block of observed alone, scored by engine and score_closed_form."""
+    for outcomes in run_block(ObservedBlock((observed,)), design, (engine,), names, census):
+        yield from score_closed_form(outcomes)

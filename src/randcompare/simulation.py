@@ -17,12 +17,17 @@ Each replicate runs the library's own tests, as the test command does,
 through run_tests' block form: a row is split into near-equal blocks of
 contiguous replicates, at least one per thread and at most MC_CHUNK
 responses each, and each block is one run_block call. The closed-form
-tests score a block from one set of arm reductions; the resampling tests
-score each replicate under exact_small, when the support fits the
-enumeration cap, on an ExactEngine, which counts a uniform CRD's exact
-tails without enumerating it, and otherwise on a MonteCarloEngine per
-replicate, whose draws stop once each of the replicate's decisions
-p <= alpha is fixed (run_resampling_plans). The design is the data's
+tests build a block from one set of arm reductions and hand back each
+replicate's studentized statistic and reference law (ClosedFormPlan);
+once the thread pool joins, each test's CDF is evaluated once for the
+whole row (closed_form_p_values). That array call costs about what a
+call on one replicate does, and gives each replicate the p-value such
+a call gives, bit for bit. The resampling tests score each replicate
+under exact_small, when the support fits the enumeration cap, on an
+ExactEngine, which counts a uniform CRD's exact tails without
+enumerating it, and otherwise on a MonteCarloEngine per replicate,
+whose draws stop once each of the replicate's decisions p <= alpha is
+fixed (run_resampling_plans). The design is the data's
 own uniform CRD, so fisher_rand's plan is permutation's: one column,
 scored once, gives both p-values.
 Binary scenarios read that p-value from an exact table and report no
@@ -64,10 +69,13 @@ from .errors import (
 )
 from .inference import (
     MC_CHUNK,
+    ClosedFormPlan,
     ExactEngine,
     MonteCarloEngine,
     TestReport,
     check_mc_budget,
+    closed_form_laws,
+    closed_form_p_values,
     hypergeometric_counts,
     run_block,
 )
@@ -645,6 +653,8 @@ def run_size_power(
     is drawn on its own substreams and runs through run_tests' block
     form, run_block, in blocks of contiguous replicates: at least
     threads of them, each of at most max(1, MC_CHUNK // n) replicates.
+    The closed-form tests' p-values are read after the thread pool
+    joins, one CDF call per (row, test) over every replicate's plan.
     Only p <= alpha is recorded, so a replicate's Monte Carlo draws stop
     once every one of its decisions is fixed: the budget is an upper
     bound on the draws, and every decision is the full budget's, bit for
@@ -706,9 +716,11 @@ def run_size_power(
             return ObservedExperiment(sample=sample, assignment=assignment,
                                       responses=select_components(table, sample, assignment))
 
-        def score(replicates_of_block) -> list:
+        def score(replicates_of_block) -> tuple:
             """Each replicate's decisions, one per test: True to reject,
-            None where the test does not apply."""
+            None where the test does not apply, ClosedFormPlan where the
+            row decides after the join; and each test's closed_form_laws,
+            from which it does."""
             block = ObservedBlock(tuple(observe(r) for r in replicates_of_block))
             p = {}
             if tabled:
@@ -732,17 +744,30 @@ def run_size_power(
                         raise result
                     elif isinstance(result, TestReport):
                         result = result.p_value
-                    row_decisions.append(None if result is None else result <= alpha)
+                    if isinstance(result, ClosedFormPlan):
+                        result = ClosedFormPlan
+                    elif result is not None:
+                        result = result <= alpha
+                    row_decisions.append(result)
                 decisions.append(row_decisions)
-            return decisions
+            return decisions, {test: closed_form_laws(
+                [plan for plan in p[test] if isinstance(plan, ClosedFormPlan)]) for test in run}
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 scored = list(pool.map(score, blocks))
         else:
             scored = map(score, blocks)
-        results = [decisions for block in scored for decisions in block]
+        blocks_decided, blocks_laws = zip(*scored)
+        results = [decisions for block in blocks_decided for decisions in block]
         for test, decisions in zip(test_suite, zip(*results)):
+            if ClosedFormPlan in decisions:
+                # a closed-form test's p-values, the whole row's in one pass
+                laws = (np.concatenate(part) for part in zip(*(
+                    block_laws[test] for block_laws in blocks_laws)))
+                rejects = iter((closed_form_p_values(*laws) <= alpha).tolist())
+                decisions = [next(rejects) if decision is ClosedFormPlan else decision
+                             for decision in decisions]
             rate = stderr = rejections = None
             if None not in decisions:
                 rejections = decisions.count(True)

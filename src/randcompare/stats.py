@@ -13,6 +13,8 @@ the selection distribution.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import AssignmentVector, ObservedBlock, ObservedExperiment, SampleVector
@@ -118,7 +120,8 @@ def welch_se(var1: float, n1: int, var2: float, n2: int) -> float:
 
 
 def welch_df(var1: float, n1: int, var2: float, n2: int) -> float:
-    """Welch-Satterthwaite approximate degrees of freedom."""
+    """Welch-Satterthwaite approximate degrees of freedom; inf where the
+    square of the summed variances overflows."""
     if n1 < 2 or n2 < 2:
         raise InsufficientDataError("degrees of freedom need both arms >= 2")
     a = var1 / n1
@@ -126,7 +129,10 @@ def welch_df(var1: float, n1: int, var2: float, n2: int) -> float:
     denom = a * a / (n1 - 1) + b * b / (n2 - 1)
     if denom == 0.0:
         raise DegenerateDataError("both variances are zero")
-    return (a + b) ** 2 / denom
+    try:
+        return (a + b) ** 2 / denom
+    except OverflowError:  # float ** raises where float * reads inf
+        return math.inf
 
 
 def pooled_se(var1: float, n1: int, var2: float, n2: int) -> float:

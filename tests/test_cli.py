@@ -767,6 +767,21 @@ def test_closed_form_tests_have_one_patch_point(monkeypatch, tmp_path):
     assert calls == [100, 100, 1, 1]
 
 
+def test_closed_form_tests_refuse_huge_responses(tmp_path, capsys):
+    """Finite responses whose arm variance overflows exit 2 with a message
+    from the first closed-form test, and numpy prints no warning."""
+    data = tmp_path / "huge.csv"
+    data.write_text("unit_id,treatment,response\n" + "".join(
+        f"u{j},{arm},{y}\n" for j, (arm, y) in enumerate(
+            [(1, 1e308), (1, -1e308), (1, 1e308), (2, 1), (2, 2), (2, 3)])), encoding="utf-8")
+    for tests in ("welch,pooled,neyman-rand", "pooled", "neyman-rand"):
+        code, out = run_cli("test", "--data", str(data), "--tests", tests)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: the standard error is not finite: the responses are too large "
+            "for this test\n"), tests
+
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 

@@ -494,6 +494,44 @@ class TestTTests:
         assert report.p_value == pytest.approx(expected, abs=1e-14)
 
 
+class TestHugeResponses:
+    """Finite responses whose arm moments or statistic overflow: each
+    closed-form test refuses them with a DataValidationError that names
+    the quantity, where the t tests once crashed or read p = 1."""
+
+    TESTS = {"welch": welch_t_test, "pooled": pooled_t_test,
+             "neyman": lambda obs: neyman_randomization_test(obs, UniformCRD(6, 3))}
+
+    @pytest.mark.parametrize("name", TESTS)
+    def test_variance_overflow(self, name):
+        obs = ObservedExperiment.from_arms([1e308, -1e308, 1e308], [1.0, 2.0, 3.0])
+        with pytest.raises(DataValidationError, match="the standard error is not finite"):
+            self.TESTS[name](obs)
+
+    @pytest.mark.parametrize("name", ["pooled", "neyman"])
+    def test_statistic_overflow(self, name):
+        obs = ObservedExperiment.from_arms([0.0, 1e-150, 2e-150], [1e300] * 3)
+        with pytest.raises(DataValidationError, match="the statistic is not finite"):
+            self.TESTS[name](obs)
+        # Welch's df squares each arm's variance over n, which underflows
+        with pytest.raises(DegenerateDataError, match="both variances are zero"):
+            welch_t_test(obs)
+
+    def test_huge_finite_statistic(self):
+        # t near 2e200: its square overflows in the CDF, which reads the limit
+        obs = ObservedExperiment.from_arms([0.0, 1e-100, 2e-100], [1e100] * 3)
+        for name in ("pooled", "neyman"):
+            report = self.TESTS[name](obs)
+            assert abs(report.statistic) > 1e154 and report.p_value == 0.0, name
+
+    def test_welch_df_overflow(self):
+        # a finite variance near 1e300: the se is finite, the df's square is not
+        obs = ObservedExperiment.from_arms([1e150, -1e150, 0.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DataValidationError, match="the degrees of freedom is not finite"):
+            welch_t_test(obs)
+        assert pooled_t_test(obs).p_value == 1.0
+
+
 class TestFisherRandomization:
     def test_exact_equals_permutation(self):
         gen = np.random.default_rng(101)

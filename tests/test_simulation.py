@@ -52,7 +52,7 @@ from randcompare import (
 import randcompare.designs
 import randcompare.inference
 import randcompare.simulation
-from randcompare.inference import run_block
+from randcompare.inference import run_block, score_closed_form
 from randcompare.simulation import _toml_subset_loads
 
 from _oracles import closed_form_by_arms
@@ -559,8 +559,8 @@ class TestBlockMatchesStandaloneTests:
             for row in ("randomization", "process"):
                 design, experiments = _harness_experiments(scenario, RngStream(2), row, 100)
                 block = ObservedBlock(experiments)
-                batched = dict(zip(self.CLOSED_FORM, run_block(
-                    block, design, [ExactEngine()] * len(block), self.CLOSED_FORM)))
+                batched = dict(zip(self.CLOSED_FORM, map(score_closed_form, run_block(
+                    block, design, [ExactEngine()] * len(block), self.CLOSED_FORM))))
                 for r, obs in enumerate(experiments):
                     public = {}
                     for name, test in (("welch_t", welch_t_test), ("pooled_t", pooled_t_test),
@@ -588,8 +588,8 @@ class TestBlockMatchesStandaloneTests:
             ([-0.0, -0.0], [-1.0, 1.0]), ([-1.0, 1.0], [0.0, 0.0]))]
         design = UniformCRD(4, 2)
         block = ObservedBlock(experiments)
-        batched = dict(zip(self.CLOSED_FORM, run_block(
-            block, design, [ExactEngine()] * len(block), self.CLOSED_FORM)))
+        batched = dict(zip(self.CLOSED_FORM, map(score_closed_form, run_block(
+            block, design, [ExactEngine()] * len(block), self.CLOSED_FORM))))
         for r, obs in enumerate(experiments):
             reference = closed_form_by_arms(obs, design)
             for name in self.CLOSED_FORM:

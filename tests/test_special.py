@@ -6,7 +6,28 @@ from hypothesis import given, strategies as st
 
 from randcompare import erfc, normal_cdf, regularized_incomplete_beta, student_t_cdf
 
-from _oracles import NORMAL_CDF_PROBES, STUDENT_T_CDF_PROBES
+from _oracles import (
+    NORMAL_CDF_PROBES,
+    STUDENT_T_CDF_PROBES,
+    scalar_erfc,
+    scalar_incomplete_beta,
+    scalar_normal_cdf,
+    scalar_student_t_cdf,
+)
+
+
+def bits(values) -> list:
+    """The IEEE bit patterns of values, so that equal means bit for bit."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# the normal CDF's series/continued-fraction switch sits at (x / sqrt 2)^2 = 1.5
+_SWITCH = math.sqrt(3.0)
+NORMAL_EDGES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-160, 37.0, -37.0, 1e100,
+                _SWITCH, -_SWITCH, math.nextafter(_SWITCH, 0.0), math.nextafter(_SWITCH, 9.0),
+                math.nextafter(-_SWITCH, 0.0), math.nextafter(-_SWITCH, -9.0)]
+T_EDGES = [(0.0, 3.0), (-0.0, 3.0), (1e-300, 10.0), (-5e-324, 2.0), (1e10, 4.0),
+           (-1e10, 4.0), (1e200, 7.5), (40.0, 1.0), (-40.0, 0.5), (1.0, 1e6)]
 
 
 class TestNormalCdf:
@@ -114,3 +135,109 @@ def test_live_arbitrary_precision_spotcheck(x, df, expected):
     xm, dfm = mp.mpf(x), mp.mpf(df)
     live = mp.betainc(dfm / 2, dfm / 2, 0, (xm + mp.sqrt(xm**2 + dfm)) / (2 * mp.sqrt(xm**2 + dfm)), regularized=True)
     assert abs(float(live) - expected) <= 1e-13
+
+
+class TestArrayKernelsMatchScalarOracle:
+    """Each element of an array call is, bit for bit, the scalar function
+    the kernels were written from (tests/_oracles.py) on that element."""
+
+    def test_normal_probes_and_edges(self):
+        x = [x for x, _ in NORMAL_CDF_PROBES] + NORMAL_EDGES
+        assert bits(normal_cdf(np.array(x))) == bits([scalar_normal_cdf(v) for v in x])
+        assert bits(erfc(np.array(x))) == bits([scalar_erfc(v) for v in x])
+
+    def test_normal_grid(self):
+        x = np.concatenate([np.linspace(-12.0, 12.0, 4801),
+                            np.random.default_rng(3).normal(0.0, 3.0, 2000)])
+        assert bits(normal_cdf(x)) == bits([scalar_normal_cdf(v) for v in x.tolist()])
+
+    def test_t_probes_and_edges(self):
+        pairs = [(x, df) for x, df, _ in STUDENT_T_CDF_PROBES] + T_EDGES
+        x, df = (np.array(column) for column in zip(*pairs))
+        assert bits(student_t_cdf(x, df)) == bits([scalar_student_t_cdf(*p) for p in pairs])
+
+    @pytest.mark.parametrize("kind", ["pooled", "welch"])
+    def test_t_grid(self, kind):
+        # pooled tests refer t to integer df; Welch's df is fractional,
+        # between about half the pooled df and all of it
+        gen = np.random.default_rng(4)
+        df = np.repeat(np.arange(2.0, 201.0), 25)
+        if kind == "welch":
+            df = df * gen.uniform(0.5, 1.0, df.size)
+        x = np.abs(gen.standard_t(5, df.size)) * gen.choice([1.0, 4.0], df.size)
+        want = [scalar_student_t_cdf(*p) for p in zip(x.tolist(), df.tolist())]
+        assert bits(student_t_cdf(x, df)) == bits(want)
+
+    def test_incomplete_beta_grid(self):
+        gen = np.random.default_rng(5)
+        a, b = gen.uniform(0.05, 60.0, (2, 3000))
+        x = np.concatenate([[0.0, 1.0, 0.5], gen.uniform(0.0, 1.0, 2997)])
+        want = [scalar_incomplete_beta(*v) for v in zip(a.tolist(), b.tolist(), x.tolist())]
+        assert bits(regularized_incomplete_beta(a, b, x)) == bits(want)
+
+    @given(st.lists(st.tuples(st.floats(-60, 60), st.floats(0.5, 2000)), min_size=1,
+                    max_size=40), st.randoms(use_true_random=False), st.integers(0, 40))
+    def test_an_element_ignores_the_others(self, pairs, order, cut):
+        """Whatever the order, split or length of the array, an element's
+        result is its own, as the scalar function gives it."""
+        order.shuffle(pairs)
+        x, df = (np.array(column) for column in zip(*pairs))
+        want_t = bits([scalar_student_t_cdf(*p) for p in pairs])
+        want_normal = bits([scalar_normal_cdf(v) for v in x.tolist()])
+        for part in (slice(None, cut), slice(cut, None)):
+            assert bits(student_t_cdf(x[part], df[part])) == want_t[part]
+            assert bits(normal_cdf(x[part])) == want_normal[part]
+        assert bits([student_t_cdf(*p) for p in pairs]) == want_t
+
+
+def test_square_overflow_reads_the_limit():
+    # x * x = inf past |x| = 1.3e154: the t CDF reads I_0 = 0 there, as it
+    # always did, and erfc reads 0, where the continued fraction once
+    # failed to converge
+    assert [normal_cdf(1e200), normal_cdf(-1e200)] == [1.0, 0.0]
+    assert [erfc(math.inf), erfc(-math.inf), erfc(1e160)] == [0.0, 2.0, 0.0]
+    assert [student_t_cdf(1e200, 3.0), student_t_cdf(-1e300, 3.0)] == [1.0, 0.0]
+    with pytest.raises(ArithmeticError):
+        erfc(math.nan)
+
+
+class TestScalarContract:
+    """A scalar argument gives a Python float, as before the array kernels:
+    its repr reaches the CSV and table text."""
+
+    @pytest.mark.parametrize("value", [1.5, 2, np.float64(1.5), np.array(1.5)],
+                             ids=["float", "int", "float64", "0d"])
+    def test_floats_give_floats(self, value):
+        for result in (normal_cdf(value), erfc(value), student_t_cdf(value, value),
+                       regularized_incomplete_beta(value, value, 0.25)):
+            assert type(result) is float
+
+    def test_arrays_give_arrays(self):
+        x = np.array([[0.5, -1.0], [2.0, 0.0]])
+        for result in (normal_cdf(x), erfc(x), student_t_cdf(x, 3.0),
+                       regularized_incomplete_beta(2.0, np.abs(x) + 1.0, 0.25)):
+            assert isinstance(result, np.ndarray) and result.shape == (2, 2)
+        assert student_t_cdf([0.5], [3.0]).shape == (1,)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: normal_cdf(math.inf), "normal_cdf requires a finite argument"),
+        (lambda: normal_cdf(np.array([0.0, math.nan])), "normal_cdf requires a finite argument"),
+        (lambda: student_t_cdf(1.0, 0.0), "degrees of freedom must be positive and finite"),
+        (lambda: student_t_cdf(1.0, math.inf), "degrees of freedom must be positive and finite"),
+        (lambda: student_t_cdf([1.0, 2.0], [3.0, math.nan]),
+         "degrees of freedom must be positive and finite"),
+        (lambda: student_t_cdf(math.nan, 3.0), "student_t_cdf requires a finite argument"),
+        (lambda: student_t_cdf(math.inf, -1.0), "degrees of freedom must be positive and finite"),
+        (lambda: regularized_incomplete_beta(0.0, 1.0, 0.5),
+         "incomplete beta requires positive shape parameters"),
+        (lambda: regularized_incomplete_beta(1.0, -1.0, 0.5),
+         "incomplete beta requires positive shape parameters"),
+        (lambda: regularized_incomplete_beta(1.0, 1.0, 1.5),
+         "incomplete beta argument must lie in [0, 1]"),
+        (lambda: regularized_incomplete_beta(1.0, 1.0, [0.5, math.nan]),
+         "incomplete beta argument must lie in [0, 1]"),
+    ])
+    def test_value_errors_unchanged(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

@@ -212,20 +212,13 @@ class ClosedFormPlan(NamedTuple):
                           None, entry.assumptions, self.n1, self.n2, self.degenerate)
 
 
-def closed_form_laws(plans) -> tuple:
-    """(statistics, dfs), float64 arrays of the plans' studentized
-    statistics and of the degrees of freedom of their t laws, nan for the
-    standard normal: what closed_form_p_values reads, without the plans."""
-    return (np.array([plan.statistic for plan in plans], dtype=np.float64),
-            np.array([np.nan if plan.df is None else plan.df for plan in plans],
-                     dtype=np.float64))
-
-
 def closed_form_p_values(statistics, dfs) -> np.ndarray:
     """The two-sided p-value min(1, max(0, 2 (1 - F(|t|)))) of each
-    statistic t of closed_form_laws, F the CDF of its law: one
-    student_t_cdf call for those with degrees of freedom and one
-    normal_cdf call for the rest."""
+    studentized statistic t of the float arrays statistics, F the CDF of
+    the t law with the degrees of freedom in dfs, or of the standard
+    normal where dfs is nan: one student_t_cdf call for the t laws and
+    one normal_cdf call for the rest, whatever tests and blocks the
+    statistics are of."""
     t, t_law = np.abs(statistics), ~np.isnan(dfs)
     cdf = np.empty_like(t)
     if t_law.any():
@@ -240,7 +233,10 @@ def score_closed_form(outcomes) -> list:
     ClosedFormPlan replaced by its TestReport; closed_form_p_values reads
     all of their p-values at once."""
     plans = [outcome for outcome in outcomes if isinstance(outcome, ClosedFormPlan)]
-    p_values = iter(closed_form_p_values(*closed_form_laws(plans)).tolist())
+    p_values = iter(closed_form_p_values(
+        np.array([plan.statistic for plan in plans], dtype=np.float64),
+        np.array([np.nan if plan.df is None else plan.df for plan in plans],
+                 dtype=np.float64)).tolist())
     return [outcome.report(next(p_values)) if isinstance(outcome, ClosedFormPlan) else outcome
             for outcome in outcomes]
 
@@ -684,7 +680,7 @@ def run_block(block: ObservedBlock, design: AssignmentDesign, engines, names,
     ClosedFormPlan, or the RandcompareError it raised, so that a failing
     test hides no other and the caller decides which errors to raise. The
     caller reads the plans' p-values, on score_closed_form or
-    closed_form_p_values, as many blocks at a time as it likes: the CDFs
+    closed_form_p_values, as many plans at a time as it likes: the CDFs
     are array functions whose cost is mostly per call. engines[r] scores
     experiment r's resampling plans, on run_resampling_plans with alpha:
     given alpha, a Monte Carlo report is a decision, not a p-value.

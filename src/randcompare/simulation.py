@@ -19,15 +19,17 @@ contiguous replicates, at least one per thread and at most MC_CHUNK
 responses each, and each block is one run_block call. The closed-form
 tests build a block from one set of arm reductions and hand back each
 replicate's studentized statistic and reference law (ClosedFormPlan);
-once the thread pool joins, each test's CDF is evaluated once for the
-whole row (closed_form_p_values). That array call costs about what a
-call on one replicate does, and gives each replicate the p-value such
-a call gives, bit for bit. The resampling tests score each replicate
-under exact_small, when the support fits the enumeration cap, on an
-ExactEngine, which counts a uniform CRD's exact tails without
-enumerating it, and otherwise on a MonteCarloEngine per replicate,
-whose draws stop once each of the replicate's decisions p <= alpha is
-fixed (run_resampling_plans). The design is the data's
+the blocks write them into two arrays of the row, and once the thread
+pool joins, one closed_form_p_values call reads the p-values of the
+whole row and every closed-form test: one t CDF call for the t tests
+and one normal CDF call for the Neyman test. An array call costs about
+what a few calls on one replicate do, and gives each replicate the
+p-value such a call gives, bit for bit. The resampling tests score
+each replicate under exact_small, when the support fits the
+enumeration cap, on an ExactEngine, which counts a uniform CRD's exact
+tails without enumerating it, and otherwise on a MonteCarloEngine per
+replicate, whose draws stop once each of the replicate's decisions
+p <= alpha is fixed (run_resampling_plans). The design is the data's
 own uniform CRD, so fisher_rand's plan is permutation's: one column,
 scored once, gives both p-values.
 Binary scenarios read that p-value from an exact table and report no
@@ -74,7 +76,6 @@ from .inference import (
     MonteCarloEngine,
     TestReport,
     check_mc_budget,
-    closed_form_laws,
     closed_form_p_values,
     hypergeometric_counts,
     run_block,
@@ -654,7 +655,8 @@ def run_size_power(
     form, run_block, in blocks of contiguous replicates: at least
     threads of them, each of at most max(1, MC_CHUNK // n) replicates.
     The closed-form tests' p-values are read after the thread pool
-    joins, one CDF call per (row, test) over every replicate's plan.
+    joins: one t CDF and one normal CDF call per row, over every
+    replicate's plans.
     Only p <= alpha is recorded, so a replicate's Monte Carlo draws stop
     once every one of its decisions is fixed: the budget is an upper
     bound on the draws, and every decision is the full budget's, bit for
@@ -716,11 +718,17 @@ def run_size_power(
             return ObservedExperiment(sample=sample, assignment=assignment,
                                       responses=select_components(table, sample, assignment))
 
-        def score(replicates_of_block) -> tuple:
+        # each closed-form plan's studentized statistic and t degrees of
+        # freedom (nan for the normal law), by replicate and test: the
+        # blocks fill them in, and the row reads their p-values in one pass
+        statistics = np.full((replicates, len(test_suite)), np.nan)
+        dfs = np.full((replicates, len(test_suite)), np.nan)
+
+        def score(replicates_of_block) -> list:
             """Each replicate's decisions, one per test: True to reject,
-            None where the test does not apply, ClosedFormPlan where the
-            row decides after the join; and each test's closed_form_laws,
-            from which it does."""
+            None where the test does not apply. A closed-form plan's
+            decision is None until the row reads its p-value from the
+            statistic and degrees of freedom it writes into the arrays."""
             block = ObservedBlock(tuple(observe(r) for r in replicates_of_block))
             p = {}
             if tabled:
@@ -734,40 +742,37 @@ def run_size_power(
                        for r in replicates_of_block]
             p.update(zip(run, run_block(block, design, engines, run, alpha=alpha)))
             decisions = []
-            for r in range(len(block)):
+            for r, replicate in enumerate(replicates_of_block):
                 row_decisions = []
-                for test in test_suite:
+                for j, test in enumerate(test_suite):
                     result = p[test][r]
-                    if isinstance(result, DegenerateDataError):
+                    if isinstance(result, ClosedFormPlan):
+                        statistics[replicate, j] = result.statistic
+                        if result.df is not None:
+                            dfs[replicate, j] = result.df
+                        result = None
+                    elif isinstance(result, DegenerateDataError):
                         result = 1.0  # a draw with no variation cannot reject
                     elif isinstance(result, RandcompareError):
                         raise result
                     elif isinstance(result, TestReport):
                         result = result.p_value
-                    if isinstance(result, ClosedFormPlan):
-                        result = ClosedFormPlan
-                    elif result is not None:
-                        result = result <= alpha
-                    row_decisions.append(result)
+                    row_decisions.append(None if result is None else result <= alpha)
                 decisions.append(row_decisions)
-            return decisions, {test: closed_form_laws(
-                [plan for plan in p[test] if isinstance(plan, ClosedFormPlan)]) for test in run}
+            return decisions
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 scored = list(pool.map(score, blocks))
         else:
             scored = map(score, blocks)
-        blocks_decided, blocks_laws = zip(*scored)
-        results = [decisions for block in blocks_decided for decisions in block]
+        results = [decisions for block in scored for decisions in block]
+        # the closed-form plans' p-values, every test's over the whole row
+        planned = ~np.isnan(statistics)
+        rejects = closed_form_p_values(statistics[planned], dfs[planned]) <= alpha
+        for (r, j), reject in zip(np.argwhere(planned).tolist(), rejects.tolist()):
+            results[r][j] = reject
         for test, decisions in zip(test_suite, zip(*results)):
-            if ClosedFormPlan in decisions:
-                # a closed-form test's p-values, the whole row's in one pass
-                laws = (np.concatenate(part) for part in zip(*(
-                    block_laws[test] for block_laws in blocks_laws)))
-                rejects = iter((closed_form_p_values(*laws) <= alpha).tolist())
-                decisions = [next(rejects) if decision is ClosedFormPlan else decision
-                             for decision in decisions]
             rate = stderr = rejections = None
             if None not in decisions:
                 rejections = decisions.count(True)

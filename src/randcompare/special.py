@@ -12,16 +12,21 @@ under 100 iterations over the argument ranges that arise here.
 The kernels are array kernels, the only implementation: every element
 runs the scalar recurrence's IEEE operations in the scalar order, all
 elements in lockstep, and an element's result is its value at the step
-where it converged. From then on its state is frozen, so its result
-does not depend on the other elements. The arrays keep their length
+where it converged, so it does not depend on the other elements. A
+step's coefficients depend on the step number alone, so each kernel
+computes them for a chunk of steps in one pass, and a step is a few
+numpy calls, whose cost is mostly per call. From the step after an
+element converged its coefficients are zero: it is frozen, and its lane
+computes values that nothing reads, with no overflow or division by
+zero. The arrays keep their length
 while elements converge: compacting them to the live elements made
 arrays of every length, and numpy's cache of small buffers grew with
-each new length. numpy's +, -, *, / and abs are correctly rounded, as Python's
-are. Its log and exp are not guaranteed to match the platform libm bit
-for bit, so each element's prefactor (lgamma, log, log1p, exp) is
-computed with scalar math. The public functions take floats or arrays;
-floats give back a Python float, so a harness row of p-values is one
-call and a single p-value is the same number.
+each new length. numpy's +, -, *, / and abs are correctly rounded, as
+Python's are. Its log and exp are not guaranteed to match the platform
+libm bit for bit, so each element's prefactor (lgamma, log, log1p, exp)
+is computed with scalar math. The public functions take floats or
+arrays; floats give back a Python float, so a harness row of p-values
+is one call and a single p-value is the same number.
 
 Accuracy, verified against an arbitrary-precision oracle at frozen probe
 points: |error| <= 1e-12 for normal_cdf, <= 1e-8 for student_t_cdf (the
@@ -36,6 +41,8 @@ import numpy as np
 _FPMIN = 1e-300  # floor to keep Lentz denominators away from zero
 _EPS = 1e-16  # convergence threshold for series/continued fractions
 _MAX_ITERATIONS = 300  # cap on series terms and continued-fraction steps
+_CHUNK = 8  # steps whose coefficients one pass of numpy calls computes ...
+_CHUNK_VALUES = 4096  # ... up to this many coefficients per array, so they stay in cache
 
 
 def _floored(v: np.ndarray) -> np.ndarray:
@@ -43,25 +50,51 @@ def _floored(v: np.ndarray) -> np.ndarray:
     return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
 
 
-def _iterate(step, state: tuple, failure: str) -> np.ndarray:
-    """Run state, value, converged = step(m, *state) for m = 1, 2, ... on
-    arrays of one shape. An element's value at the first step where it
-    converged is its result; from then on its state is frozen, so that
-    its lane recomputes that step's values, which nothing reads. Raises
-    ArithmeticError(failure) if one has not converged after
+def _iterate(coefficients, step, state: tuple, failure: str) -> np.ndarray:
+    """Run step m = 1, 2, ... of a series or continued fraction on arrays
+    of one shape, state, value, converged = step(*state, *coefficients_m),
+    and give each element its value at the first step where it converged.
+    coefficients(m), for a float column m of up to _CHUNK step numbers,
+    gives arrays of those steps' coefficients, a row per step, so that a
+    step makes no call for them. From the step after an element converged,
+    its coefficients are zero, and the kernels' steps then neither
+    overflow nor divide by zero in its lane, whose values nothing reads.
+    Raises ArithmeticError(failure) if an element has not converged after
     _MAX_ITERATIONS steps."""
     out, live = np.empty_like(state[0]), np.ones(state[0].shape, dtype=bool)
     if not live.size:
         return out
-    for m in range(1, _MAX_ITERATIONS + 1):
-        new, value, converged = step(m, *state)
-        if converged.any():
-            np.copyto(out, value, where=live & converged)
-            live &= ~converged
-            if not live.any():
-                return out
-        state = new if live.all() else tuple(np.where(live, n, s) for n, s in zip(new, state))
+    chunk = max(1, min(_CHUNK, _CHUNK_VALUES // live.size))
+    for first in range(1, _MAX_ITERATIONS + 1, chunk):
+        m = np.arange(first, min(first + chunk, _MAX_ITERATIONS + 1), dtype=np.float64)
+        rows = coefficients(m[:, None])
+        for row in rows:
+            np.copyto(row, 0.0, where=~live)
+        for k, coefficients_m in enumerate(zip(*rows)):
+            state, value, converged = step(*state, *coefficients_m)
+            converged &= live
+            if np.count_nonzero(converged):
+                np.copyto(out, value, where=converged)
+                live &= ~converged
+                if not np.count_nonzero(live):
+                    return out
+                for row in rows:
+                    np.copyto(row[k + 1:], 0.0, where=converged)
     raise ArithmeticError(failure)
+
+
+def _lentz(coefficient, c, d, base, pair) -> tuple:
+    """A modified-Lentz update, (floored(base + coefficient / c),
+    1 / floored(base + coefficient * d)), with one floor over both;
+    pair is a (2, n) array it may overwrite.
+
+    The continued fractions test the new delta = d * c as delta == 1,
+    which is the scalar test |delta - 1| < _EPS: the doubles next to 1
+    are 2^-53 and 2^-52 away from it, both more than _EPS."""
+    np.divide(coefficient, c, out=pair[0])
+    np.multiply(coefficient, d, out=pair[1])
+    floored = _floored(np.add(base, pair, out=pair))
+    return floored[0], 1.0 / floored[1]
 
 
 def _gamma_front(a: float, x: np.ndarray) -> np.ndarray:
@@ -75,14 +108,14 @@ def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
     out, positive = np.zeros_like(x), x != 0.0
     x = x[positive]
 
-    def step(m, ap, term, total):
-        ap = ap + 1.0
-        term = term * (x / ap)
+    def step(term, total, ratio):
+        term = term * ratio
         total = total + term
-        return (ap, term, total), total, np.abs(term) < np.abs(total) * _EPS
+        return (term, total), total, np.abs(term) < np.abs(total) * _EPS
 
     term = np.full_like(x, 1.0 / a)
-    total = _iterate(step, (np.full_like(x, a), term, term),
+    # a + m is the scalar's ap = a + 1.0 + ... + 1.0 for erfc's a = 0.5, all sums exact
+    total = _iterate(lambda m: (x / (a + m),), step, (term, term),
                      "incomplete gamma series failed to converge")
     out[positive] = total * _gamma_front(a, x)
     return out
@@ -90,18 +123,18 @@ def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
 
 def _upper_gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
     """Regularized upper incomplete gamma Q(a, x) by modified-Lentz CF (x >= a+1)."""
-    def step(i, b, c, d, h):
-        an = -i * (i - a)
+    def step(b, c, d, h, an):
         b = b + 2.0
-        d = 1.0 / _floored(an * d + b)
-        c = _floored(b + an / c)
+        c, d = _lentz(an, c, d, b, pair)
         delta = d * c
         h = h * delta
-        return (b, c, d, h), h, np.abs(delta - 1.0) < _EPS
+        return (b, c, d, h), h, delta == 1.0
 
     b = x + 1.0 - a
     d = 1.0 / b
-    h = _iterate(step, (b, np.full_like(x, 1.0 / _FPMIN), d, d),
+    pair = np.empty((2, len(x)))
+    h = _iterate(lambda m: (np.repeat(-m * (m - a), len(x), axis=1),), step,
+                 (b, np.full_like(x, 1.0 / _FPMIN), d, d),
                  "incomplete gamma continued fraction failed to converge")
     return h * _gamma_front(a, x)
 
@@ -155,22 +188,24 @@ def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
 
-    def step(m, c, d, h):
+    def coefficients(m):
+        """Each step's two coefficients, the scalar's aa."""
         m2 = 2 * m
         am2 = a + m2
-        aa = m * (b - m) * x / ((qam + m2) * am2)
-        d = 1.0 / _floored(1.0 + aa * d)
-        c = _floored(1.0 + aa / c)
+        return (m * (b - m) * x / ((qam + m2) * am2),
+                -(a + m) * (qab + m) * x / (am2 * (qap + m2)))
+
+    def step(c, d, h, odd, even):
+        c, d = _lentz(odd, c, d, 1.0, pair)
         h = h * (d * c)
-        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
-        d = 1.0 / _floored(1.0 + aa * d)
-        c = _floored(1.0 + aa / c)
+        c, d = _lentz(even, c, d, 1.0, pair)
         delta = d * c
         h = h * delta
-        return (c, d, h), h, np.abs(delta - 1.0) < _EPS
+        return (c, d, h), h, delta == 1.0
 
     d = 1.0 / _floored(1.0 - qab * x / qap)
-    return _iterate(step, (np.ones_like(x), d, d),
+    pair = np.empty((2, len(x)))
+    return _iterate(coefficients, step, (np.ones_like(x), d, d),
                     "incomplete beta continued fraction failed to converge")
 
 

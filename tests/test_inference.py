@@ -513,8 +513,12 @@ class TestHugeResponses:
         obs = ObservedExperiment.from_arms([0.0, 1e-150, 2e-150], [1e300] * 3)
         with pytest.raises(DataValidationError, match="the statistic is not finite"):
             self.TESTS[name](obs)
-        # Welch's df squares each arm's variance over n, which underflows
-        with pytest.raises(DegenerateDataError, match="both variances are zero"):
+
+    @pytest.mark.xfail(reason="stats.welch_df squares arm 1's variance over n, 3.3e-301, "
+                              "which underflows to 0 and reads as both variances zero")
+    def test_welch_statistic_overflow(self):
+        obs = ObservedExperiment.from_arms([0.0, 1e-150, 2e-150], [1e300] * 3)
+        with pytest.raises(DataValidationError, match="the statistic is not finite"):
             welch_t_test(obs)
 
     def test_huge_finite_statistic(self):

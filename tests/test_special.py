@@ -241,3 +241,10 @@ class TestScalarContract:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+
+def test_a_lentz_delta_converges_only_at_one():
+    # the continued fractions test |delta - 1| < _EPS as delta == 1
+    from randcompare.special import _EPS
+    for neighbour in (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)):
+        assert not abs(neighbour - 1.0) < _EPS

@@ -47,7 +47,6 @@ from .special import normal_cdf, student_t_cdf
 from .stats import (
     d_affine_form,
     d_statistic,
-    neyman_se,
     pooled_se,
     rank_midranks,
     rank_sum_statistic,
@@ -56,14 +55,13 @@ from .stats import (
     welch_se,
 )
 
-# Monte Carlo draws are made and scored in batches of at most this many
-# float64 arm-1 indicator rows, MC_CHUNK * n * 8 bytes (4 MiB at n = 64).
+# The size/power harness scores its replicates in blocks of at most this
+# many responses (simulation.run_size_power).
 MC_CHUNK = 8_192
 
-# Draws that a stop rule may end early come in batches of at most this
-# many rows, the rule checked after each. It divides MC_CHUNK, so every
-# row sits at the same place modulo any power of two up to it as on the
-# MC_CHUNK path.
+# Monte Carlo draws are made and scored in batches of at most this many
+# float64 arm-1 indicator rows, STOP_CHUNK * n * 8 bytes (256 KiB at
+# n = 64), a stop rule, where one is given, checked before each.
 STOP_CHUNK = 512
 
 # The smallest Monte Carlo budget any engine or the harness accepts.
@@ -119,28 +117,26 @@ class MonteCarloEngine:
 
     def tails(self, design: AssignmentDesign, columns, stop=None) -> list:
         """ExactEngine.tails as hit counts over budget draws from design on
-        rng.generator(), made in chunks of MC_CHUNK and shared by every
+        rng.generator(), made in chunks of STOP_CHUNK and shared by every
         column. Each chunk is scored before the next is drawn, so one chunk
         is alive at a time.
 
-        stop(totals, drawn), if given, is asked before each chunk, chunks of
-        STOP_CHUNK then, whether the (columns, 3) hit counts of the first
-        drawn draws are enough; if so the draws end there and those counts
-        are returned. The draws that are made are the budget's first ones,
-        bit for bit: chunks drawn one after another from one generator are
-        the rows of one batch. The size/power harness stops once every
-        decision p <= alpha is fixed, so its decisions are the full
-        budget's; the test command and the test functions pass no stop and
-        report full-budget p-values."""
+        stop(totals, drawn), if given, is asked before each chunk whether
+        the (columns, 3) hit counts of the first drawn draws are enough; if
+        so the draws end there and those counts are returned. The draws that
+        are made are the budget's first ones, bit for bit: chunks drawn one
+        after another from one generator are the rows of one batch. The
+        size/power harness stops once every decision p <= alpha is fixed,
+        so its decisions are the full budget's; the test command and the
+        test functions pass no stop and report full-budget p-values."""
         gen = self.rng.generator()
         bounded = [(coef, offset, design.tie_bounds(coef, offset, observed))
                    for coef, offset, observed in columns]
         totals = np.zeros((len(columns), 3), dtype=np.int64)
-        chunk = MC_CHUNK if stop is None else STOP_CHUNK
-        for start in range(0, self.budget, chunk):
+        for start in range(0, self.budget, STOP_CHUNK):
             if stop is not None and stop(totals, start):
                 break
-            size = min(chunk, self.budget - start)
+            size = min(STOP_CHUNK, self.budget - start)
             totals += scan_tails(sample_assignment_batch(design, size, gen), bounded)
         return totals.tolist()
 
@@ -267,19 +263,6 @@ def _studentized(test, block, differences, ses, df_of=None) -> list:
         except RandcompareError as exc:
             outcomes.append(exc)
     return outcomes
-
-
-def _only(outcomes):
-    """The outcome of a block of one experiment, or the error it holds, raised."""
-    [outcome] = outcomes
-    if isinstance(outcome, RandcompareError):
-        raise outcome
-    return outcome
-
-
-def _closed_form_test(test, observed, design=None) -> TestReport:
-    """The test's TESTS entry on the block of observed alone, scored."""
-    return _only(score_closed_form(TESTS[test].build(ObservedBlock((observed,)), design, None)))
 
 
 def _require_two_arms(observed) -> None:
@@ -410,14 +393,18 @@ def _difference_plan(test, observed, design, weights) -> ResamplingPlan:
     responses less their middle order statistic, a data value: the
     difference of two floats of like magnitude is exact, so the centered
     responses keep the lattice of the data and a common offset in them
-    does not reach the rounding of the resampled statistics."""
+    does not reach the rounding of the resampled statistics. Responses too
+    large for the counter's sums, each at most sum(|coef|) + |offset|, are
+    refused."""
     y, assignment = observed.responses, observed.assignment
-    d_obs = d_statistic(y, assignment, weights)
-    if design.shift_invariant():
-        y = y - np.sort(y)[len(y) // 2]
-    coef, offset = d_affine_form(y, weights)
-    return ResamplingPlan(test, design, observed, d_obs, coef, offset,
-                          d_statistic(y, assignment, weights))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_obs = _finite(d_statistic(y, assignment, weights), "statistic")
+        if design.shift_invariant():
+            y = y - np.sort(y)[len(y) // 2]
+        coef, offset = d_affine_form(y, weights)
+        _finite(np.abs(coef).sum() + abs(offset), "range of the resampled statistic")
+        compared = _finite(d_statistic(y, assignment, weights), "statistic")
+    return ResamplingPlan(test, design, observed, d_obs, coef, offset, compared)
 
 
 def permutation_plan(observed: ObservedExperiment) -> ResamplingPlan:
@@ -454,12 +441,12 @@ def fisher_randomization_plan(
 def permutation_test(observed: ObservedExperiment, engine: PValueEngine) -> TestReport:
     """Two-sided test of the distributional process null via the
     difference of arm means over all relabelings at fixed arm sizes."""
-    return run_resampling_plans([permutation_plan(observed)], engine)[0]
+    return _run_test("permutation", observed, engine=engine)
 
 
 def wilcoxon_test(observed: ObservedExperiment, engine: PValueEngine) -> TestReport:
     """Rank-sum test with midranks; p = min(1, 2 * smaller tail)."""
-    return run_resampling_plans([wilcoxon_plan(observed)], engine)[0]
+    return _run_test("wilcoxon", observed, engine=engine)
 
 
 def _t_block(test, block, se_of, df_of) -> list:
@@ -479,12 +466,12 @@ def _t_block(test, block, se_of, df_of) -> list:
 
 def welch_t_test(observed: ObservedExperiment) -> TestReport:
     """Unequal-variance t test of equal treatment means."""
-    return _closed_form_test("welch_t", observed)
+    return _run_test("welch_t", observed)
 
 
 def pooled_t_test(observed: ObservedExperiment) -> TestReport:
     """Equal-variance two-sample t test of equal treatment means."""
-    return _closed_form_test("pooled_t", observed)
+    return _run_test("pooled_t", observed)
 
 
 def fisher_randomization_test(
@@ -496,24 +483,27 @@ def fisher_randomization_test(
     observed response, so the inclusion-weighted difference statistic has
     a fully known distribution over the design's support.
     """
-    return run_resampling_plans([fisher_randomization_plan(observed, design)], engine)[0]
+    return _run_test("fisher_rand", observed, design, engine)
 
 
-def _neyman_block(block: ObservedBlock, design: AssignmentDesign) -> list:
-    """The Neyman test on each experiment of the block: D over the
-    variance-bound standard error. Only a uniform CRD has a variance bound,
-    so D's weights are its arm sizes, none zero. Each arm's weighted sum
-    is reduced as d_statistic reduces it, from a total of 0.0, so that a D
-    of -0.0 reads 0.0 there and here."""
+def _neyman_block(test, block: ObservedBlock, design: AssignmentDesign, weights=None) -> list:
+    """A Neyman test on each experiment of the block: D over the
+    variance-bound standard error. Only a uniform CRD has a variance bound.
+    D's weights are the given (2, n) table, by default the design's own,
+    its arm sizes; none is zero. Each arm's weighted sum is reduced as
+    d_statistic reduces it, from a total of 0.0, so that a D of -0.0 reads
+    0.0 there and here."""
     _require_two_arms(block)
     se = np.sqrt(design.variance_bound(block))
-    weights, arm1 = design.weight_table(block.sample), block.labels == 1
+    if weights is None:
+        weights = design.weight_table(block.sample)
+    arm1 = block.labels == 1
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = block.responses / np.where(arm1, weights[0], weights[1])
         sum1, sum2 = (scaled[mask].reshape(arm.shape).sum(axis=1)
                       for mask, arm in zip((arm1, ~arm1), block.arms))
         d = 0.0 + sum1 + -1.0 * sum2
-    return _studentized("neyman_rand", block, d.tolist(), se.tolist())
+    return _studentized(test, block, d.tolist(), se.tolist())
 
 
 def neyman_randomization_test(
@@ -521,38 +511,34 @@ def neyman_randomization_test(
 ) -> TestReport:
     """Normal-approximation test of the sample average null, using the
     variance-bound standard error."""
-    return _closed_form_test("neyman_rand", observed, design)
+    return _run_test("neyman_rand", observed, design)
 
 
-def neyman_selection_plan(
-    observed: ObservedExperiment, design: SelectionDesign
-) -> ClosedFormPlan:
-    """The population average test's plan: D over the variance-bound
-    standard error of the census the selection design reduces to.
-
-    Only census-reducible designs are supported: when the sample is the
-    whole population the joint inclusion weights collapse to arm sizes
-    and the statistic coincides with the randomization-based one.
-    """
-    _require_two_arms(observed)
-    census = design.census() if isinstance(design, SelectionDesign) else None
+def _neyman_sel(block: ObservedBlock, design, census) -> list:
+    """The population average test on each experiment of the block: the
+    Neyman test on the uniform CRD the selection design census reduces
+    to, where the joint inclusion weights collapse to arm sizes, with D
+    kept on census's own weights (an ExplicitJoint's N times its inclusion
+    probabilities can miss the arm sizes in the last bit)."""
     if census is None:
         raise UnsupportedDesignError(
+            "the population average test needs a census design, and none was given")
+    _require_two_arms(block)
+    reduced = census.census() if isinstance(census, SelectionDesign) else None
+    if reduced is None:
+        raise UnsupportedDesignError(
             "the selection-based variance estimator is only defined for "
-            "designs that reduce to a census with uniform CRD assignment"
-        )
-    weights = resolve_weights(design, observed.sample, observed.assignment)
-    se = neyman_se(observed, census.assignment_design())
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = d_statistic(observed.responses, observed.assignment, weights)
-    return _only(_studentized("neyman_sel", ObservedBlock((observed,)), [d], [se]))
+            "designs that reduce to a census with uniform CRD assignment")
+    return _neyman_block("neyman_sel", block, reduced.assignment_design(),
+                         weights=census.weight_table(block.sample))
 
 
 def neyman_selection_test(
     observed: ObservedExperiment, design: SelectionDesign
 ) -> TestReport:
-    """Normal-approximation test of the population average null."""
-    return score_closed_form([neyman_selection_plan(observed, design)])[0]
+    """Normal-approximation test of the population average null, on
+    designs that reduce to a census with uniform CRD assignment."""
+    return _run_test("neyman_sel", observed, census=design)
 
 
 def fisher_selection_test(
@@ -605,14 +591,6 @@ def fisher_exact_2x2(observed: ObservedExperiment) -> TestReport:
     return _report("fisher_exact", observed, float(k_obs), numer / total, "exact")
 
 
-def _neyman_sel(observed, design, census):
-    if census is None:
-        raise UnsupportedDesignError(
-            "the population average test needs a census design, and none was given"
-        )
-    return neyman_selection_plan(observed, census)
-
-
 def _each(build) -> Callable:
     """A block builder from build(observed, design, census), which returns
     one experiment's plan or report: each experiment's, or its error."""
@@ -634,10 +612,11 @@ class Procedure(NamedTuple):
     ResamplingPlan, for run_block to score, its ClosedFormPlan, for the
     caller to score, its TestReport, or the RandcompareError it raised;
     an error of the whole block is raised. census is the selection design
-    the data came from, or None. The t and Neyman randomization tests
-    build the block from one set of arm reductions, the others one
-    experiment at a time. Builders call each test by this module's
-    global name, so a rebinding of that name reaches them."""
+    the data came from, or None. The t and Neyman tests build the block
+    from one set of arm reductions, the others one experiment at a time.
+    Builders call each test by this module's global name, so a rebinding
+    of that name reaches them; the public test functions call their
+    entry, through run_tests."""
 
     spelling: str
     hypothesis: Hypothesis
@@ -663,8 +642,10 @@ TESTS = {
                              _each(lambda obs, design, census:
                                    fisher_randomization_plan(obs, design))),
     "neyman_rand": Procedure("neyman-rand", Hypothesis.RAs, ("B1", "B2"),
-                             lambda block, design, census: _neyman_block(block, design)),
-    "neyman_sel": Procedure("neyman-sel", Hypothesis.RAP, ("C1", "C2"), _each(_neyman_sel)),
+                             lambda block, design, census: _neyman_block(
+                                 "neyman_rand", block, design)),
+    "neyman_sel": Procedure("neyman-sel", Hypothesis.RAP, ("C1", "C2"),
+                            _neyman_sel),
     "fisher_sel": Procedure("fisher-sel", Hypothesis.RUP, ("C1", "C2"),
                             _each(lambda obs, design, census:
                                   fisher_selection_test(obs, census))),
@@ -730,3 +711,12 @@ def run_tests(observed: ObservedExperiment, design: AssignmentDesign,
     on the block of observed alone, scored by engine and score_closed_form."""
     for outcomes in run_block(ObservedBlock((observed,)), design, (engine,), names, census):
         yield from score_closed_form(outcomes)
+
+
+def _run_test(name, observed, design=None, engine=None, census=None) -> TestReport:
+    """The report of the test name (a key of TESTS) on observed, through
+    run_tests, or the error it raised, raised."""
+    [outcome] = run_tests(observed, design, engine, [name], census)
+    if isinstance(outcome, RandcompareError):
+        raise outcome
+    return outcome

@@ -14,6 +14,7 @@ the selection distribution.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -121,12 +122,16 @@ def welch_se(var1: float, n1: int, var2: float, n2: int) -> float:
 
 def welch_df(var1: float, n1: int, var2: float, n2: int) -> float:
     """Welch-Satterthwaite approximate degrees of freedom; inf where the
-    square of the summed variances overflows."""
+    square of the summed variances overflows. Where the squares underflow,
+    a and b are first divided by the larger, which leaves the df unchanged."""
     if n1 < 2 or n2 < 2:
         raise InsufficientDataError("degrees of freedom need both arms >= 2")
     a = var1 / n1
     b = var2 / n2
     denom = a * a / (n1 - 1) + b * b / (n2 - 1)
+    if denom < sys.float_info.min and (a or b):
+        a, b = a / max(a, b), b / max(a, b)
+        denom = a * a / (n1 - 1) + b * b / (n2 - 1)
     if denom == 0.0:
         raise DegenerateDataError("both variances are zero")
     try:

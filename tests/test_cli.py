@@ -27,6 +27,7 @@ from randcompare import (
 )
 from randcompare.cli import main
 from randcompare.datasets import bundled_dataset_path
+from randcompare.inference import STOP_CHUNK
 
 SCHEMAS = {}
 for name in ("test_report", "simulation"):
@@ -393,7 +394,7 @@ class TestGroupedResampling:
         code, _ = run_cli("test", "--data", data, "--tests", "all", "--design", "crd",
                           "--mc", "2000")
         assert code == 0
-        assert drawn_rows == [2000]
+        assert sum(drawn_rows) == 2000 and max(drawn_rows) <= STOP_CHUNK
 
     def test_all_scores_two_columns(self, monkeypatch, six_files):
         """fisher-rand and permutation have one column under --design crd."""
@@ -747,38 +748,48 @@ def test_table_names_each_report(tmp_path):
 
 def test_closed_form_tests_have_one_patch_point(monkeypatch, tmp_path):
     """The command, the harness and the public function build a
-    closed-form test through its entry in randcompare.inference.TESTS: the
-    harness once per block of replicates, the others on a block of one."""
-    calls = []
-    entry = randcompare.inference.TESTS["welch_t"]
+    closed-form or a resampling test through its entry in
+    randcompare.inference.TESTS: the harness once per block of replicates,
+    the others on a block of one."""
+    observed = randcompare.ObservedExperiment.from_arms([1.0, 2.0], [3.0, 5.0])
+    for test, argv, public in (
+            ("welch_t", ("--tests", "welch"), lambda: randcompare.welch_t_test(observed)),
+            ("permutation", ("--tests", "permutation", "--mc", "1000"),
+             lambda: permutation_test(observed, ExactEngine()))):
+        calls = []
+        entry = randcompare.inference.TESTS[test]
 
-    def counting(block, design, census):
-        calls.append(len(block))
-        return entry.build(block, design, census)
+        def counting(block, design, census, entry=entry, calls=calls):
+            calls.append(len(block))
+            return entry.build(block, design, census)
 
-    monkeypatch.setitem(randcompare.inference.TESTS, "welch_t", entry._replace(build=counting))
-    randcompare.simulation.run_size_power("t3.sc1", test_suite=("welch_t",),
-                                          replicates=100, rng=RngStream(5))
-    assert calls == [100, 100]
-    code, _ = run_cli("test", "--data", "cellphone", "--tests", "welch")
-    assert code == 0
-    assert calls == [100, 100, 1]
-    randcompare.welch_t_test(randcompare.ObservedExperiment.from_arms([1.0, 2.0], [3.0, 5.0]))
-    assert calls == [100, 100, 1, 1]
+        monkeypatch.setitem(randcompare.inference.TESTS, test, entry._replace(build=counting))
+        randcompare.simulation.run_size_power("t3.sc1", test_suite=(test,),
+                                              replicates=100, rng=RngStream(5))
+        assert calls == [100, 100], test
+        code, _ = run_cli("test", "--data", "cellphone", *argv)
+        assert code == 0
+        assert calls == [100, 100, 1], test
+        public()
+        assert calls == [100, 100, 1, 1], test
 
 
 def test_closed_form_tests_refuse_huge_responses(tmp_path, capsys):
-    """Finite responses whose arm variance overflows exit 2 with a message
-    from the first closed-form test, and numpy prints no warning."""
+    """Finite responses whose arm variance, or the sums the resampling
+    tests count, overflow exit 2 with a message from the first test, and
+    numpy prints no warning."""
     data = tmp_path / "huge.csv"
     data.write_text("unit_id,treatment,response\n" + "".join(
         f"u{j},{arm},{y}\n" for j, (arm, y) in enumerate(
             [(1, 1e308), (1, -1e308), (1, 1e308), (2, 1), (2, 2), (2, 3)])), encoding="utf-8")
-    for tests in ("welch,pooled,neyman-rand", "pooled", "neyman-rand"):
+    for tests, quantity in (("welch,pooled,neyman-rand", "standard error"),
+                            ("pooled", "standard error"), ("neyman-rand", "standard error"),
+                            ("permutation", "range of the resampled statistic"),
+                            ("fisher-rand", "range of the resampled statistic")):
         code, out = run_cli("test", "--data", str(data), "--tests", tests)
         assert code == 2 and out == ""
         assert capsys.readouterr().err == (
-            "error: the standard error is not finite: the responses are too large "
+            f"error: the {quantity} is not finite: the responses are too large "
             "for this test\n"), tests
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -27,6 +28,7 @@ from randcompare import (
     UniformCRD,
     UnsupportedDesignError,
     add_one_pvalue,
+    d_statistic,
     explicit_from_json,
     fisher_exact_2x2,
     fisher_randomization_test,
@@ -42,9 +44,9 @@ from randcompare import (
     wilcoxon_test,
 )
 import randcompare.cli
-from randcompare.designs import sample_assignment_batch
+from randcompare.designs import sample_assignment_batch, scan_tails
 from randcompare.inference import (
-    MC_CHUNK,
+    STOP_CHUNK,
     TESTS,
     fisher_randomization_plan,
     permutation_plan,
@@ -122,18 +124,38 @@ class TestEngines:
         assert together == alone
 
     def test_kernel_holds_one_chunk_at_a_time(self):
-        # a chunk is MC_CHUNK float64 indicator rows of n = 64 units; scored
-        # before the next is drawn, two chunks are never alive at once
+        # a chunk is STOP_CHUNK float64 indicator rows of n = 64 units;
+        # scored before the next is drawn, two chunks are never alive at once
         design, coef = UniformCRD(64, 32), np.arange(64.0)
         columns = [(coef, 0.0, 1000.0), (-coef, 1.0, 900.0)]
-        engine = MonteCarloEngine(3 * MC_CHUNK, RngStream(0))
+        engine = MonteCarloEngine(20 * STOP_CHUNK, RngStream(0))
         tracemalloc.start()
         try:
             engine.tails(design, columns)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * MC_CHUNK * 64 * 8
+        assert peak < 1.5 * STOP_CHUNK * 64 * 8
+
+    # 1000 is the smallest budget; 1024 and 1025 end on and one row past a
+    # chunk, 9192 and 20,000 within one
+    @pytest.mark.parametrize("budget", (1000, 1024, 1025, 9192, 20_000))
+    @pytest.mark.parametrize("design", [UniformCRD(8, 3), Explicit(
+        support=tuple(AssignmentVector(labels) for labels in
+                      ([1, 1, 1, 2, 2, 2, 2, 2], [2, 2, 1, 1, 2, 1, 2, 2],
+                       [2, 1, 2, 2, 1, 2, 1, 2], [1, 2, 2, 2, 2, 2, 1, 1])),
+        probs=np.array([0.4, 0.3, 0.2, 0.1]))], ids=["crd", "explicit"])
+    def test_kernel_chunks_are_one_batch(self, drawn_rows, design, budget):
+        # the counts of the chunks drawn one after another from the stream
+        # are those of one batch of the whole budget drawn from it
+        gen = np.random.default_rng(7)
+        columns = [(gen.normal(size=8), -0.5, 0.3), (np.arange(8.0), 0.0, 12.0)]
+        counts = MonteCarloEngine(budget, RngStream(11)).tails(design, columns)
+        assert sum(drawn_rows) == budget and max(drawn_rows) <= STOP_CHUNK
+        bounded = [(coef, offset, design.tie_bounds(coef, offset, observed))
+                   for coef, offset, observed in columns]
+        batch = design.sample_batch(budget, RngStream(11).generator())
+        assert counts == scan_tails(batch, bounded)
 
     def test_kernel_exact_masses(self, tiny_obs):
         # arm-1 sums of (1,2,3,4) over the 6 splits: 3,4,5,5,6,7; each tail
@@ -217,9 +239,9 @@ class TestStopRule:
                                                               for r in full], alpha
 
     def test_kernel_without_a_rule_draws_its_budget(self, drawn_rows, six_obs):
-        engine = MonteCarloEngine(MC_CHUNK + 1000, RngStream(9))
+        engine = MonteCarloEngine(9192, RngStream(9))
         run_resampling_plans([permutation_plan(six_obs)], engine)
-        assert drawn_rows == [MC_CHUNK, 1000]
+        assert sum(drawn_rows) == 9192 and max(drawn_rows) <= STOP_CHUNK
 
 
 class TestPermutation:
@@ -514,8 +536,6 @@ class TestHugeResponses:
         with pytest.raises(DataValidationError, match="the statistic is not finite"):
             self.TESTS[name](obs)
 
-    @pytest.mark.xfail(reason="stats.welch_df squares arm 1's variance over n, 3.3e-301, "
-                              "which underflows to 0 and reads as both variances zero")
     def test_welch_statistic_overflow(self):
         obs = ObservedExperiment.from_arms([0.0, 1e-150, 2e-150], [1e300] * 3)
         with pytest.raises(DataValidationError, match="the statistic is not finite"):
@@ -527,6 +547,23 @@ class TestHugeResponses:
         for name in ("pooled", "neyman"):
             report = self.TESTS[name](obs)
             assert abs(report.statistic) > 1e154 and report.p_value == 0.0, name
+
+    @pytest.mark.parametrize("engine", [ExactEngine(), MonteCarloEngine(1000, RngStream(3))],
+                             ids=["exact", "mc"])
+    @pytest.mark.parametrize("arms, quantity", [
+        (([1e308, -1e308, 1e308], [1.0, 2.0, 3.0]), "range of the resampled statistic"),
+        (([1e308] * 3, [-1e308] * 3), "statistic"),
+    ], ids=["sums", "statistic"])
+    @pytest.mark.parametrize("test", ["permutation", "fisher_rand"])
+    def test_resampling_overflow(self, test, arms, quantity, engine):
+        # the sums the tail counter forms would overflow: once read as p = 1
+        obs = ObservedExperiment.from_arms(*arms)
+        with pytest.raises(DataValidationError, match=f"^the {quantity} is not finite: "
+                                                      "the responses are too large"):
+            if test == "permutation":
+                permutation_test(obs, engine)
+            else:
+                fisher_randomization_test(obs, UniformCRD(6, 3), engine)
 
     def test_welch_df_overflow(self):
         # a finite variance near 1e300: the se is finite, the df's square is not
@@ -665,6 +702,19 @@ class TestNeyman:
             assert sel.p_value == rand.p_value
             assert sel.hypothesis is Hypothesis.RAP
             assert sel.assumptions == ("C1", "C2")
+        # every split of 7 units into 4 and 3, equally likely, is a census
+        # whose own weights, 7 * (20 / 35), miss the arm size 4 in the last bit
+        gen = np.random.default_rng(5)
+        obs = ObservedExperiment.from_arms(gen.normal(size=4), gen.normal(size=3))
+        support = tuple((obs.sample, AssignmentVector([1 if j in ones else 2 for j in range(7)]))
+                        for ones in itertools.combinations(range(7), 4))
+        design = ExplicitJoint(n_population=7, support=support, probs=np.full(35, 1 / 35))
+        weights = design.weight_table(obs.sample)
+        assert not np.array_equal(weights, CensusCRD(7, 4).weight_table(obs.sample))
+        sel = neyman_selection_test(obs, design)
+        se = neyman_se(obs, UniformCRD(7, 4))
+        assert sel.statistic == d_statistic(obs.responses, obs.assignment, weights) / se
+        assert sel.hypothesis is Hypothesis.RAP
 
     def test_selection_requires_census(self):
         obs = ObservedExperiment.from_arms([1.0, 2.0], [3.0, 4.0])

@@ -210,6 +210,11 @@ class TestStandardErrors:
     def test_welch_df_equal_variances(self):
         assert welch_df(2.0, 8, 2.0, 8) == pytest.approx(14.0, abs=1e-9)
 
+    def test_welch_df_underflowing_squares(self):
+        # (1e-300 / 3)^2 underflows to 0: one variance, not both, is zero
+        assert welch_df(1e-300, 3, 0.0, 3) == 2.0
+        assert welch_df(1e-300, 3, 1e-300, 3) == pytest.approx(4.0, abs=1e-12)
+
     def test_welch_df_degenerate(self):
         with pytest.raises(DegenerateDataError):
             welch_df(0.0, 5, 0.0, 5)

@@ -187,25 +187,21 @@ def _report(test, observed, statistic, p_value, kind, mc_stderr=None) -> TestRep
                       entry.assumptions, observed.n1, observed.n2, bool((r == r[0]).all()))
 
 
-class ClosedFormPlan(NamedTuple):
-    """A closed-form test on one experiment up to its reference CDF: its
-    studentized statistic, and df, the degrees of freedom of the t law the
-    statistic is referred to, or None for the standard normal.
-    score_closed_form turns plans into reports, reading their p-values
-    with one CDF call per law."""
+@dataclass(frozen=True, eq=False)
+class ClosedFormPlans:
+    """A closed-form test on each experiment of a block up to its
+    reference CDF: (R,) float arrays of the studentized statistics and of
+    dfs, the degrees of freedom of the t law each statistic is referred
+    to, nan for the standard normal; and failures, {r: the
+    RandcompareError that stopped experiment r}, whose statistic and df
+    are nan. score_closed_form turns them into reports, reading their
+    p-values with one CDF call per law."""
 
     test: str
-    statistic: float
-    df: Optional[float]
-    n1: int
-    n2: int
-    degenerate: bool
-
-    def report(self, p_value: float) -> TestReport:
-        """The TestReport once the plan's p-value is read."""
-        entry = TESTS[self.test]
-        return TestReport(self.test, entry.hypothesis, self.statistic, p_value, "asymptotic",
-                          None, entry.assumptions, self.n1, self.n2, self.degenerate)
+    block: ObservedBlock
+    statistics: np.ndarray
+    dfs: np.ndarray
+    failures: dict
 
 
 def closed_form_p_values(statistics, dfs) -> np.ndarray:
@@ -225,44 +221,65 @@ def closed_form_p_values(statistics, dfs) -> np.ndarray:
 
 
 def score_closed_form(outcomes) -> list:
-    """outcomes, test outcomes from any number of blocks, with each
-    ClosedFormPlan replaced by its TestReport; closed_form_p_values reads
-    all of their p-values at once."""
-    plans = [outcome for outcome in outcomes if isinstance(outcome, ClosedFormPlan)]
-    p_values = iter(closed_form_p_values(
-        np.array([plan.statistic for plan in plans], dtype=np.float64),
-        np.array([np.nan if plan.df is None else plan.df for plan in plans],
-                 dtype=np.float64)).tolist())
-    return [outcome.report(next(p_values)) if isinstance(outcome, ClosedFormPlan) else outcome
-            for outcome in outcomes]
+    """A test's outcomes on a block, each experiment's, with
+    ClosedFormPlans read into a TestReport per experiment, or the error
+    that stopped it: one closed_form_p_values call reads the p-values."""
+    if not isinstance(outcomes, ClosedFormPlans):
+        return list(outcomes)
+    planned = ~np.isnan(outcomes.statistics)
+    p_values = np.full(len(planned), np.nan)
+    p_values[planned] = closed_form_p_values(outcomes.statistics[planned],
+                                             outcomes.dfs[planned])
+    test, block, failures = outcomes.test, outcomes.block, outcomes.failures
+    entry = TESTS[test]
+    return [failures[r] if r in failures else TestReport(
+                test, entry.hypothesis, statistic, p_value, "asymptotic", None,
+                entry.assumptions, block.n1, block.n2, degenerate)
+            for r, (statistic, p_value, degenerate) in enumerate(zip(
+                outcomes.statistics.tolist(), p_values.tolist(), block.constant))]
+
+
+def _not_finite(what: str) -> DataValidationError:
+    """The error of a value, named by what, that is not finite."""
+    return DataValidationError(
+        f"the {what} is not finite: the responses are too large for this test")
 
 
 def _finite(value: float, what: str) -> float:
     """value, or a DataValidationError where it is not finite."""
     if not math.isfinite(value):
-        raise DataValidationError(
-            f"the {what} is not finite: the responses are too large for this test")
+        raise _not_finite(what)
     return value
 
 
-def _studentized(test, block, differences, ses, df_of=None) -> list:
-    """The t and Neyman tests' common step, on each experiment r of the
-    block: differences[r] / ses[r] as a ClosedFormPlan, or the error that
-    stops it. df_of(r), called once experiment r's standard error has
-    passed its checks, gives the degrees of freedom of its t law; without
+def _studentized(test, block, differences, ses, df_of=None) -> ClosedFormPlans:
+    """The t and Neyman tests' common step on the block: differences / ses,
+    (R,) arrays, as ClosedFormPlans. Experiment r fails at the first check
+    it fails, in this order: a zero standard error (DegenerateDataError),
+    then a standard error, degrees of freedom or statistic that is not
+    finite. df_of(passed), given the mask of the experiments whose standard
+    errors passed, gives the degrees of freedom of their t laws; without
     df_of the law is the standard normal."""
-    outcomes = []
-    for r, (difference, se) in enumerate(zip(differences, ses)):
-        try:
-            if se == 0.0:
-                raise DegenerateDataError("zero standard error: responses carry no variation")
-            _finite(se, "standard error")
-            df = None if df_of is None else _finite(df_of(r), "degrees of freedom")
-            outcomes.append(ClosedFormPlan(test, _finite(difference / se, "statistic"), df,
-                                           block.n1, block.n2, block.constant[r]))
-        except RandcompareError as exc:
-            outcomes.append(exc)
-    return outcomes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        statistics = differences / ses
+    dfs = np.full(len(ses), np.nan)
+    failures, failed = {}, np.zeros(len(ses), dtype=bool)
+
+    def refuse(rows, error) -> None:
+        """error stops each of rows that no earlier check stopped."""
+        rows &= ~failed
+        if rows.any():
+            failures.update(dict.fromkeys(np.flatnonzero(rows).tolist(), error))
+            failed[rows] = True
+
+    refuse(ses == 0.0, DegenerateDataError("zero standard error: responses carry no variation"))
+    refuse(~np.isfinite(ses), _not_finite("standard error"))
+    if df_of is not None:
+        dfs[~failed] = df_of(~failed)
+        refuse(~np.isfinite(dfs), _not_finite("degrees of freedom"))
+    refuse(~np.isfinite(statistics), _not_finite("statistic"))
+    statistics[failed] = dfs[failed] = np.nan
+    return ClosedFormPlans(test, block, statistics, dfs, failures)
 
 
 def _require_two_arms(observed) -> None:
@@ -449,19 +466,25 @@ def wilcoxon_test(observed: ObservedExperiment, engine: PValueEngine) -> TestRep
     return _run_test("wilcoxon", observed, engine=engine)
 
 
-def _t_block(test, block, se_of, df_of) -> list:
+def _t_block(test, block, se_of, df_of) -> ClosedFormPlans:
     """A t test on each experiment of the block, from one set of arm
-    reductions; se_of and df_of take Python floats, (v1, n1, v2, n2)."""
+    reductions; se_of and df_of take (v1, n1, v2, n2), v1 and v2 arrays of
+    arm variances, and give an array, or a float for every experiment."""
     n1, n2 = block.n1, block.n2
     if n1 < 2 or n2 < 2:
         raise InsufficientDataError("both arms need >= 2 observations")
     (mean1, ssd1), (mean2, ssd2) = block.arm_moments
-    arms = [(v1, n1, v2, n2) for v1, v2 in zip((ssd1 / (n1 - 1)).tolist(),
-                                               (ssd2 / (n2 - 1)).tolist())]
+    v1, v2 = ssd1 / (n1 - 1), ssd2 / (n2 - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        differences = (mean1 - mean2).tolist()
-    return _studentized(test, block, differences, [se_of(*a) for a in arms],
-                        lambda r: df_of(*arms[r]))
+        differences = mean1 - mean2
+        ses = se_of(v1, n1, v2, n2)
+    return _studentized(test, block, differences, ses,
+                        lambda passed: df_of(v1[passed], n1, v2[passed], n2))
+
+
+def _welch_dfs(v1, n1, v2, n2) -> list:
+    """welch_df of each pair of arm variances."""
+    return [welch_df(a, n1, b, n2) for a, b in zip(v1.tolist(), v2.tolist())]
 
 
 def welch_t_test(observed: ObservedExperiment) -> TestReport:
@@ -486,7 +509,8 @@ def fisher_randomization_test(
     return _run_test("fisher_rand", observed, design, engine)
 
 
-def _neyman_block(test, block: ObservedBlock, design: AssignmentDesign, weights=None) -> list:
+def _neyman_block(test, block: ObservedBlock, design: AssignmentDesign,
+                  weights=None) -> ClosedFormPlans:
     """A Neyman test on each experiment of the block: D over the
     variance-bound standard error. Only a uniform CRD has a variance bound.
     D's weights are the given (2, n) table, by default the design's own,
@@ -503,7 +527,7 @@ def _neyman_block(test, block: ObservedBlock, design: AssignmentDesign, weights=
         sum1, sum2 = (scaled[mask].reshape(arm.shape).sum(axis=1)
                       for mask, arm in zip((arm1, ~arm1), block.arms))
         d = 0.0 + sum1 + -1.0 * sum2
-    return _studentized(test, block, d.tolist(), se.tolist())
+    return _studentized(test, block, d, se)
 
 
 def neyman_randomization_test(
@@ -514,7 +538,7 @@ def neyman_randomization_test(
     return _run_test("neyman_rand", observed, design)
 
 
-def _neyman_sel(block: ObservedBlock, design, census) -> list:
+def _neyman_sel(block: ObservedBlock, design, census) -> ClosedFormPlans:
     """The population average test on each experiment of the block: the
     Neyman test on the uniform CRD the selection design census reduces
     to, where the joint inclusion weights collapse to arm sizes, with D
@@ -609,11 +633,12 @@ class Procedure(NamedTuple):
     """One test: its command-line spelling, the null it addresses, the
     codes of the model assumptions it rests on, and build(block, design,
     census), which returns for each experiment of the ObservedBlock its
-    ResamplingPlan, for run_block to score, its ClosedFormPlan, for the
-    caller to score, its TestReport, or the RandcompareError it raised;
-    an error of the whole block is raised. census is the selection design
-    the data came from, or None. The t and Neyman tests build the block
-    from one set of arm reductions, the others one experiment at a time.
+    ResamplingPlan, for run_block to score, its TestReport, or the
+    RandcompareError it raised, or a closed-form test's ClosedFormPlans of
+    the whole block, for the caller to score; an error of the whole block
+    is raised. census is the selection design the data came from, or None.
+    The t and Neyman tests build the block from one set of arm reductions,
+    the others one experiment at a time.
     Builders call each test by this module's global name, so a rebinding
     of that name reaches them; the public test functions call their
     entry, through run_tests."""
@@ -633,7 +658,7 @@ TESTS = {
                           _each(lambda obs, design, census: wilcoxon_plan(obs))),
     "welch_t": Procedure("welch", Hypothesis.EUP, ("A1", "A2", "A3", "A5"),
                          lambda block, design, census: _t_block(
-                             "welch_t", block, welch_se, welch_df)),
+                             "welch_t", block, welch_se, _welch_dfs)),
     "pooled_t": Procedure("pooled", Hypothesis.EUP, ("A1", "A2", "A3", "A6"),
                           lambda block, design, census: _t_block(
                               "pooled_t", block, pooled_se,
@@ -656,11 +681,11 @@ TESTS = {
 
 def run_block(block: ObservedBlock, design: AssignmentDesign, engines, names,
               census=None, alpha: Optional[float] = None):
-    """Yield, for each test named (keys of TESTS) in order, its outcome on
-    each experiment of the block: a TestReport, a closed-form test's
-    ClosedFormPlan, or the RandcompareError it raised, so that a failing
-    test hides no other and the caller decides which errors to raise. The
-    caller reads the plans' p-values, on score_closed_form or
+    """Yield, for each test named (keys of TESTS) in order, its outcomes on
+    the block: a closed-form test's ClosedFormPlans, or for each
+    experiment a TestReport or the RandcompareError it raised, so that a
+    failing test hides no other and the caller decides which errors to
+    raise. The caller reads the plans' p-values, on score_closed_form or
     closed_form_p_values, as many plans at a time as it likes: the CDFs
     are array functions whose cost is mostly per call. engines[r] scores
     experiment r's resampling plans, on run_resampling_plans with alpha:
@@ -688,11 +713,13 @@ def run_block(block: ObservedBlock, design: AssignmentDesign, engines, names,
                     and design == outcomes[0].design == UniformCRD(block.n, block.n1)):
                 shared = outcomes
         results.append(outcomes)
+    per_experiment = [j for j, outcomes in enumerate(results)
+                      if not isinstance(outcomes, ClosedFormPlans)]
     for i, outcomes in enumerate(results):
-        for r, result in enumerate(outcomes):
+        for r, result in enumerate(outcomes if i in per_experiment else ()):
             if isinstance(result, ResamplingPlan):
-                positions = [j for j in range(i, len(results))
-                             if isinstance(results[j][r], ResamplingPlan)
+                positions = [j for j in per_experiment if j >= i
+                             and isinstance(results[j][r], ResamplingPlan)
                              and results[j][r].design == result.design]
                 try:
                     reports = run_resampling_plans([results[j][r] for j in positions],

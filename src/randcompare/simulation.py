@@ -16,22 +16,29 @@ binomial standard error sqrt(r(100 - r) / replicates).
 Each replicate runs the library's own tests, as the test command does,
 through run_tests' block form: a row is split into near-equal blocks of
 contiguous replicates, at least one per thread and at most MC_CHUNK
-responses each, and each block is one run_block call. The closed-form
-tests build a block from one set of arm reductions and hand back each
-replicate's studentized statistic and reference law (ClosedFormPlan);
-the blocks write them into two arrays of the row, and once the thread
-pool joins, one closed_form_p_values call reads the p-values of the
-whole row and every closed-form test: one t CDF call for the t tests
-and one normal CDF call for the Neyman test. An array call costs about
-what a few calls on one replicate do, and gives each replicate the
-p-value such a call gives, bit for bit. The resampling tests score
-each replicate under exact_small, when the support fits the
-enumeration cap, on an ExactEngine, which counts a uniform CRD's exact
-tails without enumerating it, and otherwise on a MonteCarloEngine per
-replicate, whose draws stop once each of the replicate's decisions
-p <= alpha is fixed (run_resampling_plans). The design is the data's
-own uniform CRD, so fisher_rand's plan is permutation's: one column,
-scored once, gives both p-values.
+responses each, and each block is one run_block call. A block is built
+as two (R, n) matrices straight from its replicates' draws, each on its
+own substream: the randomization row stacks each replicate's one-row
+assignment draw and picks each response from the fixed table with one
+np.where; the process row stacks each replicate's potential table and
+picks from it by the fixed assignment. No replicate becomes an
+ObservedExperiment unless a test that builds one experiment at a time
+(the resampling tests) reads the block's experiments. The closed-form
+tests build a block from one set of arm reductions and hand back its
+studentized statistics and reference laws as arrays (ClosedFormPlans);
+the blocks write them into two arrays of the row, one block slice at a
+time, and once the thread pool joins, one closed_form_p_values call
+reads the p-values of the whole row and every closed-form test: one t
+CDF call for the t tests and one normal CDF call for the Neyman test. An
+array call costs about what a few calls on one replicate do, and gives
+each replicate the p-value such a call gives, bit for bit. The
+resampling tests score each replicate under exact_small, when the
+support fits the enumeration cap, on an ExactEngine, which counts a
+uniform CRD's exact tails without enumerating it, and otherwise on a
+MonteCarloEngine per replicate, whose draws stop once each of the
+replicate's decisions p <= alpha is fixed (run_resampling_plans). The
+design is the data's own uniform CRD, so fisher_rand's plan is
+permutation's: one column, scored once, gives both p-values.
 Binary scenarios read that p-value from an exact table and report no
 rank sum. How a row is split moves no result.
 
@@ -53,25 +60,19 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (
-    Hypothesis,
-    ObservedBlock,
-    ObservedExperiment,
-    PotentialTable,
-    SampleVector,
-    select_components,
-)
+from .core import Hypothesis, ObservedBlock, PotentialTable, SampleVector
 from .datasets import read_json, read_text
-from .designs import ENUMERATION_CAP, RngStream, UniformCRD, sample_assignment
-from .errors import (
-    DataValidationError,
-    DegenerateDataError,
-    RandcompareError,
-    UnknownScenarioError,
+from .designs import (
+    ENUMERATION_CAP,
+    RngStream,
+    UniformCRD,
+    sample_assignment,
+    sample_assignment_batch,
 )
+from .errors import DataValidationError, DegenerateDataError, UnknownScenarioError
 from .inference import (
     MC_CHUNK,
-    ClosedFormPlan,
+    ClosedFormPlans,
     ExactEngine,
     MonteCarloEngine,
     TestReport,
@@ -651,9 +652,10 @@ def run_size_power(
     of 20 units and 4000 for larger ones; like MonteCarloEngine, it
     refuses a budget below 1000. exact_small switches the resampling
     tests to exact tails when the support fits the cap. Each replicate
-    is drawn on its own substreams and runs through run_tests' block
-    form, run_block, in blocks of contiguous replicates: at least
-    threads of them, each of at most max(1, MC_CHUNK // n) replicates.
+    is drawn on its own substreams, and the draws of a block of
+    contiguous replicates, at least threads of them, each of at most
+    max(1, MC_CHUNK // n) replicates, make one ObservedBlock's label and
+    response matrices, which run_tests' block form, run_block, scores.
     The closed-form tests' p-values are read after the thread pool
     joins: one t CDF and one normal CDF call per row, over every
     replicate's plans.
@@ -700,6 +702,7 @@ def run_size_power(
     blocks = [range(b * replicates // count, (b + 1) * replicates // count)
               for b in range(count)]
 
+    columns = {test: j for j, test in enumerate(test_suite)}
     estimates: list = []
     for row in rows:
         row_key = 0 if row == "randomization" else 1
@@ -707,75 +710,73 @@ def run_size_power(
             fixed = draw_fixed_population(scenario, rng)
         else:
             fixed = sample_assignment(design, rng.substream(1, 0))
+        # by replicate and test: each p-value, and each closed-form plan's
+        # studentized statistic and t degrees of freedom (nan for the
+        # normal law), whose p-value the row reads in one pass once the
+        # blocks have filled them in; a p-value left nan marks a test
+        # that does not apply
+        p_values, statistics, dfs = (np.full((replicates, len(test_suite)), np.nan)
+                                     for _ in range(3))
 
-        def observe(r) -> ObservedExperiment:
-            """Replicate r's experiment, drawn on its own substream."""
+        def score(replicates_of_block: range) -> None:
+            """Draw the block of these replicates, each on its own
+            substream, and score it into the row's arrays. A draw with no
+            variation scores p = 1; any other error of a test is raised,
+            the first replicate's first."""
+            rows_of_block = slice(replicates_of_block.start, replicates_of_block.stop)
             if row_key == 0:
-                table, assignment = fixed, sample_assignment(design, rng.substream(2, r))
+                arm1 = np.concatenate([
+                    sample_assignment_batch(design, 1, rng.substream(2, r).generator())
+                    for r in replicates_of_block]) == 1.0
+                y1, y2 = fixed.y1, fixed.y2
             else:
-                table = generate_population(scenario, rng.substream(3, r).generator())
-                assignment = fixed
-            return ObservedExperiment(sample=sample, assignment=assignment,
-                                      responses=select_components(table, sample, assignment))
-
-        # each closed-form plan's studentized statistic and t degrees of
-        # freedom (nan for the normal law), by replicate and test: the
-        # blocks fill them in, and the row reads their p-values in one pass
-        statistics = np.full((replicates, len(test_suite)), np.nan)
-        dfs = np.full((replicates, len(test_suite)), np.nan)
-
-        def score(replicates_of_block) -> list:
-            """Each replicate's decisions, one per test: True to reject,
-            None where the test does not apply. A closed-form plan's
-            decision is None until the row reads its p-value from the
-            statistic and degrees of freedom it writes into the arrays."""
-            block = ObservedBlock(tuple(observe(r) for r in replicates_of_block))
-            p = {}
+                tables = [generate_population(scenario, rng.substream(3, r).generator())
+                          for r in replicates_of_block]
+                arm1 = np.tile(fixed.labels == 1, (len(tables), 1))
+                y1, y2 = np.stack([t.y1 for t in tables]), np.stack([t.y2 for t in tables])
+            block = ObservedBlock(sample=sample, labels=np.where(arm1, 1, 2),
+                                  responses=np.where(arm1, y1, y2))
             if tabled:
                 ms = np.rint(block.responses.sum(axis=1)).astype(int).tolist()
                 ks = np.rint(block.arms[0].sum(axis=1)).astype(int).tolist()
                 tails = [_binary_abs_tail(n, design.n1, m) for m in ms]
-                p["permutation"] = p["fisher_rand"] = [
-                    tail[k - k_lo] for (k_lo, tail), k in zip(tails, ks)]
-                p["wilcoxon"] = [None] * len(block)
+                for test in tabled - {"wilcoxon"}:
+                    p_values[rows_of_block, columns[test]] = [
+                        tail[k - k_lo] for (k_lo, tail), k in zip(tails, ks)]
             engines = [exact or MonteCarloEngine(budget, rng.substream(4, row_key, r))
                        for r in replicates_of_block]
-            p.update(zip(run, run_block(block, design, engines, run, alpha=alpha)))
-            decisions = []
-            for r, replicate in enumerate(replicates_of_block):
-                row_decisions = []
-                for j, test in enumerate(test_suite):
-                    result = p[test][r]
-                    if isinstance(result, ClosedFormPlan):
-                        statistics[replicate, j] = result.statistic
-                        if result.df is not None:
-                            dfs[replicate, j] = result.df
-                        result = None
+            raised = []
+            for test, outcomes in zip(run, run_block(block, design, engines, run, alpha=alpha)):
+                j = columns[test]
+                if isinstance(outcomes, ClosedFormPlans):
+                    statistics[rows_of_block, j] = outcomes.statistics
+                    dfs[rows_of_block, j] = outcomes.dfs
+                    outcomes = outcomes.failures.items()
+                else:
+                    outcomes = enumerate(outcomes)
+                for r, result in outcomes:
+                    if isinstance(result, TestReport):
+                        p_values[rows_of_block.start + r, j] = result.p_value
                     elif isinstance(result, DegenerateDataError):
-                        result = 1.0  # a draw with no variation cannot reject
-                    elif isinstance(result, RandcompareError):
-                        raise result
-                    elif isinstance(result, TestReport):
-                        result = result.p_value
-                    row_decisions.append(None if result is None else result <= alpha)
-                decisions.append(row_decisions)
-            return decisions
+                        p_values[rows_of_block.start + r, j] = 1.0
+                    else:
+                        raised.append((r, j, result))
+            if raised:
+                raise min(raised, key=lambda failure: failure[:2])[2]
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                scored = list(pool.map(score, blocks))
+                list(pool.map(score, blocks))
         else:
-            scored = map(score, blocks)
-        results = [decisions for block in scored for decisions in block]
+            for replicates_of_block in blocks:
+                score(replicates_of_block)
         # the closed-form plans' p-values, every test's over the whole row
         planned = ~np.isnan(statistics)
-        rejects = closed_form_p_values(statistics[planned], dfs[planned]) <= alpha
-        for (r, j), reject in zip(np.argwhere(planned).tolist(), rejects.tolist()):
-            results[r][j] = reject
-        for test, decisions in zip(test_suite, zip(*results)):
+        p_values[planned] = closed_form_p_values(statistics[planned], dfs[planned])
+        for test, column in zip(test_suite, p_values.T):
             rate = stderr = rejections = None
-            if None not in decisions:
-                rejections = decisions.count(True)
+            if not np.isnan(column).any():
+                rejections = int(np.count_nonzero(column <= alpha))
                 rate = 100.0 * rejections / replicates
                 stderr = math.sqrt(rate * (100.0 - rate) / replicates)
             estimates.append(

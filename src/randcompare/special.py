@@ -98,8 +98,9 @@ def _lentz(coefficient, c, d, base, pair) -> tuple:
 
 
 def _gamma_front(a: float, x: np.ndarray) -> np.ndarray:
-    """exp(-x + a log x - lgamma(a)) of each element, in scalar math."""
-    return np.array([math.exp(-xi + a * math.log(xi) - math.lgamma(a)) for xi in x.tolist()])
+    """exp(-x + a log x - lgamma(a)) of each element, added up in the
+    scalar order from scalar math's log, lgamma and exp."""
+    return _each(math.exp, -x + a * _each(math.log, x) - math.lgamma(a))
 
 
 def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
@@ -209,15 +210,23 @@ def _beta_cf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
                     "incomplete beta continued fraction failed to converge")
 
 
+def _each(f, v: np.ndarray) -> np.ndarray:
+    """The scalar math function f of each element of v."""
+    return np.fromiter(map(f, v.tolist()), dtype=np.float64, count=len(v))
+
+
 def _incomplete_beta(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """regularized_incomplete_beta on valid one-dimensional arrays."""
     out = x.copy()  # I_0 = 0 and I_1 = 1
     inner = (x != 0.0) & (x != 1.0)
     a, b, x = a[inner], b[inner], x[inner]
-    front = np.array([
-        math.exp(math.lgamma(ai + bi) - math.lgamma(ai) - math.lgamma(bi)
-                 + ai * math.log(xi) + bi * math.log1p(-xi))
-        for ai, bi, xi in zip(a.tolist(), b.tolist(), x.tolist())])
+    # the prefactor's log, added up in the scalar order, with its lgamma
+    # terms computed once for each distinct (a, b)
+    pairs, which = np.unique(np.stack([a, b]), axis=1, return_inverse=True)
+    log_beta = np.array([math.lgamma(ai + bi) - math.lgamma(ai) - math.lgamma(bi)
+                         for ai, bi in pairs.T.tolist()])
+    front = _each(math.exp, log_beta[which.ravel()] + a * _each(math.log, x)
+                  + b * _each(math.log1p, -x))
     swap = ~(x < (a + 1.0) / (a + b + 2.0))
     first, second = np.where(swap, b, a), np.where(swap, a, b)
     scaled = front * _beta_cf(first, second, np.where(swap, 1.0 - x, x)) / first

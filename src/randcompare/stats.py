@@ -112,12 +112,23 @@ def sample_variance(values: np.ndarray, ddof: int = 1) -> float:
     return float(np.var(values, ddof=ddof))
 
 
-def welch_se(var1: float, n1: int, var2: float, n2: int) -> float:
+def _check_variances(var1, n1: int, var2, n2: int) -> None:
     if n1 < 1 or n2 < 1:
         raise ValueError("arm sizes must be positive")
-    if var1 < 0 or var2 < 0:
+    if np.any(np.less(var1, 0)) or np.any(np.less(var2, 0)):
         raise ValueError("variances must be nonnegative")
-    return float(np.sqrt(var1 / n1 + var2 / n2))
+
+
+def _float_or_array(value: np.ndarray):
+    """value as a Python float when it has no dimensions."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def welch_se(var1, n1: int, var2, n2: int):
+    """sqrt(var1 / n1 + var2 / n2). The variances are floats, for a float
+    back, or arrays with one element per experiment, for an array back."""
+    _check_variances(var1, n1, var2, n2)
+    return _float_or_array(np.sqrt(var1 / n1 + var2 / n2))
 
 
 def welch_df(var1: float, n1: int, var2: float, n2: int) -> float:
@@ -140,15 +151,14 @@ def welch_df(var1: float, n1: int, var2: float, n2: int) -> float:
         return math.inf
 
 
-def pooled_se(var1: float, n1: int, var2: float, n2: int) -> float:
+def pooled_se(var1, n1: int, var2, n2: int):
+    """The pooled-variance standard error of the difference of arm means;
+    floats or arrays, as welch_se."""
     if n1 + n2 < 3:
         raise InsufficientDataError("pooled variance needs n1 + n2 >= 3")
-    if n1 < 1 or n2 < 1:
-        raise ValueError("arm sizes must be positive")
-    if var1 < 0 or var2 < 0:
-        raise ValueError("variances must be nonnegative")
+    _check_variances(var1, n1, var2, n2)
     pooled_var = ((n1 - 1) * var1 + (n2 - 1) * var2) / (n1 + n2 - 2)
-    return float(np.sqrt(pooled_var * (1.0 / n1 + 1.0 / n2)))
+    return _float_or_array(np.sqrt(pooled_var * (1.0 / n1 + 1.0 / n2)))
 
 
 def neyman_se(observed: ObservedExperiment, design: AssignmentDesign) -> float:

@@ -495,9 +495,9 @@ class TestRunSizePower:
         sizes = []
         block = randcompare.simulation.ObservedBlock
 
-        def recording(experiments):
-            sizes.append(len(experiments))
-            return block(experiments)
+        def recording(**matrices):
+            sizes.append(len(matrices["labels"]))
+            return block(**matrices)
 
         monkeypatch.setattr(randcompare.simulation, "ObservedBlock", recording)
         for size in (1, 7, reps):
@@ -535,6 +535,41 @@ def _harness_experiments(scenario, master, row, replicates):
         experiments.append(ObservedExperiment(sample, assignment,
                                               select_components(table, sample, assignment)))
     return design, experiments
+
+
+def test_harness_blocks_are_the_experiments_blocks(monkeypatch):
+    """The harness builds each block's matrices straight from its draws;
+    at every split, each block is, bit for bit, the block of the
+    replicates' experiments drawn one at a time."""
+    built = []
+
+    def recording(**matrices):
+        built.append(ObservedBlock(**matrices))
+        return built[-1]
+
+    monkeypatch.setattr(randcompare.simulation, "ObservedBlock", recording)
+    for sid in known_scenarios():
+        scenario = get_scenario(sid)
+        for row in ("randomization", "process"):
+            _, experiments = _harness_experiments(scenario, RngStream(2), row, 100)
+            for size in (1, 7, 100):
+                built.clear()
+                monkeypatch.setattr(randcompare.simulation, "MC_CHUNK",
+                                    size * scenario.n_population)
+                run_size_power(scenario, test_suite=("pooled_t",), replicates=100,
+                               rng=RngStream(2), rows=(row,))
+                assert max(map(len, built)) == size, (sid, row, size)
+                start = 0
+                for block in built:
+                    want = ObservedBlock(experiments[start:start + len(block)])
+                    start += len(block)
+                    assert block.labels.dtype == want.labels.dtype
+                    assert np.array_equal(block.labels, want.labels), (sid, row, size)
+                    # bits, so that the signs of zero must match too
+                    assert np.array_equal(block.responses.view(np.int64),
+                                          want.responses.view(np.int64)), (sid, row, size)
+                    assert np.array_equal(block.sample.indices, want.sample.indices)
+                assert start == 100
 
 
 class TestBlockMatchesStandaloneTests:

@@ -175,6 +175,17 @@ class TestArrayKernelsMatchScalarOracle:
         want = [scalar_incomplete_beta(*v) for v in zip(a.tolist(), b.tolist(), x.tolist())]
         assert bits(regularized_incomplete_beta(a, b, x)) == bits(want)
 
+    def test_incomplete_beta_shared_shapes(self):
+        # the prefactor's lgamma terms are computed once per distinct
+        # (a, b): many x on few shapes, in no order, must still read the
+        # scalar function's bits
+        gen = np.random.default_rng(6)
+        shapes = gen.uniform(0.05, 60.0, (2, 7))
+        a, b = shapes[:, gen.integers(0, 7, 3000)]
+        x = gen.uniform(0.0, 1.0, 3000)
+        want = [scalar_incomplete_beta(*v) for v in zip(a.tolist(), b.tolist(), x.tolist())]
+        assert bits(regularized_incomplete_beta(a, b, x)) == bits(want)
+
     @given(st.lists(st.tuples(st.floats(-60, 60), st.floats(0.5, 2000)), min_size=1,
                     max_size=40), st.randoms(use_true_random=False), st.integers(0, 40))
     def test_an_element_ignores_the_others(self, pairs, order, cut):

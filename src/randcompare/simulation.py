@@ -635,6 +635,27 @@ def _binary_abs_tail(n: int, n1: int, m: int) -> tuple:
     return (min(weights), tuple(tails))
 
 
+def _draw_block(scenario, design, sample, row_key, fixed, rng, replicates) -> ObservedBlock:
+    """The block of these replicates of a row, each drawn on its own
+    substream. The randomization row (row_key 0) stacks each replicate's
+    assignment draw on (2, r) and picks the responses from the fixed
+    table with one np.where; the process row (row_key 1) stacks each
+    replicate's potential table drawn on (3, r) and picks from them by
+    the fixed assignment. The draws are freed once the block is made."""
+    if row_key == 0:
+        arm1 = np.concatenate([
+            sample_assignment_batch(design, 1, rng.substream(2, r).generator())
+            for r in replicates]) == 1.0
+        y1, y2 = fixed.y1, fixed.y2
+    else:
+        tables = [generate_population(scenario, rng.substream(3, r).generator())
+                  for r in replicates]
+        arm1 = np.tile(fixed.labels == 1, (len(tables), 1))
+        y1, y2 = np.stack([t.y1 for t in tables]), np.stack([t.y2 for t in tables])
+    return ObservedBlock(sample=sample, labels=np.where(arm1, 1, 2),
+                         responses=np.where(arm1, y1, y2))
+
+
 def run_size_power(
     scenario,
     test_suite: tuple = DEFAULT_TEST_SUITE,
@@ -724,18 +745,8 @@ def run_size_power(
             variation scores p = 1; any other error of a test is raised,
             the first replicate's first."""
             rows_of_block = slice(replicates_of_block.start, replicates_of_block.stop)
-            if row_key == 0:
-                arm1 = np.concatenate([
-                    sample_assignment_batch(design, 1, rng.substream(2, r).generator())
-                    for r in replicates_of_block]) == 1.0
-                y1, y2 = fixed.y1, fixed.y2
-            else:
-                tables = [generate_population(scenario, rng.substream(3, r).generator())
-                          for r in replicates_of_block]
-                arm1 = np.tile(fixed.labels == 1, (len(tables), 1))
-                y1, y2 = np.stack([t.y1 for t in tables]), np.stack([t.y2 for t in tables])
-            block = ObservedBlock(sample=sample, labels=np.where(arm1, 1, 2),
-                                  responses=np.where(arm1, y1, y2))
+            block = _draw_block(scenario, design, sample, row_key, fixed, rng,
+                                replicates_of_block)
             if tabled:
                 ms = np.rint(block.responses.sum(axis=1)).astype(int).tolist()
                 ks = np.rint(block.arms[0].sum(axis=1)).astype(int).tolist()

@@ -221,11 +221,14 @@ def _incomplete_beta(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     inner = (x != 0.0) & (x != 1.0)
     a, b, x = a[inner], b[inner], x[inner]
     # the prefactor's log, added up in the scalar order, with its lgamma
-    # terms computed once for each distinct (a, b)
-    pairs, which = np.unique(np.stack([a, b]), axis=1, return_inverse=True)
+    # terms computed once for each distinct (a, b); each pair's two floats
+    # read as one complex a + bj, so that np.unique finds the pairs in one
+    # sort
+    pairs, which = np.unique(np.stack([a, b], axis=1).view(np.complex128).ravel(),
+                             return_inverse=True)
     log_beta = np.array([math.lgamma(ai + bi) - math.lgamma(ai) - math.lgamma(bi)
-                         for ai, bi in pairs.T.tolist()])
-    front = _each(math.exp, log_beta[which.ravel()] + a * _each(math.log, x)
+                         for ai, bi in zip(pairs.real.tolist(), pairs.imag.tolist())])
+    front = _each(math.exp, log_beta[which] + a * _each(math.log, x)
                   + b * _each(math.log1p, -x))
     swap = ~(x < (a + 1.0) / (a + b + 2.0))
     first, second = np.where(swap, b, a), np.where(swap, a, b)

@@ -176,77 +176,51 @@ class ObservedExperiment:
         )
 
 
-def _unchecked(cls, **values):
-    """An instance of the frozen dataclass cls holding values, which were
-    checked already: its __post_init__ does not run."""
-    instance = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(instance, name, value)
-    return instance
-
-
 class ObservedBlock:
     """R >= 1 experiments on one sample with equal arm sizes, which the
     tests score together, held as two (R, n) matrices: row r of labels
     (int8) and of responses (float64) is experiment r's assignment labels
     and responses. A single experiment is a block of one.
 
-    ObservedBlock(experiments) stacks the given experiments and keeps
-    them. ObservedBlock(sample=..., labels=..., responses=...) takes the
+    ObservedBlock(sample=..., labels=..., responses=...) takes the
     matrices and checks them as a whole, with the messages each
-    experiment's own checks give; its experiments are built the first
-    time they are read, from the checked rows, which are not checked
-    again."""
+    experiment's own checks give. ObservedBlock(experiments) checks that
+    the given experiments share one sample, stacks them and checks the
+    stacked matrices the same way."""
 
     def __init__(self, experiments=None, *, sample=None, labels=None, responses=None):
         if experiments is not None:
             experiments = tuple(experiments)
             if not experiments:
                 raise DataValidationError("a block needs at least one experiment")
-            first = experiments[0]
+            sample = experiments[0].sample
             for e in experiments[1:]:
-                if e.n1 != first.n1 or not (e.sample is first.sample or np.array_equal(
-                        e.sample.indices, first.sample.indices)):
+                if not (e.sample is sample or np.array_equal(e.sample.indices, sample.indices)):
                     raise DataValidationError(
                         "the experiments of a block must share one sample and its arm sizes"
                     )
-            sample, n1 = first.sample, first.n1
-            labels = np.stack([e.assignment.labels for e in experiments])
-            responses = np.stack([e.responses for e in experiments])
-        else:
-            labels = np.array(labels, dtype=np.int8)
-            responses = np.array(responses, dtype=np.float64)
-            if labels.ndim != 2 or labels.shape != responses.shape or labels.shape[1] != sample.n:
-                raise DataValidationError(
-                    "sample, assignment and responses must have equal length"
-                )
-            if not len(labels):
-                raise DataValidationError("a block needs at least one experiment")
-            if not np.all((labels == 1) | (labels == 2)):
-                raise DataValidationError("treatment labels must be 1 or 2")
-            if not np.all(np.isfinite(responses)):
-                raise DataValidationError("responses must contain only finite values")
-            n1s = np.count_nonzero(labels == 1, axis=1)
-            if np.any(n1s != n1s[0]):
-                raise DataValidationError(
-                    "the experiments of a block must share one sample and its arm sizes"
-                )
-            n1 = int(n1s[0])
+            labels = [e.assignment.labels for e in experiments]
+            responses = [e.responses for e in experiments]
+        labels = np.array(labels, dtype=np.int8)
+        responses = np.array(responses, dtype=np.float64)
+        if labels.ndim != 2 or labels.shape != responses.shape or labels.shape[1] != sample.n:
+            raise DataValidationError(
+                "sample, assignment and responses must have equal length"
+            )
+        if not len(labels):
+            raise DataValidationError("a block needs at least one experiment")
+        if not np.all((labels == 1) | (labels == 2)):
+            raise DataValidationError("treatment labels must be 1 or 2")
+        if not np.all(np.isfinite(responses)):
+            raise DataValidationError("responses must contain only finite values")
+        n1s = np.count_nonzero(labels == 1, axis=1)
+        if np.any(n1s != n1s[0]):
+            raise DataValidationError(
+                "the experiments of a block must share one sample and its arm sizes"
+            )
         labels.setflags(write=False)
         responses.setflags(write=False)
-        self.sample, self.labels, self.responses, self.n1 = sample, labels, responses, n1
-        self._experiments = experiments
-
-    @property
-    def experiments(self) -> tuple:
-        """The block's experiments, row by row: those it was made from, or
-        ones built on its checked rows the first time they are read."""
-        if self._experiments is None:
-            self._experiments = tuple(
-                _unchecked(ObservedExperiment, sample=self.sample, responses=responses,
-                           assignment=_unchecked(AssignmentVector, labels=labels, n1=self.n1))
-                for labels, responses in zip(self.labels, self.responses))
-        return self._experiments
+        self.sample, self.labels, self.responses, self.n1 = sample, labels, responses, int(n1s[0])
 
     def __len__(self) -> int:
         return len(self.labels)

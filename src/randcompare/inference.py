@@ -44,16 +44,7 @@ from .errors import (
     UnsupportedDesignError,
 )
 from .special import normal_cdf, student_t_cdf
-from .stats import (
-    d_affine_form,
-    d_statistic,
-    pooled_se,
-    rank_midranks,
-    rank_sum_statistic,
-    resolve_weights,
-    welch_df,
-    welch_se,
-)
+from .stats import pooled_se, rank_midranks, welch_df, welch_se
 
 # The size/power harness scores its replicates in blocks of at most this
 # many responses (simulation.run_size_power).
@@ -180,11 +171,12 @@ class TestReport:
                 "assumptions": list(self.assumptions)}
 
 
-def _report(test, observed, statistic, p_value, kind, mc_stderr=None) -> TestReport:
-    """The test's report, degenerate when every response is the same."""
-    entry, r = TESTS[test], observed.responses
+def _report(test, block, r, statistic, p_value, kind, mc_stderr=None) -> TestReport:
+    """The test's report on experiment r of the block, degenerate when
+    every response of the experiment is the same."""
+    entry = TESTS[test]
     return TestReport(test, entry.hypothesis, statistic, p_value, kind, mc_stderr,
-                      entry.assumptions, observed.n1, observed.n2, bool((r == r[0]).all()))
+                      entry.assumptions, block.n1, block.n2, block.constant[r])
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,13 +222,11 @@ def score_closed_form(outcomes) -> list:
     p_values = np.full(len(planned), np.nan)
     p_values[planned] = closed_form_p_values(outcomes.statistics[planned],
                                              outcomes.dfs[planned])
-    test, block, failures = outcomes.test, outcomes.block, outcomes.failures
-    entry = TESTS[test]
-    return [failures[r] if r in failures else TestReport(
-                test, entry.hypothesis, statistic, p_value, "asymptotic", None,
-                entry.assumptions, block.n1, block.n2, degenerate)
-            for r, (statistic, p_value, degenerate) in enumerate(zip(
-                outcomes.statistics.tolist(), p_values.tolist(), block.constant))]
+    failures = outcomes.failures
+    return [failures[r] if r in failures else _report(
+                outcomes.test, outcomes.block, r, statistic, p_value, "asymptotic")
+            for r, (statistic, p_value) in enumerate(zip(
+                outcomes.statistics.tolist(), p_values.tolist()))]
 
 
 def _not_finite(what: str) -> DataValidationError:
@@ -245,11 +235,20 @@ def _not_finite(what: str) -> DataValidationError:
         f"the {what} is not finite: the responses are too large for this test")
 
 
-def _finite(value: float, what: str) -> float:
-    """value, or a DataValidationError where it is not finite."""
-    if not math.isfinite(value):
-        raise _not_finite(what)
-    return value
+class _Failures(dict):
+    """{r: the RandcompareError that stopped experiment r of a block of
+    size experiments}, each experiment's first."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.failed = np.zeros(size, dtype=bool)
+
+    def refuse(self, rows, error) -> None:
+        """error stops each experiment of the mask rows that no earlier
+        refuse stopped."""
+        rows = rows & ~self.failed
+        self.update(dict.fromkeys(np.flatnonzero(rows).tolist(), error))
+        self.failed |= rows
 
 
 def _studentized(test, block, differences, ses, df_of=None) -> ClosedFormPlans:
@@ -263,22 +262,15 @@ def _studentized(test, block, differences, ses, df_of=None) -> ClosedFormPlans:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         statistics = differences / ses
     dfs = np.full(len(ses), np.nan)
-    failures, failed = {}, np.zeros(len(ses), dtype=bool)
-
-    def refuse(rows, error) -> None:
-        """error stops each of rows that no earlier check stopped."""
-        rows &= ~failed
-        if rows.any():
-            failures.update(dict.fromkeys(np.flatnonzero(rows).tolist(), error))
-            failed[rows] = True
-
-    refuse(ses == 0.0, DegenerateDataError("zero standard error: responses carry no variation"))
-    refuse(~np.isfinite(ses), _not_finite("standard error"))
+    failures = _Failures(len(ses))
+    failures.refuse(ses == 0.0, DegenerateDataError(
+        "zero standard error: responses carry no variation"))
+    failures.refuse(~np.isfinite(ses), _not_finite("standard error"))
     if df_of is not None:
-        dfs[~failed] = df_of(~failed)
-        refuse(~np.isfinite(dfs), _not_finite("degrees of freedom"))
-    refuse(~np.isfinite(statistics), _not_finite("statistic"))
-    statistics[failed] = dfs[failed] = np.nan
+        dfs[~failures.failed] = df_of(~failures.failed)
+        failures.refuse(~np.isfinite(dfs), _not_finite("degrees of freedom"))
+    failures.refuse(~np.isfinite(statistics), _not_finite("statistic"))
+    statistics[failures.failed] = dfs[failures.failed] = np.nan
     return ClosedFormPlans(test, block, statistics, dfs, failures)
 
 
@@ -297,8 +289,9 @@ def add_one_pvalue(hits: int, budget: int) -> tuple:
 
 @dataclass(frozen=True)
 class ResamplingPlan:
-    """A resampling test up to its tails: the design it resamples, the
-    statistic it reports, and that statistic as a kernel column (coef,
+    """A resampling test on experiment row of a block up to its tails:
+    the design it resamples, the statistic it reports, and that statistic
+    as a kernel column (coef,
     offset, compared): m @ coef + offset at an assignment with arm-1
     indicators m, compared with its value at the observed assignment.
 
@@ -308,7 +301,8 @@ class ResamplingPlan:
 
     test: str
     design: AssignmentDesign
-    observed: ObservedExperiment
+    block: ObservedBlock
+    row: int
     statistic: float
     coef: np.ndarray
     offset: float
@@ -335,7 +329,7 @@ class ResamplingPlan:
             if stderr is not None:
                 # stderr of the doubled smaller tail, before the cap at 1
                 stderr = 2.0 * (se_up if upper <= lower else se_lo)
-        return _report(self.test, self.observed, self.statistic, p, kind, stderr)
+        return _report(self.test, self.block, self.row, self.statistic, p, kind, stderr)
 
     def rejection_bound(self, alpha: float, budget: int) -> int:
         """The largest hit count h whose report out of budget Monte Carlo
@@ -404,55 +398,78 @@ def run_resampling_plans(plans, engine: PValueEngine, alpha: Optional[float] = N
     return [plan.report(tails[key], denominator, engine.kind) for plan, key in zip(plans, keys)]
 
 
-def _difference_plan(test, observed, design, weights) -> ResamplingPlan:
-    """The weighted difference D of the responses as a plan. When D is
-    shift-invariant under the design, its column is built from the
-    responses less their middle order statistic, a data value: the
-    difference of two floats of like magnitude is exact, so the centered
-    responses keep the lattice of the data and a common offset in them
-    does not reach the rounding of the resampled statistics. Responses too
-    large for the counter's sums, each at most sum(|coef|) + |offset|, are
-    refused."""
-    y, assignment = observed.responses, observed.assignment
+def _weighted_difference(block: ObservedBlock, responses, weights) -> np.ndarray:
+    """The weighted difference D of each row of responses, an (R, n)
+    matrix, at the block's labels, with the (2, n) weights, none zero on
+    an observed label. Each arm's weighted sum is reduced as d_statistic
+    reduces it, from a total of 0.0, so that a D of -0.0 reads 0.0 there
+    and here."""
+    arm1 = block.labels == 1
     with np.errstate(over="ignore", invalid="ignore"):
-        d_obs = _finite(d_statistic(y, assignment, weights), "statistic")
+        scaled = responses / np.where(arm1, weights[0], weights[1])
+        sum1, sum2 = (scaled[mask].reshape(len(block), size).sum(axis=1)
+                      for mask, size in ((arm1, block.n1), (~arm1, block.n2)))
+        return 0.0 + sum1 + -1.0 * sum2
+
+
+def _difference_plans(test, block, design, weights, outside=None) -> list:
+    """The weighted difference D of each experiment's responses as a plan,
+    or the error that stopped the experiment. When D is shift-invariant
+    under the design, its column is built from the responses less their
+    middle order statistic, a data value: the difference of two floats of
+    like magnitude is exact, so the centered responses keep the lattice of
+    the data and a common offset in them does not reach the rounding of
+    the resampled statistics. An experiment fails at the first check it
+    fails, in this order: its labels are in the mask outside, those the
+    design cannot produce; then its D, the sum(|coef|) + |offset| that
+    bounds the counter's sums, or its compared value is not finite, as
+    finite but huge responses give."""
+    failures, y = _Failures(len(block)), block.responses
+    if outside is not None:
+        failures.refuse(outside, DesignInvalidError(design.outside_support))
+    with np.errstate(over="ignore", invalid="ignore"):
+        statistics = _weighted_difference(block, y, weights)
         if design.shift_invariant():
-            y = y - np.sort(y)[len(y) // 2]
-        coef, offset = d_affine_form(y, weights)
-        _finite(np.abs(coef).sum() + abs(offset), "range of the resampled statistic")
-        compared = _finite(d_statistic(y, assignment, weights), "statistic")
-    return ResamplingPlan(test, design, observed, d_obs, coef, offset, compared)
+            y = y - np.sort(y, axis=1)[:, block.n // 2, None]
+        coefs = y / weights[0] + y / weights[1]
+        offsets = -(y / weights[1]).sum(axis=1)
+        ranges = np.abs(coefs).sum(axis=1) + np.abs(offsets)
+        compared = _weighted_difference(block, y, weights)
+    failures.refuse(~np.isfinite(statistics), _not_finite("statistic"))
+    failures.refuse(~np.isfinite(ranges), _not_finite("range of the resampled statistic"))
+    failures.refuse(~np.isfinite(compared), _not_finite("statistic"))
+    return [failures[r] if r in failures else ResamplingPlan(test, design, block, r, *column)
+            for r, column in enumerate(zip(statistics.tolist(), coefs, offsets.tolist(),
+                                           compared.tolist()))]
 
 
-def permutation_plan(observed: ObservedExperiment) -> ResamplingPlan:
-    """The permutation test's plan: the difference of arm means over all
+def _permutation(block, design, census) -> list:
+    """The permutation test's plans: the difference of arm means over all
     relabelings at fixed arm sizes."""
-    _require_two_arms(observed)
-    design = UniformCRD(observed.n, observed.n1)
-    weights = resolve_weights(design, observed.sample, observed.assignment)
-    return _difference_plan("permutation", observed, design, weights)
+    _require_two_arms(block)
+    design = UniformCRD(block.n, block.n1)
+    return _difference_plans("permutation", block, design, design.weight_table(block.sample))
 
 
-def wilcoxon_plan(observed: ObservedExperiment) -> ResamplingPlan:
-    """The rank-sum test's plan: the arm-1 midrank sum over relabelings."""
-    _require_two_arms(observed)
-    design = UniformCRD(observed.n, observed.n1)
-    ranks = rank_midranks(observed.responses)
-    w_obs = rank_sum_statistic(ranks, observed.assignment)
-    return ResamplingPlan("wilcoxon", design, observed, w_obs, ranks, 0.0, w_obs)
+def _wilcoxon(block, design, census) -> list:
+    """The rank-sum test's plans: the arm-1 midrank sum over relabelings."""
+    _require_two_arms(block)
+    design = UniformCRD(block.n, block.n1)
+    ranks = np.stack([rank_midranks(y) for y in block.responses])
+    sums = ranks[block.labels == 1].reshape(len(block), block.n1).sum(axis=1).tolist()
+    return [ResamplingPlan("wilcoxon", design, block, r, w_obs, coef, 0.0, w_obs)
+            for r, (coef, w_obs) in enumerate(zip(ranks, sums))]
 
 
-def fisher_randomization_plan(
-    observed: ObservedExperiment, design: AssignmentDesign
-) -> ResamplingPlan:
-    """The Fisher randomization test's plan: the inclusion-weighted
-    difference statistic over the design's support."""
-    _require_two_arms(observed)
+def _fisher_randomization(block, design, census) -> list:
+    """The Fisher randomization test's plans: the inclusion-weighted
+    difference statistic over the design's support. The weights are
+    nonzero, as every position can receive either treatment."""
+    _require_two_arms(block)
     check_both_arm_inclusion(design)
-    weights = resolve_weights(design, observed.sample, observed.assignment)
-    if not design.contains(observed.assignment.labels):
-        raise DesignInvalidError(design.outside_support)
-    return _difference_plan("fisher_rand", observed, design, weights)
+    weights = design.weight_table(block.sample)
+    outside = ~np.array([design.contains(labels) for labels in block.labels])
+    return _difference_plans("fisher_rand", block, design, weights, outside)
 
 
 def permutation_test(observed: ObservedExperiment, engine: PValueEngine) -> TestReport:
@@ -482,9 +499,14 @@ def _t_block(test, block, se_of, df_of) -> ClosedFormPlans:
                         lambda passed: df_of(v1[passed], n1, v2[passed], n2))
 
 
-def _welch_dfs(v1, n1, v2, n2) -> list:
-    """welch_df of each pair of arm variances."""
-    return [welch_df(a, n1, b, n2) for a, b in zip(v1.tolist(), v2.tolist())]
+def _welch_t(block, design, census) -> ClosedFormPlans:
+    """Welch's t test, with welch_df of each experiment's arm variances."""
+    return _t_block("welch_t", block, welch_se, lambda v1, n1, v2, n2: [
+        welch_df(a, n1, b, n2) for a, b in zip(v1.tolist(), v2.tolist())])
+
+
+def _pooled_t(block, design, census) -> ClosedFormPlans:
+    return _t_block("pooled_t", block, pooled_se, lambda v1, n1, v2, n2: float(n1 + n2 - 2))
 
 
 def welch_t_test(observed: ObservedExperiment) -> TestReport:
@@ -514,20 +536,16 @@ def _neyman_block(test, block: ObservedBlock, design: AssignmentDesign,
     """A Neyman test on each experiment of the block: D over the
     variance-bound standard error. Only a uniform CRD has a variance bound.
     D's weights are the given (2, n) table, by default the design's own,
-    its arm sizes; none is zero. Each arm's weighted sum is reduced as
-    d_statistic reduces it, from a total of 0.0, so that a D of -0.0 reads
-    0.0 there and here."""
+    its arm sizes; none is zero."""
     _require_two_arms(block)
     se = np.sqrt(design.variance_bound(block))
     if weights is None:
         weights = design.weight_table(block.sample)
-    arm1 = block.labels == 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = block.responses / np.where(arm1, weights[0], weights[1])
-        sum1, sum2 = (scaled[mask].reshape(arm.shape).sum(axis=1)
-                      for mask, arm in zip((arm1, ~arm1), block.arms))
-        d = 0.0 + sum1 + -1.0 * sum2
-    return _studentized(test, block, d, se)
+    return _studentized(test, block, _weighted_difference(block, block.responses, weights), se)
+
+
+def _neyman_rand(block, design, census) -> ClosedFormPlans:
+    return _neyman_block("neyman_rand", block, design)
 
 
 def neyman_randomization_test(
@@ -565,6 +583,17 @@ def neyman_selection_test(
     return _run_test("neyman_sel", observed, census=design)
 
 
+def _fisher_selection(block, design, census) -> NoReturn:
+    """Always raises, for the whole block: see fisher_selection_test."""
+    raise NoncomputableDistributionError(
+        "the sharp population null does not determine the full potential "
+        "table: every unsampled unit has both potentials unobserved, so "
+        "the null distribution is known but not computable from the data. "
+        "Use fisher_randomization_test for the sampled units' sharp null, "
+        "or neyman_selection_test for the population average null."
+    )
+
+
 def fisher_selection_test(
     observed: ObservedExperiment, design: SelectionDesign
 ) -> NoReturn:
@@ -574,13 +603,7 @@ def fisher_selection_test(
     unobserved, so the statistic's null distribution over the selection
     design is known in form but not computable from the data.
     """
-    raise NoncomputableDistributionError(
-        "the sharp population null does not determine the full potential "
-        "table: every unsampled unit has both potentials unobserved, so "
-        "the null distribution is known but not computable from the data. "
-        "Use fisher_randomization_test for the sampled units' sharp null, "
-        "or neyman_selection_test for the population average null."
-    )
+    _run_test("fisher_sel", observed, census=design)
 
 
 def hypergeometric_counts(n: int, n1: int, m: int) -> dict:
@@ -592,6 +615,25 @@ def hypergeometric_counts(n: int, n1: int, m: int) -> dict:
     }
 
 
+def _fisher_exact(block, design, census) -> list:
+    """The Fisher exact test's report on each experiment of the block, or
+    the error of an experiment whose responses are not binary: see
+    fisher_exact_2x2. A binary experiment's success counts are its sums."""
+    _require_two_arms(block)
+    n, n1, y = block.n, block.n1, block.responses
+    failures = _Failures(len(block))
+    failures.refuse(~((y == 0.0) | (y == 1.0)).all(axis=1),
+                    DataValidationError("responses must be binary (0/1)"))
+    total, outcomes = math.comb(n, n1), []
+    for r, (m, k_obs) in enumerate(zip(np.count_nonzero(y == 1.0, axis=1).tolist(),
+                                       np.count_nonzero(block.arms[0] == 1.0, axis=1).tolist())):
+        weights = hypergeometric_counts(n, n1, m)
+        numer = sum(w for w in weights.values() if w <= weights[k_obs])
+        outcomes.append(failures[r] if r in failures else _report(
+            "fisher_exact", block, r, float(k_obs), numer / total, "exact"))
+    return outcomes
+
+
 def fisher_exact_2x2(observed: ObservedExperiment) -> TestReport:
     """Exact-conditional test for binary responses via the hypergeometric
     law of the arm-1 success count.
@@ -600,33 +642,7 @@ def fisher_exact_2x2(observed: ObservedExperiment) -> TestReport:
     than the observed one. Computed in exact integer arithmetic on the
     common denominator C(n, n1), so no floating comparisons are needed.
     """
-    _require_two_arms(observed)
-    r = observed.responses
-    if not np.all((r == 0.0) | (r == 1.0)):
-        raise DataValidationError("responses must be binary (0/1)")
-    n = observed.n
-    n1 = observed.n1
-    m = int(round(float(r.sum())))
-    k_obs = int(round(float(observed.arm_responses(1).sum())))
-    weights = hypergeometric_counts(n, n1, m)
-    total = math.comb(n, n1)
-    w_obs = weights[k_obs]
-    numer = sum(w for w in weights.values() if w <= w_obs)
-    return _report("fisher_exact", observed, float(k_obs), numer / total, "exact")
-
-
-def _each(build) -> Callable:
-    """A block builder from build(observed, design, census), which returns
-    one experiment's plan or report: each experiment's, or its error."""
-    def build_block(block, design, census) -> list:
-        outcomes = []
-        for observed in block.experiments:
-            try:
-                outcomes.append(build(observed, design, census))
-            except RandcompareError as exc:
-                outcomes.append(exc)
-        return outcomes
-    return build_block
+    return _run_test("fisher_exact", observed)
 
 
 class Procedure(NamedTuple):
@@ -637,11 +653,8 @@ class Procedure(NamedTuple):
     RandcompareError it raised, or a closed-form test's ClosedFormPlans of
     the whole block, for the caller to score; an error of the whole block
     is raised. census is the selection design the data came from, or None.
-    The t and Neyman tests build the block from one set of arm reductions,
-    the others one experiment at a time.
-    Builders call each test by this module's global name, so a rebinding
-    of that name reaches them; the public test functions call their
-    entry, through run_tests."""
+    Every builder reads the block's label and response matrices; the
+    public test functions call their entry, through run_tests."""
 
     spelling: str
     hypothesis: Hypothesis
@@ -652,30 +665,16 @@ class Procedure(NamedTuple):
 # Every test, by report name. fisher_sel never yields a report: it raises,
 # because its reference distribution is not computable.
 TESTS = {
-    "permutation": Procedure("permutation", Hypothesis.DUP, ("A1", "A2", "A3"),
-                             _each(lambda obs, design, census: permutation_plan(obs))),
-    "wilcoxon": Procedure("wilcoxon", Hypothesis.DUP, ("A1", "A2", "A3", "A4"),
-                          _each(lambda obs, design, census: wilcoxon_plan(obs))),
-    "welch_t": Procedure("welch", Hypothesis.EUP, ("A1", "A2", "A3", "A5"),
-                         lambda block, design, census: _t_block(
-                             "welch_t", block, welch_se, _welch_dfs)),
-    "pooled_t": Procedure("pooled", Hypothesis.EUP, ("A1", "A2", "A3", "A6"),
-                          lambda block, design, census: _t_block(
-                              "pooled_t", block, pooled_se,
-                              lambda v1, n1, v2, n2: float(n1 + n2 - 2))),
+    "permutation": Procedure("permutation", Hypothesis.DUP, ("A1", "A2", "A3"), _permutation),
+    "wilcoxon": Procedure("wilcoxon", Hypothesis.DUP, ("A1", "A2", "A3", "A4"), _wilcoxon),
+    "welch_t": Procedure("welch", Hypothesis.EUP, ("A1", "A2", "A3", "A5"), _welch_t),
+    "pooled_t": Procedure("pooled", Hypothesis.EUP, ("A1", "A2", "A3", "A6"), _pooled_t),
     "fisher_rand": Procedure("fisher-rand", Hypothesis.RUs, ("B1", "B2"),
-                             _each(lambda obs, design, census:
-                                   fisher_randomization_plan(obs, design))),
-    "neyman_rand": Procedure("neyman-rand", Hypothesis.RAs, ("B1", "B2"),
-                             lambda block, design, census: _neyman_block(
-                                 "neyman_rand", block, design)),
-    "neyman_sel": Procedure("neyman-sel", Hypothesis.RAP, ("C1", "C2"),
-                            _neyman_sel),
-    "fisher_sel": Procedure("fisher-sel", Hypothesis.RUP, ("C1", "C2"),
-                            _each(lambda obs, design, census:
-                                  fisher_selection_test(obs, census))),
-    "fisher_exact": Procedure("fisher-exact", Hypothesis.RUs, ("B1", "B2"),
-                              _each(lambda obs, design, census: fisher_exact_2x2(obs))),
+                             _fisher_randomization),
+    "neyman_rand": Procedure("neyman-rand", Hypothesis.RAs, ("B1", "B2"), _neyman_rand),
+    "neyman_sel": Procedure("neyman-sel", Hypothesis.RAP, ("C1", "C2"), _neyman_sel),
+    "fisher_sel": Procedure("fisher-sel", Hypothesis.RUP, ("C1", "C2"), _fisher_selection),
+    "fisher_exact": Procedure("fisher-exact", Hypothesis.RUs, ("B1", "B2"), _fisher_exact),
 }
 
 
@@ -689,16 +688,18 @@ def run_block(block: ObservedBlock, design: AssignmentDesign, engines, names,
     closed_form_p_values, as many plans at a time as it likes: the CDFs
     are array functions whose cost is mostly per call. engines[r] scores
     experiment r's resampling plans, on run_resampling_plans with alpha:
-    given alpha, a Monte Carlo report is a decision, not a p-value.
+    given alpha, a Monte Carlo report is a decision, not a p-value. Only
+    a resampling test reads engines.
 
-    The plans of one experiment and one design are scored on one
-    run_resampling_plans call, whose error is the result of each, made
-    when the first of them is reached: a caller that stops at an error
-    pays for no later test's draws. Under the data's own uniform CRD,
-    permutation and fisher_rand have one plan (the same weights over the
-    same support): the first built lends it to the other. The experiments
-    of a block share their arm sizes, so each of them builds that plan, or
-    none does."""
+    Every test builds the whole block from its label and response
+    matrices, each experiment's plan, report or error, with one call of
+    its TESTS entry. The plans of one experiment and one design are
+    scored on one run_resampling_plans call, whose error is the result of
+    each, made when the first of them is reached: a caller that stops at
+    an error pays for no later test's draws. Under the data's own uniform
+    CRD, permutation and fisher_rand have one plan (the same weights over
+    the same support): the first built lends it to the other, when every
+    experiment of the block built one."""
     results, shared = [], None
     for name in names:
         difference = name in ("permutation", "fisher_rand")

@@ -22,8 +22,8 @@ own substream: the randomization row stacks each replicate's one-row
 assignment draw and picks each response from the fixed table with one
 np.where; the process row stacks each replicate's potential table and
 picks from it by the fixed assignment. No replicate becomes an
-ObservedExperiment unless a test that builds one experiment at a time
-(the resampling tests) reads the block's experiments. The closed-form
+ObservedExperiment: every test reads the block's matrices. The
+resampling tests build each replicate's plan from them. The closed-form
 tests build a block from one set of arm reductions and hand back its
 studentized statistics and reference laws as arrays (ClosedFormPlans);
 the blocks write them into two arrays of the row, one block slice at a
@@ -35,12 +35,12 @@ each replicate the p-value such a call gives, bit for bit. The
 resampling tests score each replicate under exact_small, when the
 support fits the enumeration cap, on an ExactEngine, which counts a
 uniform CRD's exact tails without enumerating it, and otherwise on a
-MonteCarloEngine per replicate, whose draws stop once each of the
-replicate's decisions p <= alpha is fixed (run_resampling_plans). The
-design is the data's own uniform CRD, so fisher_rand's plan is
-permutation's: one column, scored once, gives both p-values.
-Binary scenarios read that p-value from an exact table and report no
-rank sum. How a row is split moves no result.
+MonteCarloEngine per replicate, made only when a resampling test runs,
+whose draws stop once each of the replicate's decisions p <= alpha is
+fixed (run_resampling_plans). The design is the data's own uniform CRD,
+so fisher_rand's plan is permutation's: one column, scored once, gives
+both p-values. Binary scenarios read that p-value from an exact table
+and report no rank sum. How a row is split moves no result.
 
 Reproducibility contract: replicate r of the randomization row consumes
 substreams (2, r) for data and (4, 0, r) for the per-replicate Monte
@@ -713,9 +713,10 @@ def run_size_power(
     check_mc_budget(budget)
     # binary responses: the difference tests read an exact table, and the
     # rank sum does not apply
-    tabled = {"permutation", "fisher_rand", "wilcoxon"}.intersection(
-        test_suite if scenario.binary else ())
+    resampling = {"permutation", "fisher_rand", "wilcoxon"}
+    tabled = resampling.intersection(test_suite if scenario.binary else ())
     run = [test for test in test_suite if test not in tabled]
+    resampled = bool(resampling.intersection(run))
     exact = ExactEngine() if exact_small and not design.support_exceeds(ENUMERATION_CAP) else None
     # near-equal blocks of contiguous replicates, at least one per thread,
     # each of at most MC_CHUNK responses
@@ -755,7 +756,7 @@ def run_size_power(
                     p_values[rows_of_block, columns[test]] = [
                         tail[k - k_lo] for (k_lo, tail), k in zip(tails, ks)]
             engines = [exact or MonteCarloEngine(budget, rng.substream(4, row_key, r))
-                       for r in replicates_of_block]
+                       for r in replicates_of_block] if resampled else ()
             raised = []
             for test, outcomes in zip(run, run_block(block, design, engines, run, alpha=alpha)):
                 j = columns[test]

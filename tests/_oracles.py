@@ -270,6 +270,33 @@ def uniform_crd_tails_by_fractions(responses, labels):
     return tails
 
 
+def difference_plan_by_experiment(observed, design):
+    """(statistic, coef, offset, compared) of the weighted difference D on
+    one experiment, as the resampling tests built their plan one experiment
+    at a time: from the public resolve_weights, d_statistic and
+    d_affine_form, the column on the responses less their middle order
+    statistic where D is shift-invariant under the design."""
+    from randcompare import d_affine_form, d_statistic, resolve_weights
+
+    y, assignment = observed.responses, observed.assignment
+    weights = resolve_weights(design, observed.sample, assignment)
+    statistic = d_statistic(y, assignment, weights)
+    if design.shift_invariant():
+        y = y - np.sort(y)[len(y) // 2]
+    coef, offset = d_affine_form(y, weights)
+    return statistic, coef, offset, d_statistic(y, assignment, weights)
+
+
+def rank_sum_plan_by_experiment(observed):
+    """(statistic, coef, offset, compared) of the arm-1 midrank sum on one
+    experiment, from the public rank_midranks and rank_sum_statistic."""
+    from randcompare import rank_midranks, rank_sum_statistic
+
+    ranks = rank_midranks(observed.responses)
+    statistic = rank_sum_statistic(ranks, observed.assignment)
+    return statistic, ranks, 0.0, statistic
+
+
 def closed_form_by_arms(observed, design):
     """{test: (statistic, p_value, degenerate), or (error type, message)}
     of welch_t, pooled_t and neyman_rand on one experiment, from numpy's

@@ -11,11 +11,14 @@ import randcompare
 import randcompare.inference
 from randcompare import (
     AssignmentVector,
+    ObservedBlock,
     ObservedExperiment,
+    RandcompareError,
     SampleVector,
     bundled_dataset_path,
     load_dataset,
 )
+from randcompare.inference import TESTS
 
 # Deterministic property runs: the suite is part of a reproducibility gate,
 # so example generation must not vary between invocations.
@@ -27,6 +30,22 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def resampling_plan(name, observed, design=None):
+    """The ResamplingPlan of the resampling test name (a key of TESTS) on
+    observed alone, built by its TESTS entry on the block of observed, or
+    the error that stopped it, raised."""
+    [plan] = TESTS[name].build(ObservedBlock((observed,)), design, None)
+    if isinstance(plan, RandcompareError):
+        raise plan
+    return plan
+
+
+def plan_bits(statistic, coef, offset, compared) -> tuple:
+    """The bits of a plan's numbers, so that equal floats of either sign of
+    zero differ: (statistic, offset, compared) and coef, as bytes."""
+    return np.array([statistic, offset, compared]).tobytes(), coef.tobytes()
 
 
 @pytest.fixture(scope="session")

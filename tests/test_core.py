@@ -157,7 +157,7 @@ class TestObservedBlock:
 
     def test_keeps_the_experiments_it_was_made_from(self, six_obs):
         block = ObservedBlock((six_obs,))
-        assert block.experiments[0] is six_obs and block.sample is six_obs.sample
+        assert block.sample is six_obs.sample
 
     LABELS = np.array([[1, 1, 1, 2, 2, 2], [2, 1, 2, 1, 1, 2]])
     RESPONSES = np.array([[3.0, 1.0, 4.0, 1.0, 5.0, 9.0], [2.0, 7.0, 1.0, 8.0, 2.0, 8.0]])
@@ -173,24 +173,6 @@ class TestObservedBlock:
         assert np.array_equal(block.labels, reference.labels)
         assert np.array_equal(block.responses, reference.responses)
         assert not block.labels.flags.writeable and not block.responses.flags.writeable
-        for obs, want in zip(block.experiments, (six_obs, other)):
-            assert obs.sample is six_obs.sample
-            assert list(obs.assignment.labels) == list(want.assignment.labels)
-            assert (obs.n1, obs.n2) == (want.n1, want.n2)
-            assert list(obs.responses) == list(want.responses)
-            assert not obs.responses.flags.writeable
-        assert block.experiments is block.experiments
-
-    def test_its_experiments_are_not_checked_again(self, six_obs, monkeypatch):
-        block = ObservedBlock(sample=six_obs.sample, labels=self.LABELS,
-                              responses=self.RESPONSES)
-
-        def checked(self):
-            raise AssertionError("a row the block checked was checked again")
-
-        monkeypatch.setattr(AssignmentVector, "__post_init__", checked)
-        monkeypatch.setattr(ObservedExperiment, "__post_init__", checked)
-        assert [obs.n1 for obs in block.experiments] == [3, 3]
 
     @pytest.mark.parametrize("labels, responses, message", [
         (LABELS, RESPONSES[:, :5], "must have equal length"),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import joint_inclusion_by_scan, label_draws, uniform_crd_tails_by_fractions
+from conftest import resampling_plan
 from randcompare import (
     AssignmentVector,
     CensusCRD,
@@ -35,7 +36,6 @@ from randcompare import (
 )
 from randcompare import designs as designs_module
 from randcompare.designs import sample_assignment_batch, scan_tails
-from randcompare.inference import permutation_plan, wilcoxon_plan
 from randcompare.simulation import run_size_power
 
 
@@ -575,7 +575,8 @@ def observed_data(gen, kind, n, n1) -> ObservedExperiment:
 
 def kernel_columns(observed) -> list:
     """The permutation and rank-sum columns (coef, offset, compared)."""
-    return [permutation_plan(observed).column, wilcoxon_plan(observed).column]
+    return [resampling_plan("permutation", observed).column,
+            resampling_plan("wilcoxon", observed).column]
 
 
 def bounded(design, columns) -> list:
@@ -683,7 +684,7 @@ def test_sum_table_equals_the_fractions(data):
     labels = np.full(n, 2, np.int8)
     labels[data.draw(st.permutations(range(n)))[:n1]] = 1
     observed = ObservedExperiment(SampleVector.first_n(n), AssignmentVector(labels), y)
-    coef, offset, stat = wilcoxon_plan(observed).column
+    coef, offset, stat = resampling_plan("wilcoxon", observed).column
     tails = sum_table_tails(UniformCRD(n, n1),
                             (coef, offset, UniformCRD(n, n1).tie_bounds(coef, offset, stat)))
     size = math.comb(n, n1)

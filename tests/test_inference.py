@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import uniform_crd_tails_by_fractions
+from _oracles import difference_plan_by_experiment, uniform_crd_tails_by_fractions
+from conftest import plan_bits, resampling_plan
 from randcompare import (
     AssignmentVector,
     CensusCRD,
     DataValidationError,
     DegenerateDataError,
+    DesignInvalidError,
     EnumerationTooLargeError,
     ExactEngine,
     Explicit,
@@ -21,6 +23,7 @@ from randcompare import (
     InsufficientDataError,
     MonteCarloEngine,
     NoncomputableDistributionError,
+    ObservedBlock,
     ObservedExperiment,
     RngStream,
     SampleVector,
@@ -38,6 +41,7 @@ from randcompare import (
     neyman_selection_test,
     permutation_test,
     pooled_t_test,
+    resolve_weights,
     sample_variance,
     support_label_matrix,
     welch_t_test,
@@ -48,11 +52,8 @@ from randcompare.designs import sample_assignment_batch, scan_tails
 from randcompare.inference import (
     STOP_CHUNK,
     TESTS,
-    fisher_randomization_plan,
-    permutation_plan,
     run_resampling_plans,
     run_tests,
-    wilcoxon_plan,
 )
 from randcompare.simulation import DEFAULT_TEST_SUITE
 
@@ -190,7 +191,8 @@ class TestStopRule:
 
     @pytest.mark.parametrize("budget", STOP_BUDGETS)
     def test_bounds_match_a_scan_of_every_count(self, six_obs, budget):
-        for plan in (permutation_plan(six_obs), wilcoxon_plan(six_obs)):
+        for plan in (resampling_plan("permutation", six_obs),
+                     resampling_plan("wilcoxon", six_obs)):
             p = [plan.report([h, h, h], budget, "monte_carlo").p_value
                  for h in range(budget + 1)]
             for alpha in stop_alphas(budget):
@@ -201,7 +203,8 @@ class TestStopRule:
         # a plan is decided when each count it can still reach gives the
         # same decision; the rank sum reads its smaller tail, either one
         budget = 1000
-        for plan in (permutation_plan(six_obs), wilcoxon_plan(six_obs)):
+        for plan in (resampling_plan("permutation", six_obs),
+                     resampling_plan("wilcoxon", six_obs)):
             for alpha in stop_alphas(budget):
                 decided = plan.stop_rule(alpha, budget)
                 bound = plan.rejection_bound(alpha, budget)
@@ -228,8 +231,9 @@ class TestStopRule:
         for _ in range(8):
             observed = random_instance(gen, 10, 24)
             design = UniformCRD(observed.n, observed.n1)
-            plans = [permutation_plan(observed), wilcoxon_plan(observed),
-                     fisher_randomization_plan(observed, design)]
+            plans = [resampling_plan("permutation", observed),
+                     resampling_plan("wilcoxon", observed),
+                     resampling_plan("fisher_rand", observed, design)]
             full = run_resampling_plans(plans, MonteCarloEngine(2000, RngStream(seed)))
             alphas = (1 / 2002, 1 / 2001, 0.01, 0.05, 0.5, *(r.p_value for r in full))
             for alpha in alphas:
@@ -240,7 +244,7 @@ class TestStopRule:
 
     def test_kernel_without_a_rule_draws_its_budget(self, drawn_rows, six_obs):
         engine = MonteCarloEngine(9192, RngStream(9))
-        run_resampling_plans([permutation_plan(six_obs)], engine)
+        run_resampling_plans([resampling_plan("permutation", six_obs)], engine)
         assert sum(drawn_rows) == 9192 and max(drawn_rows) <= STOP_CHUNK
 
 
@@ -604,8 +608,8 @@ class TestFisherRandomization:
         obs = ObservedExperiment(
             SampleVector.first_n(n), AssignmentVector(labels), gen.normal(size=n).round(3)
         )
-        perm = permutation_plan(obs)
-        fisher = fisher_randomization_plan(obs, UniformCRD(n, n1))
+        perm = resampling_plan("permutation", obs)
+        fisher = resampling_plan("fisher_rand", obs, UniformCRD(n, n1))
         assert np.array_equal(perm.coef, fisher.coef)
         assert (perm.offset, perm.statistic) == (fisher.offset, fisher.statistic)
         p_perm, p_fisher = (
@@ -646,7 +650,7 @@ class TestFisherRandomization:
         doc = {"support": [[1, 1, 1, 2, 2, 2], [2, 2, 2, 1, 1, 1], [1, 2, 1, 2, 1, 2]],
                "probs": [0.5, 0.3, 0.2]}
         first, second = explicit_from_json(doc), explicit_from_json(doc)
-        alone = [run_resampling_plans([fisher_randomization_plan(six_obs, d)], engine)[0]
+        alone = [run_resampling_plans([resampling_plan("fisher_rand", six_obs, d)], engine)[0]
                  for d in (first, second)]
         calls = []
         kernel = type(engine).tails
@@ -656,7 +660,7 @@ class TestFisherRandomization:
             return kernel(self, design, columns)
 
         monkeypatch.setattr(type(engine), "tails", counting)
-        plans = [fisher_randomization_plan(six_obs, d) for d in (first, second)]
+        plans = [resampling_plan("fisher_rand", six_obs, d) for d in (first, second)]
         together = run_resampling_plans(plans, engine)
         assert len(calls) == 1
         assert together == alone
@@ -856,7 +860,8 @@ class TestCatalogue:
         (ExactEngine(), None, {"permutation": (0.5, None), "wilcoxon": (0.5, None)}),
     ], ids=["monte_carlo", "exact"])
     def test_plan_report_takes_the_budget(self, six_obs, engine, budget, expected):
-        plans = [permutation_plan(six_obs), wilcoxon_plan(six_obs)]
+        plans = [resampling_plan("permutation", six_obs),
+                 resampling_plan("wilcoxon", six_obs)]
         design = plans[0].design
         tails = engine.tails(design, [p.column for p in plans])
         denominator = budget or math.comb(6, 3)
@@ -866,3 +871,61 @@ class TestCatalogue:
         for report in reports:
             assert (report.p_value, report.mc_stderr) == expected[report.test]
             assert report.p_value_kind == ("exact" if budget is None else "monte_carlo")
+
+
+class TestBlockBuilders:
+    """Every test builds a block from its label and response matrices: a
+    block of one gives the one-experiment arithmetic's plan, and in a mixed
+    block each experiment keeps its own error."""
+
+    EXPLICIT = {"support": [[1, 1, 1, 2, 2, 2], [2, 2, 2, 1, 1, 1], [1, 2, 1, 2, 1, 2]],
+                "probs": [0.5, 0.3, 0.2]}
+
+    def test_explicit_designs_on_a_block_of_one(self, six_obs):
+        design = explicit_from_json(self.EXPLICIT)
+        plan = resampling_plan("fisher_rand", six_obs, design)
+        assert plan_bits(plan.statistic, plan.coef, plan.offset, plan.compared) == plan_bits(
+            *difference_plan_by_experiment(six_obs, design))
+        # a census-reducible ExplicitJoint: every split of 7 units into 4
+        # and 3, whose weights miss the arm sizes in the last bit
+        gen = np.random.default_rng(5)
+        obs = ObservedExperiment.from_arms(gen.normal(size=4), gen.normal(size=3))
+        support = tuple((obs.sample, AssignmentVector([1 if j in ones else 2 for j in range(7)]))
+                        for ones in itertools.combinations(range(7), 4))
+        joint = ExplicitJoint(n_population=7, support=support, probs=np.full(35, 1 / 35))
+        plans = TESTS["neyman_sel"].build(ObservedBlock((obs,)), None, joint)
+        d = d_statistic(obs.responses, obs.assignment,
+                        resolve_weights(joint, obs.sample, obs.assignment))
+        se = neyman_se(obs, UniformCRD(7, 4))
+        assert plans.statistics.tobytes() == np.array([d / se]).tobytes()
+
+    SIX = [1, 1, 1, 2, 2, 2]
+
+    @pytest.mark.parametrize("name, explicit, rows, error, message", [
+        ("fisher_rand", True,
+         [(SIX, [3, 1, 4, 1, 5, 9]), ([1, 1, 2, 2, 1, 2], [2, 7, 1, 8, 2, 8]),
+          ([1, 2, 1, 2, 1, 2], [1, 4, 1, 4, 2, 1])],
+         DesignInvalidError, "observed assignment is outside the design support"),
+        ("permutation", False,
+         [(SIX, [3, 1, 4, 1, 5, 9]), (SIX, [1e308, -1e308, 1e308, 1, 2, 4]),
+          (SIX, [2, 7, 1, 8, 2, 8])],
+         DataValidationError, "the range of the resampled statistic is not finite: "
+                              "the responses are too large for this test"),
+        ("fisher_exact", False,
+         [(SIX, [1, 0, 1, 0, 0, 1]), (SIX, [1, 2, 3, 1, 0, 4]), (SIX, [0, 0, 1, 1, 1, 1])],
+         DataValidationError, "responses must be binary (0/1)"),
+    ], ids=["fisher_rand", "permutation", "fisher_exact"])
+    def test_each_row_keeps_its_own_error(self, name, explicit, rows, error, message):
+        design = explicit_from_json(self.EXPLICIT) if explicit else None
+        experiments = [ObservedExperiment(SampleVector.first_n(6), AssignmentVector(labels),
+                                          np.array(y, dtype=float)) for labels, y in rows]
+        outcomes = TESTS[name].build(ObservedBlock(experiments), design, None)
+        assert (type(outcomes[1]), str(outcomes[1])) == (error, message)
+        for r in (0, 2):
+            if name == "fisher_exact":
+                assert outcomes[r] == fisher_exact_2x2(experiments[r])
+            else:
+                want = difference_plan_by_experiment(experiments[r], design or UniformCRD(6, 3))
+                plan = outcomes[r]
+                assert plan_bits(plan.statistic, plan.coef, plan.offset, plan.compared) == (
+                    plan_bits(*want))

@@ -55,7 +55,9 @@ import randcompare.simulation
 from randcompare.inference import run_block, score_closed_form
 from randcompare.simulation import _toml_subset_loads
 
-from _oracles import closed_form_by_arms
+from _oracles import (closed_form_by_arms, difference_plan_by_experiment,
+                      rank_sum_plan_by_experiment)
+from conftest import plan_bits
 
 BIG = 200_000
 
@@ -423,14 +425,17 @@ class TestRunSizePower:
             return tails(engine, design, columns, *stop)
 
         built = []
-        affine = randcompare.inference.d_affine_form
+        for name in ("permutation", "fisher_rand"):
+            entry = randcompare.inference.TESTS[name]
 
-        def counting_affine(y, weights):
-            built.append(len(y))
-            return affine(y, weights)
+            def counting_build(block, design, census, entry=entry):
+                plans = entry.build(block, design, census)
+                built.extend(plans)
+                return plans
 
+            monkeypatch.setitem(randcompare.inference.TESTS, name,
+                                entry._replace(build=counting_build))
         monkeypatch.setattr(engine_class, "tails", counting)
-        monkeypatch.setattr(randcompare.inference, "d_affine_form", counting_affine)
         run_size_power("t3.sc1", replicates=100, rng=RngStream(5), exact_small=exact_small)
         assert widths == [2] * 200
         assert len(built) == 200
@@ -570,6 +575,41 @@ def test_harness_blocks_are_the_experiments_blocks(monkeypatch):
                                           want.responses.view(np.int64)), (sid, row, size)
                     assert np.array_equal(block.sample.indices, want.sample.indices)
                 assert start == 100
+
+
+def test_block_plans_are_the_experiments_plans(monkeypatch):
+    """Each resampling plan a builder makes from a harness block's
+    matrices is, bit for bit, the plan the one-experiment arithmetic
+    makes, at every split of every scenario row."""
+    blocks = []
+    pooled = randcompare.inference.TESTS["pooled_t"]
+
+    def recording(block, design, census):
+        blocks.append(block)
+        return pooled.build(block, design, census)
+
+    monkeypatch.setitem(randcompare.inference.TESTS, "pooled_t",
+                        pooled._replace(build=recording))
+    names = ("permutation", "fisher_rand", "wilcoxon")
+    for sid in known_scenarios():
+        scenario = get_scenario(sid)
+        for row in ("randomization", "process"):
+            design, experiments = _harness_experiments(scenario, RngStream(2), row, 100)
+            want = [[plan_bits(*difference_plan_by_experiment(obs, design))] * 2
+                    + [plan_bits(*rank_sum_plan_by_experiment(obs))] for obs in experiments]
+            for size in (1, 7, 100):
+                blocks.clear()
+                monkeypatch.setattr(randcompare.simulation, "MC_CHUNK",
+                                    size * scenario.n_population)
+                run_size_power(scenario, test_suite=("pooled_t",), replicates=100,
+                               rng=RngStream(2), rows=(row,))
+                assert max(map(len, blocks)) == size, (sid, row, size)
+                got = [[plan_bits(plan.statistic, plan.coef, plan.offset, plan.compared)
+                        for plan in plans]
+                       for block in blocks for plans in zip(*(
+                           randcompare.inference.TESTS[name].build(block, design, None)
+                           for name in names))]
+                assert got == want, (sid, row, size)
 
 
 class TestBlockMatchesStandaloneTests:

@@ -274,9 +274,9 @@ def _studentized(test, block, differences, ses, df_of=None) -> ClosedFormPlans:
     return ClosedFormPlans(test, block, statistics, dfs, failures)
 
 
-def _require_two_arms(observed) -> None:
-    """Refuse an experiment, or a block of them, with an empty arm."""
-    if observed.n1 < 1 or observed.n2 < 1:
+def _require_two_arms(block) -> None:
+    """Refuse a block whose experiments have an empty arm."""
+    if block.n1 < 1 or block.n2 < 1:
         raise InsufficientDataError("both treatment arms must be nonempty")
 
 
@@ -618,7 +618,8 @@ def hypergeometric_counts(n: int, n1: int, m: int) -> dict:
 def _fisher_exact(block, design, census) -> list:
     """The Fisher exact test's report on each experiment of the block, or
     the error of an experiment whose responses are not binary: see
-    fisher_exact_2x2. A binary experiment's success counts are its sums."""
+    fisher_exact_2x2. A binary experiment's success counts are its sums,
+    counted as its ones."""
     _require_two_arms(block)
     n, n1, y = block.n, block.n1, block.responses
     failures = _Failures(len(block))

@@ -440,6 +440,26 @@ class TestRunSizePower:
         assert widths == [2] * 200
         assert len(built) == 200
 
+    def test_engines_only_for_resampling_tests(self, monkeypatch):
+        """A row makes a Monte Carlo engine per replicate only when one of
+        its tests resamples: binary rows read their difference tests from
+        an exact table, and the closed-form tests draw nothing."""
+        made = []
+        init = MonteCarloEngine.__post_init__
+
+        def counting(engine):
+            made.append(engine)
+            init(engine)
+
+        monkeypatch.setattr(MonteCarloEngine, "__post_init__", counting)
+        run_size_power("t6.sc6", replicates=100, rng=RngStream(3))
+        run_size_power("t3.sc1", test_suite=("welch_t", "neyman_rand"), replicates=100,
+                       rng=RngStream(3))
+        assert made == []
+        run_size_power("t3.sc1", test_suite=("welch_t", "permutation"), replicates=100,
+                       rng=RngStream(3), mc_budget=1000)
+        assert len(made) == 200
+
     def test_exact_small_enumerates_nothing(self, monkeypatch):
         supports = []
         enumerate_support = randcompare.designs.support_label_matrix

@@ -13,6 +13,7 @@ import sys
 
 from randcompare import (
     DEFAULT_TEST_SUITE,
+    ENUMERATION_CAP,
     REFERENCE_RATES,
     RngStream,
     known_scenarios,
@@ -30,7 +31,9 @@ def build_parser():
     parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--exact-small", action="store_true",
-                        help="exact per-replicate enumeration on 20-unit suites")
+                        help="exact tails, counted without enumerating, for the "
+                             "resampling tests wherever the support has at most "
+                             f"{ENUMERATION_CAP:,} assignments, at any n")
     parser.add_argument("--out", default=None, help="also write a CSV here")
     return parser
 

@@ -113,7 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mc", type=int, default=None, metavar="BUDGET",
                      help="per-replicate resampling budget override")
     sim.add_argument("--exact-small", action="store_true",
-                     help="exact per-replicate tails for 20-unit scenarios")
+                     help="exact tails, counted without enumerating, for the resampling "
+                          f"tests wherever the support has at most {ENUMERATION_CAP:,} "
+                          "assignments, at any n")
     sim.add_argument("--all-tables", action="store_true",
                      help="run every built-in scenario")
     sim.add_argument("--out", default=None)

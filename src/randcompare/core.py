@@ -127,20 +127,21 @@ class ObservedExperiment:
 
     responses[j] is the observed potential of unit sample.indices[j] under
     treatment assignment.labels[j]; the other potential stays unobserved.
+    The experiment's block of one checks it, after the responses' own
+    checks, and its responses are that block's read-only row.
     """
 
     sample: SampleVector
     assignment: AssignmentVector
     responses: np.ndarray
+    block: ObservedBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "responses", _frozen_float_array(self.responses, "responses")
-        )
-        if not (self.sample.n == self.assignment.n == len(self.responses)):
-            raise DataValidationError(
-                "sample, assignment and responses must have equal length"
-            )
+        responses = _frozen_float_array(self.responses, "responses")
+        block = ObservedBlock(sample=self.sample, labels=self.assignment.labels[None],
+                              responses=responses[None])
+        object.__setattr__(self, "responses", block.responses[0])
+        object.__setattr__(self, "block", block)
 
     @property
     def n(self) -> int:
@@ -180,27 +181,13 @@ class ObservedBlock:
     """R >= 1 experiments on one sample with equal arm sizes, which the
     tests score together, held as two (R, n) matrices: row r of labels
     (int8) and of responses (float64) is experiment r's assignment labels
-    and responses. A single experiment is a block of one.
+    and responses. The matrices, taken by keyword, are the only way to
+    make a block, and they are checked as a whole: labels 1 or 2, finite
+    responses, shapes that agree with the sample and one arm-1 size in
+    every row. A single experiment is the block of one that
+    ObservedExperiment makes and keeps as its block."""
 
-    ObservedBlock(sample=..., labels=..., responses=...) takes the
-    matrices and checks them as a whole, with the messages each
-    experiment's own checks give. ObservedBlock(experiments) checks that
-    the given experiments share one sample, stacks them and checks the
-    stacked matrices the same way."""
-
-    def __init__(self, experiments=None, *, sample=None, labels=None, responses=None):
-        if experiments is not None:
-            experiments = tuple(experiments)
-            if not experiments:
-                raise DataValidationError("a block needs at least one experiment")
-            sample = experiments[0].sample
-            for e in experiments[1:]:
-                if not (e.sample is sample or np.array_equal(e.sample.indices, sample.indices)):
-                    raise DataValidationError(
-                        "the experiments of a block must share one sample and its arm sizes"
-                    )
-            labels = [e.assignment.labels for e in experiments]
-            responses = [e.responses for e in experiments]
+    def __init__(self, *, sample, labels, responses):
         labels = np.array(labels, dtype=np.int8)
         responses = np.array(responses, dtype=np.float64)
         if labels.ndim != 2 or labels.shape != responses.shape or labels.shape[1] != sample.n:

@@ -132,24 +132,19 @@ def load_dataset(path) -> LoadedDataset:
 
 
 def dataset_summary(data: LoadedDataset) -> dict:
-    """Arm sizes, means and variances for the validation report."""
-    obs = data.observed
-    arm1 = obs.arm_responses(1)
-    arm2 = obs.arm_responses(2)
-
-    def _var(values: np.ndarray):
-        if len(values) < 2:
-            return None
-        return float(np.var(values, ddof=1))
-
+    """Arm sizes, means and variances for the validation report, from the
+    arm moments of the data's block of one; an arm of one unit has no
+    variance."""
+    block = data.observed.block
+    (mean1, ssd1), (mean2, ssd2) = block.arm_moments
     return {
         "source": data.source,
-        "n": obs.n,
-        "n1": obs.n1,
-        "n2": obs.n2,
-        "arm1_mean": float(arm1.mean()),
-        "arm2_mean": float(arm2.mean()),
-        "mean_difference": float(arm1.mean() - arm2.mean()),
-        "arm1_variance": _var(arm1),
-        "arm2_variance": _var(arm2),
+        "n": block.n,
+        "n1": block.n1,
+        "n2": block.n2,
+        "arm1_mean": float(mean1[0]),
+        "arm2_mean": float(mean2[0]),
+        "mean_difference": float(mean1[0] - mean2[0]),
+        "arm1_variance": float(ssd1[0] / (block.n1 - 1)) if block.n1 > 1 else None,
+        "arm2_variance": float(ssd2[0] / (block.n2 - 1)) if block.n2 > 1 else None,
     }

@@ -738,7 +738,7 @@ def run_tests(observed: ObservedExperiment, design: AssignmentDesign,
     """Yield the tests named (keys of TESTS) on observed, in order: each
     one's TestReport, or the RandcompareError it raised. This is run_block
     on the block of observed alone, scored by engine and score_closed_form."""
-    for outcomes in run_block(ObservedBlock((observed,)), design, (engine,), names, census):
+    for outcomes in run_block(observed.block, design, (engine,), names, census):
         yield from score_closed_form(outcomes)
 
 

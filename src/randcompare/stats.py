@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .core import AssignmentVector, ObservedBlock, ObservedExperiment, SampleVector
+from .core import AssignmentVector, ObservedExperiment, SampleVector
 from .designs import AssignmentDesign
 from .errors import (
     DataValidationError,
@@ -174,4 +174,4 @@ def neyman_se(observed: ObservedExperiment, design: AssignmentDesign) -> float:
     in size simulations); the t tests use the n-1 divisor instead, which
     is why this SE is smaller than welch_se on the same data.
     """
-    return float(np.sqrt(design.variance_bound(ObservedBlock((observed,)))[0]))
+    return float(np.sqrt(design.variance_bound(observed.block)[0]))

@@ -36,10 +36,19 @@ def resampling_plan(name, observed, design=None):
     """The ResamplingPlan of the resampling test name (a key of TESTS) on
     observed alone, built by its TESTS entry on the block of observed, or
     the error that stopped it, raised."""
-    [plan] = TESTS[name].build(ObservedBlock((observed,)), design, None)
+    [plan] = TESTS[name].build(observed.block, design, None)
     if isinstance(plan, RandcompareError):
         raise plan
     return plan
+
+
+def stacked_block(experiments) -> ObservedBlock:
+    """The ObservedBlock whose rows are the given experiments, on the first
+    one's sample: what an oracle that builds its experiments one at a time
+    compares a block with."""
+    return ObservedBlock(sample=experiments[0].sample,
+                         labels=[obs.assignment.labels for obs in experiments],
+                         responses=[obs.responses for obs in experiments])
 
 
 def plan_bits(statistic, coef, offset, compared) -> tuple:

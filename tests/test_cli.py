@@ -485,10 +485,48 @@ class TestExitCodes:
          ("simulate", "--replicates", "100")),
         ("n1_huge.json", json.dumps({**SCENARIO, "n1": 10**400}).encode(),
          ("simulate", "--replicates", "100")),
+        ("law.json", json.dumps({**SCENARIO, "law": 5}).encode(),
+         ("simulate", "--replicates", "100")),
+        ("law_extra.json", json.dumps({**SCENARIO, "law": {
+            "kind": "normal", "mean": 0, "sd": 1, "skew": 1}}).encode(),
+         ("simulate", "--replicates", "100")),
+        ("law_missing.json", json.dumps({**SCENARIO, "law": {"kind": "normal", "mean": 0}})
+         .encode(), ("simulate", "--replicates", "100")),
+        ("top_level.json", json.dumps([SCENARIO]).encode(),
+         ("simulate", "--replicates", "100")),
+        ("n2_missing.json", json.dumps({k: v for k, v in SCENARIO.items() if k != "n2"})
+         .encode(), ("simulate", "--replicates", "100")),
+        ("fixed_y_no_y2.json", json.dumps({**SCENARIO, "fixed_y": {"y1": [0] * 10}}).encode(),
+         ("simulate", "--replicates", "100")),
+        ("gamma.json", json.dumps({**SCENARIO, "law": {"kind": "gamma", "shape": 0,
+                                                       "scale": 1}}).encode(),
+         ("simulate", "--replicates", "100")),
+        ("weight.json", json.dumps({**SCENARIO, "law": {
+            "kind": "uniform_mixture", "weight": 1.5, "lo1": 0, "hi1": 1, "lo2": 2,
+            "hi2": 3}}).encode(), ("simulate", "--replicates", "100")),
+        ("interval.json", json.dumps({**SCENARIO, "law": {
+            "kind": "uniform_mixture", "weight": 0.5, "lo1": 1, "hi1": 1, "lo2": 2,
+            "hi2": 3}}).encode(), ("simulate", "--replicates", "100")),
+        ("margin.json", json.dumps({**SCENARIO, "law": {
+            "kind": "correlated_bernoulli_pair", "p1": 0, "p2": 0.5, "correlation": 0}})
+         .encode(), ("simulate", "--replicates", "100")),
+        ("correlation.json", json.dumps({**SCENARIO, "law": {
+            "kind": "correlated_bernoulli_pair", "p1": 0.5, "p2": 0.5, "correlation": 2}})
+         .encode(), ("simulate", "--replicates", "100")),
+        ("noise.json", json.dumps({**SCENARIO, "effect": {
+            "kind": "shift_centered_noise", "delta": 0, "sd": 0}}).encode(),
+         ("simulate", "--replicates", "100")),
+        ("n1_one.json", json.dumps({**SCENARIO, "n1": 1}).encode(),
+         ("simulate", "--replicates", "100")),
+        ("syntax.toml", b'name = "demo"\nn1 = = 5\n', ("simulate", "--replicates", "100")),
     ], ids=["design_not_json", "data_not_utf8", "n1_not_integer", "unknown_hypothesis",
             "law_parameter_string", "effect_parameter_bool", "hypothesis_truth_not_list",
             "n1_not_integral", "flag_not_bool", "count_string", "fixed_y_not_numbers",
-            "name_not_string", "population_past_index_range"])
+            "name_not_string", "population_past_index_range", "law_not_mapping",
+            "unknown_law_parameter", "missing_law_parameter", "top_level_not_mapping",
+            "n2_missing", "fixed_y_without_y2", "gamma_shape_0", "mixture_weight_1_5",
+            "mixture_empty_interval", "pair_margin_0", "correlation_2", "noise_sd_0",
+            "n1_is_1", "toml_syntax_error"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, filename, content, command):
         path = tmp_path / filename
         path.write_bytes(content)
@@ -538,6 +576,20 @@ class TestExitCodes:
         code, _ = run_cli("test", "--data", "cellphone.csv", "--tests", "anova")
         assert code == 2
         assert "anova" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--tests", ","), "--tests must name at least one test"),
+        (("--design", "nope.json"), "--design must be 'crd' or a JSON design file; "
+                                    "'nope.json' not found"),
+        (("--design", "two.json"), "design covers 2 units but the dataset has 64"),
+    ], ids=["no_test_named", "design_file_missing", "design_too_small"])
+    def test_test_command_refusal_is_2(self, tmp_path, monkeypatch, capsys, argv, message):
+        (tmp_path / "two.json").write_text(
+            json.dumps({"support": [[1, 2], [2, 1]], "probs": [0.5, 0.5]}))
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli("test", "--data", "cellphone", *argv)
+        assert (code, out) == (2, "")
+        assert message in capsys.readouterr().err
 
     def test_missing_data_file_is_2(self, capsys):
         code, _ = run_cli("test", "--data", "nope.csv")

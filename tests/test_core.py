@@ -120,6 +120,17 @@ class TestObservedExperiment:
                 SampleVector([1, 2]), AssignmentVector([1, 2]), np.array([1.0])
             )
 
+    @pytest.mark.parametrize("sample, labels, responses, message", [
+        ([1, 2], [1, 2], [[1.0, 2.0]], "responses must be one-dimensional"),
+        ([1, 2], [1, 2], [np.nan], "responses must contain only finite values"),
+        ([1, 2, 3], [1, 2], [1.0, 2.0], "must have equal length"),
+    ], ids=["two-dimensional", "finite-before-length", "sample"])
+    def test_checks_in_order(self, sample, labels, responses, message):
+        # the responses' own checks come first, then the block's
+        with pytest.raises(DataValidationError, match=message):
+            ObservedExperiment(SampleVector(sample), AssignmentVector(labels),
+                               np.array(responses))
+
     def test_arm_responses(self, six_obs):
         assert list(six_obs.arm_responses(1)) == [3.0, 1.0, 4.0]
         assert list(six_obs.arm_responses(2)) == [1.0, 5.0, 9.0]
@@ -134,10 +145,14 @@ class TestObservedExperiment:
 
 
 class TestObservedBlock:
+    LABELS = np.array([[1, 1, 1, 2, 2, 2], [2, 1, 2, 1, 1, 2]])
+    RESPONSES = np.array([[3.0, 1.0, 4.0, 1.0, 5.0, 9.0], [2.0, 7.0, 1.0, 8.0, 2.0, 8.0]])
+
     def test_rows_are_the_experiments(self, six_obs):
-        other = ObservedExperiment(six_obs.sample, AssignmentVector([2, 1, 2, 1, 1, 2]),
-                                   np.array([2.0, 7.0, 1.0, 8.0, 2.0, 8.0]))
-        block = ObservedBlock((six_obs, other))
+        other = ObservedExperiment(six_obs.sample, AssignmentVector(self.LABELS[1]),
+                                   self.RESPONSES[1])
+        block = ObservedBlock(sample=six_obs.sample, labels=self.LABELS,
+                              responses=self.RESPONSES)
         assert len(block) == 2 and (block.n, block.n1, block.n2) == (6, 3, 3)
         for row, obs in enumerate((six_obs, other)):
             assert list(block.responses[row]) == list(obs.responses)
@@ -145,33 +160,28 @@ class TestObservedBlock:
                 assert list(arm[row]) == list(obs.arm_responses(t))
         assert block.constant == [False, False]
 
-    def test_refuses_an_empty_or_mixed_block(self, six_obs):
-        with pytest.raises(DataValidationError, match="at least one"):
-            ObservedBlock(())
-        other_arms = ObservedExperiment.from_arms([1.0, 2.0], [3.0, 4.0, 5.0, 6.0])
-        other_sample = ObservedExperiment(SampleVector([2, 3, 4, 5, 6, 7]),
-                                          six_obs.assignment, six_obs.responses)
-        for other in (other_arms, other_sample):
-            with pytest.raises(DataValidationError, match="share one sample"):
-                ObservedBlock((six_obs, other))
-
     def test_keeps_the_experiments_it_was_made_from(self, six_obs):
-        block = ObservedBlock((six_obs,))
-        assert block.sample is six_obs.sample
+        block = six_obs.block
+        assert block.sample is six_obs.sample and len(block) == 1
+        assert np.array_equal(block.labels[0], six_obs.assignment.labels)
+        # the experiment's responses are the block's read-only row
+        assert np.shares_memory(six_obs.responses, block.responses)
+        assert not six_obs.responses.flags.writeable
 
-    LABELS = np.array([[1, 1, 1, 2, 2, 2], [2, 1, 2, 1, 1, 2]])
-    RESPONSES = np.array([[3.0, 1.0, 4.0, 1.0, 5.0, 9.0], [2.0, 7.0, 1.0, 8.0, 2.0, 8.0]])
+    def test_takes_its_matrices_by_keyword_only(self, six_obs):
+        with pytest.raises(TypeError):
+            ObservedBlock((six_obs,))
 
     def test_matrices_make_the_experiments_block(self, six_obs):
         block = ObservedBlock(sample=six_obs.sample, labels=self.LABELS,
                               responses=self.RESPONSES)
         other = ObservedExperiment(six_obs.sample, AssignmentVector(self.LABELS[1]),
                                    self.RESPONSES[1])
-        reference = ObservedBlock((six_obs, other))
         assert len(block) == 2 and (block.n, block.n1, block.n2) == (6, 3, 3)
         assert block.labels.dtype == np.int8 and block.responses.dtype == np.float64
-        assert np.array_equal(block.labels, reference.labels)
-        assert np.array_equal(block.responses, reference.responses)
+        for row, obs in enumerate((six_obs, other)):
+            assert np.array_equal(block.labels[row], obs.block.labels[0])
+            assert np.array_equal(block.responses[row], obs.block.responses[0])
         assert not block.labels.flags.writeable and not block.responses.flags.writeable
 
     @pytest.mark.parametrize("labels, responses, message", [

@@ -3,15 +3,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from randcompare import (
     DataValidationError,
+    ObservedExperiment,
     bundled_dataset_path,
     dataset_summary,
     explicit_from_json,
     load_dataset,
     load_scenario_file,
 )
+from randcompare.datasets import LoadedDataset
 
 
 def write_csv(tmp_path, rows, header="unit_id,treatment,response"):
@@ -121,6 +124,30 @@ class TestLoader:
         summary = dataset_summary(load_dataset(path))
         assert summary["arm1_variance"] is None
         assert summary["arm2_variance"] == pytest.approx(4.5)
+
+    # a singleton arm, small arms, and arms past numpy's 128-value pairwise
+    # summation block
+    ARM_SIZES = st.one_of(st.just(1), st.integers(2, 20), st.integers(129, 400))
+
+    @given(n1=ARM_SIZES, n2=ARM_SIZES, seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e300]), decimals=st.integers(0, 3))
+    @example(n1=1, n2=300, seed=0, scale=1.0, decimals=3)
+    @example(n1=129, n2=1, seed=1, scale=1e6, decimals=0)
+    def test_summary_is_the_arms_mean_and_var(self, n1, n2, seed, scale, decimals):
+        """Each arm's mean and variance are, bit for bit, ndarray.mean()
+        and np.var(ddof=1) of its responses; an arm of one has none."""
+        gen = np.random.default_rng(seed)
+        obs = ObservedExperiment.from_arms(
+            *(np.round(gen.normal(size=size) * 10, decimals) * scale for size in (n1, n2)))
+        summary = dataset_summary(LoadedDataset(observed=obs, unit_ids=(), source="drawn"))
+        arm1, arm2 = obs.arm_responses(1), obs.arm_responses(2)
+        # at the largest scale the squares overflow to inf, on both sides
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, arm in ((1, arm1), (2, arm2)):
+                assert repr(summary[f"arm{t}_mean"]) == repr(float(arm.mean()))
+                want = float(np.var(arm, ddof=1)) if len(arm) > 1 else None
+                assert repr(summary[f"arm{t}_variance"]) == repr(want)
+            assert repr(summary["mean_difference"]) == repr(float(arm1.mean() - arm2.mean()))
 
 
 # One valid file of each kind that an input reader takes, and that reader.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import difference_plan_by_experiment, uniform_crd_tails_by_fractions
-from conftest import plan_bits, resampling_plan
+from conftest import plan_bits, resampling_plan, stacked_block
 from randcompare import (
     AssignmentVector,
     CensusCRD,
@@ -23,7 +23,6 @@ from randcompare import (
     InsufficientDataError,
     MonteCarloEngine,
     NoncomputableDistributionError,
-    ObservedBlock,
     ObservedExperiment,
     RngStream,
     SampleVector,
@@ -893,7 +892,7 @@ class TestBlockBuilders:
         support = tuple((obs.sample, AssignmentVector([1 if j in ones else 2 for j in range(7)]))
                         for ones in itertools.combinations(range(7), 4))
         joint = ExplicitJoint(n_population=7, support=support, probs=np.full(35, 1 / 35))
-        plans = TESTS["neyman_sel"].build(ObservedBlock((obs,)), None, joint)
+        plans = TESTS["neyman_sel"].build(obs.block, None, joint)
         d = d_statistic(obs.responses, obs.assignment,
                         resolve_weights(joint, obs.sample, obs.assignment))
         se = neyman_se(obs, UniformCRD(7, 4))
@@ -919,7 +918,7 @@ class TestBlockBuilders:
         design = explicit_from_json(self.EXPLICIT) if explicit else None
         experiments = [ObservedExperiment(SampleVector.first_n(6), AssignmentVector(labels),
                                           np.array(y, dtype=float)) for labels, y in rows]
-        outcomes = TESTS[name].build(ObservedBlock(experiments), design, None)
+        outcomes = TESTS[name].build(stacked_block(experiments), design, None)
         assert (type(outcomes[1]), str(outcomes[1])) == (error, message)
         for r in (0, 2):
             if name == "fisher_exact":

@@ -57,7 +57,7 @@ from randcompare.simulation import _toml_subset_loads
 
 from _oracles import (closed_form_by_arms, difference_plan_by_experiment,
                       rank_sum_plan_by_experiment)
-from conftest import plan_bits
+from conftest import plan_bits, stacked_block
 
 BIG = 200_000
 
@@ -332,6 +332,25 @@ class TestRunSizePower:
         with pytest.raises(DataValidationError, match="threads must be >= 1"):
             run_size_power("t3.sc1", replicates=100, rng=RngStream(0), threads=threads)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("test_suite, message", [
+        (None, "the range of the resampled statistic is not finite: "
+               "the responses are too large for this test"),
+        (("welch_t",), "the standard error is not finite: "
+                       "the responses are too large for this test"),
+    ], ids=["default-suite", "welch_t"])
+    def test_a_test_error_is_raised(self, test_suite, message, threads):
+        # a fixed table of finite values whose differences overflow: the
+        # first replicate's first failing test raises, whatever the split
+        huge = np.array([1.7e308, -1.7e308] * 5)
+        scenario = Scenario(name="huge", n1=5, n2=5, law=Normal(0.0, 1.0), effect=Identity(),
+                            fixed_y=PotentialTable(huge, huge))
+        suite = {} if test_suite is None else {"test_suite": test_suite}
+        with pytest.raises(DataValidationError) as exc:
+            run_size_power(scenario, replicates=100, rng=RngStream(2),
+                           rows=("randomization",), threads=threads, **suite)
+        assert str(exc.value) == message
+
     def test_estimate_bookkeeping(self):
         estimates = run_size_power("t3.sc1", replicates=100, rng=RngStream(3))
         assert len(estimates) == 12  # 6 tests x 2 rows
@@ -586,7 +605,7 @@ def test_harness_blocks_are_the_experiments_blocks(monkeypatch):
                 assert max(map(len, built)) == size, (sid, row, size)
                 start = 0
                 for block in built:
-                    want = ObservedBlock(experiments[start:start + len(block)])
+                    want = stacked_block(experiments[start:start + len(block)])
                     start += len(block)
                     assert block.labels.dtype == want.labels.dtype
                     assert np.array_equal(block.labels, want.labels), (sid, row, size)
@@ -653,7 +672,7 @@ class TestBlockMatchesStandaloneTests:
             scenario = get_scenario(sid)
             for row in ("randomization", "process"):
                 design, experiments = _harness_experiments(scenario, RngStream(2), row, 100)
-                block = ObservedBlock(experiments)
+                block = stacked_block(experiments)
                 batched = dict(zip(self.CLOSED_FORM, map(score_closed_form, run_block(
                     block, design, [ExactEngine()] * len(block), self.CLOSED_FORM))))
                 for r, obs in enumerate(experiments):
@@ -682,7 +701,7 @@ class TestBlockMatchesStandaloneTests:
         experiments = [ObservedExperiment.from_arms(arm1, arm2) for arm1, arm2 in (
             ([-0.0, -0.0], [-1.0, 1.0]), ([-1.0, 1.0], [0.0, 0.0]))]
         design = UniformCRD(4, 2)
-        block = ObservedBlock(experiments)
+        block = stacked_block(experiments)
         batched = dict(zip(self.CLOSED_FORM, map(score_closed_form, run_block(
             block, design, [ExactEngine()] * len(block), self.CLOSED_FORM))))
         for r, obs in enumerate(experiments):

@@ -292,7 +292,7 @@ def cmd_test(args) -> int:
         doc = dict(meta)
         doc["reports"] = [rep.to_dict() for rep in reports]
         doc["notices"] = notices
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     elif args.fmt == "csv":
         text = _csv([f.name for f in fields(TestReport)],
                     [rep.to_dict() for rep in reports])
@@ -369,7 +369,7 @@ def cmd_simulate(args) -> int:
     if args.fmt == "json":
         doc = dict(meta)
         doc["estimates"] = rows
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     elif args.fmt == "csv":
         text = _csv(_SIM_FIELDS, [
             row if row["rejection_rate"] is not None else {**row, "rejection_rate": "NA"}
@@ -385,7 +385,7 @@ def cmd_validate(args) -> int:
     loaded = load_dataset(path)
     summary = dataset_summary(loaded)
     if args.fmt == "json":
-        text = json.dumps(summary, indent=2) + "\n"
+        text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
     else:
         lines = [f"{path}: OK"]
         for key in ("n", "n1", "n2", "arm1_mean", "arm2_mean",

@@ -22,14 +22,14 @@ import numpy as np
 from .errors import BoundsError, DataValidationError
 
 
-def _frozen_float_array(values, name: str) -> np.ndarray:
+def _float_vector(values, name: str) -> np.ndarray:
+    """values as a float64 array, not copied where numpy need not, once it
+    is one-dimensional and finite."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise DataValidationError(f"{name} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
         raise DataValidationError(f"{name} must contain only finite values")
-    arr = arr.copy()
-    arr.setflags(write=False)
     return arr
 
 
@@ -45,8 +45,10 @@ class PotentialTable:
     y2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y1", _frozen_float_array(self.y1, "y1"))
-        object.__setattr__(self, "y2", _frozen_float_array(self.y2, "y2"))
+        for name in ("y1", "y2"):
+            column = _float_vector(getattr(self, name), name).copy()
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
         if len(self.y1) != len(self.y2):
             raise DataValidationError("y1 and y2 must have equal length")
         if len(self.y1) == 0:
@@ -137,7 +139,7 @@ class ObservedExperiment:
     block: ObservedBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        responses = _frozen_float_array(self.responses, "responses")
+        responses = _float_vector(self.responses, "responses")
         block = ObservedBlock(sample=self.sample, labels=self.assignment.labels[None],
                               responses=responses[None])
         object.__setattr__(self, "responses", block.responses[0])

@@ -134,17 +134,14 @@ def load_dataset(path) -> LoadedDataset:
 def dataset_summary(data: LoadedDataset) -> dict:
     """Arm sizes, means and variances for the validation report, from the
     arm moments of the data's block of one; an arm of one unit has no
-    variance."""
+    variance, and a mean, difference or variance that overflows is None."""
     block = data.observed.block
     (mean1, ssd1), (mean2, ssd2) = block.arm_moments
-    return {
-        "source": data.source,
-        "n": block.n,
-        "n1": block.n1,
-        "n2": block.n2,
-        "arm1_mean": float(mean1[0]),
-        "arm2_mean": float(mean2[0]),
-        "mean_difference": float(mean1[0] - mean2[0]),
-        "arm1_variance": float(ssd1[0] / (block.n1 - 1)) if block.n1 > 1 else None,
-        "arm2_variance": float(ssd2[0] / (block.n2 - 1)) if block.n2 > 1 else None,
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = {"arm1_mean": mean1[0], "arm2_mean": mean2[0],
+                   "mean_difference": mean1[0] - mean2[0],
+                   "arm1_variance": ssd1[0] / (block.n1 - 1) if block.n1 > 1 else None,
+                   "arm2_variance": ssd2[0] / (block.n2 - 1) if block.n2 > 1 else None}
+    return {"source": data.source, "n": block.n, "n1": block.n1, "n2": block.n2,
+            **{key: float(value) if value is not None and np.isfinite(value) else None
+               for key, value in moments.items()}}

@@ -171,14 +171,6 @@ class TestReport:
                 "assumptions": list(self.assumptions)}
 
 
-def _report(test, block, r, statistic, p_value, kind, mc_stderr=None) -> TestReport:
-    """The test's report on experiment r of the block, degenerate when
-    every response of the experiment is the same."""
-    entry = TESTS[test]
-    return TestReport(test, entry.hypothesis, statistic, p_value, kind, mc_stderr,
-                      entry.assumptions, block.n1, block.n2, block.constant[r])
-
-
 @dataclass(frozen=True, eq=False)
 class ClosedFormPlans:
     """A closed-form test on each experiment of a block up to its
@@ -213,20 +205,29 @@ def closed_form_p_values(statistics, dfs) -> np.ndarray:
 
 
 def score_closed_form(outcomes) -> list:
-    """A test's outcomes on a block, each experiment's, with
-    ClosedFormPlans read into a TestReport per experiment, or the error
-    that stopped it: one closed_form_p_values call reads the p-values."""
-    if not isinstance(outcomes, ClosedFormPlans):
-        return list(outcomes)
-    planned = ~np.isnan(outcomes.statistics)
-    p_values = np.full(len(planned), np.nan)
-    p_values[planned] = closed_form_p_values(outcomes.statistics[planned],
-                                             outcomes.dfs[planned])
-    failures = outcomes.failures
-    return [failures[r] if r in failures else _report(
-                outcomes.test, outcomes.block, r, statistic, p_value, "asymptotic")
-            for r, (statistic, p_value) in enumerate(zip(
-                outcomes.statistics.tolist(), p_values.tolist()))]
+    """A test's outcomes on a block (run_block's), each experiment's read
+    into a TestReport, degenerate when its responses are all equal, or
+    the error that stopped it; a list, an error of the whole block, as it
+    is. ClosedFormPlans' p-values come from one closed_form_p_values call,
+    ResamplingPlans' as run_block scored them, exact where no stderr is."""
+    if isinstance(outcomes, list):
+        return outcomes
+    statistics, failures, block = outcomes.statistics, outcomes.failures, outcomes.block
+    if isinstance(outcomes, ClosedFormPlans):
+        planned = ~np.isnan(statistics)
+        p_values = np.full(len(planned), np.nan)
+        p_values[planned] = closed_form_p_values(statistics[planned], outcomes.dfs[planned])
+        stderrs, kinds = [None] * len(planned), ["asymptotic"] * len(planned)
+    else:
+        p_values = outcomes.p_values
+        stderrs = [None if math.isnan(se) else se for se in outcomes.stderrs.tolist()]
+        kinds = ["exact" if se is None else "monte_carlo" for se in stderrs]
+    entry = TESTS[outcomes.test]
+    return [failures[r] if r in failures else TestReport(
+                outcomes.test, entry.hypothesis, statistic, p_value, kind, stderr,
+                entry.assumptions, block.n1, block.n2, block.constant[r])
+            for r, (statistic, p_value, kind, stderr) in enumerate(zip(
+                statistics.tolist(), p_values.tolist(), kinds, stderrs))]
 
 
 def _not_finite(what: str) -> DataValidationError:
@@ -287,70 +288,36 @@ def add_one_pvalue(hits: int, budget: int) -> tuple:
     return p, math.sqrt(p * (1.0 - p) / budget)
 
 
-@dataclass(frozen=True)
-class ResamplingPlan:
-    """A resampling test on experiment row of a block up to its tails:
-    the design it resamples, the statistic it reports, and that statistic
-    as a kernel column (coef,
-    offset, compared): m @ coef + offset at an assignment with arm-1
-    indicators m, compared with its value at the observed assignment.
-
-    The rank sum reports min(1, 2 * smaller tail), the difference
-    statistics their |stat| tail.
-    """
+@dataclass(frozen=True, eq=False)
+class ResamplingPlans:
+    """A resampling test on each experiment of a block up to its tails,
+    shaped as ClosedFormPlans: the design it resamples, the (R,) statistics
+    it reports, and experiment r's kernel column(r) = (coefs[r], offsets[r],
+    compared[r]): m @ coefs[r] + offsets[r] at an assignment with arm-1
+    indicators m, compared with its value at the observed one. run_block
+    scores them in place into (R,) p_values and stderrs, nan until then and
+    where there is none (an exact tail or a failure). fisher_exact counts
+    its tails as it builds, so its plans have no design and no columns."""
 
     test: str
-    design: AssignmentDesign
+    design: Optional[AssignmentDesign]
     block: ObservedBlock
-    row: int
-    statistic: float
-    coef: np.ndarray
-    offset: float
-    compared: float
+    statistics: np.ndarray
+    coefs: Optional[np.ndarray]
+    offsets: Optional[np.ndarray]
+    compared: Optional[np.ndarray]
+    failures: _Failures
 
-    @property
-    def column(self) -> tuple:
-        return self.coef, self.offset, self.compared
+    def __post_init__(self):
+        for name in ("p_values", "stderrs"):
+            object.__setattr__(self, name, np.full(len(self.statistics), np.nan))
 
-    def report(self, tails, denominator, kind) -> TestReport:
-        """The TestReport once an engine of this kind has scored this
-        plan's column: tails are hit counts out of denominator, the support
-        points an exact engine counted (or an Explicit design's probability
-        masses, out of 1) or the draws of a Monte Carlo engine, which it
-        reads by the add-one rule."""
-        if kind == "monte_carlo":
-            (p, stderr), (upper, se_up), (lower, se_lo) = (
-                add_one_pvalue(t, denominator) for t in tails
-            )
-        else:
-            (p, upper, lower), stderr = (t / denominator for t in tails), None
-        if self.test == "wilcoxon":
-            p = _doubled(min(upper, lower))
-            if stderr is not None:
-                # stderr of the doubled smaller tail, before the cap at 1
-                stderr = 2.0 * (se_up if upper <= lower else se_lo)
-        return _report(self.test, self.block, self.row, self.statistic, p, kind, stderr)
+    def column(self, r: int) -> tuple:
+        return self.coefs[r], float(self.offsets[r]), float(self.compared[r])
 
-    def rejection_bound(self, alpha: float, budget: int) -> int:
-        """The largest hit count h whose report out of budget Monte Carlo
-        draws has p <= alpha, or -1 if there is none. The count is the one
-        report reads the p-value from: the abs tail, or for the rank sum
-        the smaller of the two tails."""
-        return _rejection_bound(self.test == "wilcoxon", alpha, budget)
-
-    def stop_rule(self, alpha: float, budget: int) -> Callable:
-        """decided(tails, drawn): whether the hit counts tails of the first
-        drawn of budget draws fix this plan's decision p <= alpha. Under
-        the add-one rule the count only grows with the draws, so the
-        decision is fixed once the count is past rejection_bound (p > alpha
-        whatever follows) or cannot get past it in the draws left (p <=
-        alpha whatever follows)."""
-        bound, doubled = self.rejection_bound(alpha, budget), self.test == "wilcoxon"
-
-        def decided(tails, drawn) -> bool:
-            count = min(tails[1], tails[2]) if doubled else tails[0]
-            return count > bound or count + (budget - drawn) <= bound
-        return decided
+    def pending(self, r: int) -> bool:
+        """Whether experiment r is neither stopped nor scored."""
+        return not self.failures.failed[r] and math.isnan(self.p_values[r])
 
 
 def _doubled(p: float) -> float:
@@ -358,44 +325,80 @@ def _doubled(p: float) -> float:
     return min(1.0, 2.0 * p)
 
 
+def _p_value(tails, denominator, kind: str, doubled: bool) -> tuple:
+    """(p, stderr) of a plan once an engine of this kind has scored its
+    column: tails are hit counts [abs, upper, lower] out of denominator,
+    the support points an exact engine counted (or an Explicit design's
+    probability masses, out of 1), or the draws of a Monte Carlo engine,
+    which it reads by the add-one rule and which alone gives a stderr (nan
+    otherwise). The rank sum (doubled) reads its smaller tail, doubled."""
+    if kind == "monte_carlo":
+        (p, stderr), (upper, se_up), (lower, se_lo) = (
+            add_one_pvalue(t, denominator) for t in tails
+        )
+    else:
+        (p, upper, lower), stderr = (t / denominator for t in tails), math.nan
+    if doubled:
+        p = _doubled(min(upper, lower))
+        if kind == "monte_carlo":
+            # stderr of the doubled smaller tail, before the cap at 1
+            stderr = 2.0 * (se_up if upper <= lower else se_lo)
+    return p, stderr
+
+
 @lru_cache(maxsize=None)
-def _rejection_bound(doubled: bool, alpha: float, budget: int) -> int:
-    """ResamplingPlan.rejection_bound, doubled for the rank sum: a
-    bisection over the report's own float p-values, which do not fall as
-    the count grows."""
+def _stop_rule(doubled: bool, alpha: float, budget: int) -> Callable:
+    """decided(tails, drawn): whether the hit counts tails of the first
+    drawn of budget Monte Carlo draws fix a plan's decision p <= alpha.
+    decided.bound is the largest count, of the abs tail or for the rank
+    sum (doubled) the smaller tail, whose p-value (_p_value) is <= alpha,
+    or -1: a bisection over those float p-values, which do not fall as the
+    count grows. Under the add-one rule the count only grows with the
+    draws, so the decision is fixed once the count is past the bound
+    (p > alpha whatever follows) or cannot get past it in the draws left
+    (p <= alpha whatever follows)."""
     def accepts(h) -> bool:
         p, _ = add_one_pvalue(h, budget)
         return (_doubled(p) if doubled else p) > alpha
-    return bisect.bisect_left(range(budget + 1), True, key=accepts) - 1
+    bound = bisect.bisect_left(range(budget + 1), True, key=accepts) - 1
+
+    def decided(tails, drawn) -> bool:
+        count = min(tails[1], tails[2]) if doubled else tails[0]
+        return count > bound or count + (budget - drawn) <= bound
+    decided.bound = bound
+    return decided
 
 
-def run_resampling_plans(plans, engine: PValueEngine, alpha: Optional[float] = None) -> list:
-    """Reports of resampling tests that share one design, from one
-    engine.tails call: one exact count, or one set of draws from engine.rng.
-    Equal columns are scored once.
-
-    With alpha, a Monte Carlo engine stops drawing once every plan's
-    decision p <= alpha is fixed (ResamplingPlan.stop_rule), and a report
-    then carries the p-value of the counts so far, a bound that decided
-    it: only whether p <= alpha is meaningful there. The decisions are
-    those of the full budget's reports. run_size_power is the only caller
-    that passes alpha, and such reports never leave it."""
+def _score_experiment(plans, r: int, engine: PValueEngine, alpha: Optional[float] = None) -> None:
+    """Score experiment r of resampling plans that share one design, in
+    place, from one engine.tails call: one exact count, or one set of
+    draws from engine.rng. Equal columns are scored once; an error of the
+    engine stops experiment r of every plan. With alpha, a Monte Carlo
+    engine stops drawing once every plan's decision p <= alpha is fixed
+    (_stop_rule), and a plan's p-value is then that of the counts so far:
+    only whether p <= alpha, the full budget's decision, is meaningful.
+    run_size_power is the only caller that passes alpha."""
     design = plans[0].design
-    if any(plan.design != design for plan in plans):
-        raise ValueError("plans scored together must share one design")
-    keys = [(plan.coef.tobytes(), plan.offset, plan.compared) for plan in plans]
-    columns = dict(zip(keys, (plan.column for plan in plans)))
-    if alpha is None or engine.kind != "monte_carlo":
-        counts = engine.tails(design, list(columns.values()))
-    else:
-        index = {key: i for i, key in enumerate(columns)}
-        rules = [(index[key], plan.stop_rule(alpha, engine.budget))
+    columns = [plan.column(r) for plan in plans]
+    keys = [(coef.tobytes(), offset, compared) for coef, offset, compared in columns]
+    unique = dict(zip(keys, columns))
+    stop = ()
+    if alpha is not None and engine.kind == "monte_carlo":
+        index = {key: i for i, key in enumerate(unique)}
+        rules = [(index[key], _stop_rule(plan.test == "wilcoxon", alpha, engine.budget))
                  for plan, key in zip(plans, keys)]
-        counts = engine.tails(design, list(columns.values()), lambda totals, drawn: all(
-            decided(totals[i], drawn) for i, decided in rules))
-    tails = dict(zip(columns, counts))
+        stop = (lambda totals, drawn: all(decided(totals[i], drawn) for i, decided in rules),)
+    try:
+        counts = engine.tails(design, list(unique.values()), *stop)
+    except RandcompareError as exc:
+        for plan in plans:
+            plan.failures.refuse(np.arange(len(plan.statistics)) == r, exc)
+        return
+    tails = dict(zip(unique, counts))
     denominator = engine.denominator(design)
-    return [plan.report(tails[key], denominator, engine.kind) for plan, key in zip(plans, keys)]
+    for plan, key in zip(plans, keys):
+        plan.p_values[r], plan.stderrs[r] = _p_value(tails[key], denominator, engine.kind,
+                                                     plan.test == "wilcoxon")
 
 
 def _weighted_difference(block: ObservedBlock, responses, weights) -> np.ndarray:
@@ -412,9 +415,9 @@ def _weighted_difference(block: ObservedBlock, responses, weights) -> np.ndarray
         return 0.0 + sum1 + -1.0 * sum2
 
 
-def _difference_plans(test, block, design, weights, outside=None) -> list:
-    """The weighted difference D of each experiment's responses as a plan,
-    or the error that stopped the experiment. When D is shift-invariant
+def _difference_plans(test, block, design, weights, outside=None) -> ResamplingPlans:
+    """The weighted difference D of each experiment's responses as its
+    plan, or the error that stopped the experiment. When D is shift-invariant
     under the design, its column is built from the responses less their
     middle order statistic, a data value: the difference of two floats of
     like magnitude is exact, so the centered responses keep the lattice of
@@ -438,12 +441,10 @@ def _difference_plans(test, block, design, weights, outside=None) -> list:
     failures.refuse(~np.isfinite(statistics), _not_finite("statistic"))
     failures.refuse(~np.isfinite(ranges), _not_finite("range of the resampled statistic"))
     failures.refuse(~np.isfinite(compared), _not_finite("statistic"))
-    return [failures[r] if r in failures else ResamplingPlan(test, design, block, r, *column)
-            for r, column in enumerate(zip(statistics.tolist(), coefs, offsets.tolist(),
-                                           compared.tolist()))]
+    return ResamplingPlans(test, design, block, statistics, coefs, offsets, compared, failures)
 
 
-def _permutation(block, design, census) -> list:
+def _permutation(block, design, census) -> ResamplingPlans:
     """The permutation test's plans: the difference of arm means over all
     relabelings at fixed arm sizes."""
     _require_two_arms(block)
@@ -451,17 +452,17 @@ def _permutation(block, design, census) -> list:
     return _difference_plans("permutation", block, design, design.weight_table(block.sample))
 
 
-def _wilcoxon(block, design, census) -> list:
+def _wilcoxon(block, design, census) -> ResamplingPlans:
     """The rank-sum test's plans: the arm-1 midrank sum over relabelings."""
     _require_two_arms(block)
     design = UniformCRD(block.n, block.n1)
     ranks = np.stack([rank_midranks(y) for y in block.responses])
-    sums = ranks[block.labels == 1].reshape(len(block), block.n1).sum(axis=1).tolist()
-    return [ResamplingPlan("wilcoxon", design, block, r, w_obs, coef, 0.0, w_obs)
-            for r, (coef, w_obs) in enumerate(zip(ranks, sums))]
+    sums = ranks[block.labels == 1].reshape(len(block), block.n1).sum(axis=1)
+    return ResamplingPlans("wilcoxon", design, block, sums, ranks, np.zeros(len(block)), sums,
+                           _Failures(len(block)))
 
 
-def _fisher_randomization(block, design, census) -> list:
+def _fisher_randomization(block, design, census) -> ResamplingPlans:
     """The Fisher randomization test's plans: the inclusion-weighted
     difference statistic over the design's support. The weights are
     nonzero, as every position can receive either treatment."""
@@ -615,24 +616,26 @@ def hypergeometric_counts(n: int, n1: int, m: int) -> dict:
     }
 
 
-def _fisher_exact(block, design, census) -> list:
-    """The Fisher exact test's report on each experiment of the block, or
-    the error of an experiment whose responses are not binary: see
-    fisher_exact_2x2. A binary experiment's success counts are its sums,
-    counted as its ones."""
+def _fisher_exact(block, design, census) -> ResamplingPlans:
+    """The Fisher exact test's plans, scored as they are built: each
+    experiment's arm-1 success count and exact p-value, or the error of
+    an experiment whose responses are not binary: see fisher_exact_2x2. A
+    binary experiment's success counts are its sums, counted as its ones."""
     _require_two_arms(block)
     n, n1, y = block.n, block.n1, block.responses
     failures = _Failures(len(block))
     failures.refuse(~((y == 0.0) | (y == 1.0)).all(axis=1),
                     DataValidationError("responses must be binary (0/1)"))
-    total, outcomes = math.comb(n, n1), []
+    counts = np.count_nonzero(block.arms[0] == 1.0, axis=1)
+    plans = ResamplingPlans("fisher_exact", None, block, counts.astype(np.float64),
+                            None, None, None, failures)
+    total = math.comb(n, n1)
     for r, (m, k_obs) in enumerate(zip(np.count_nonzero(y == 1.0, axis=1).tolist(),
-                                       np.count_nonzero(block.arms[0] == 1.0, axis=1).tolist())):
-        weights = hypergeometric_counts(n, n1, m)
-        numer = sum(w for w in weights.values() if w <= weights[k_obs])
-        outcomes.append(failures[r] if r in failures else _report(
-            "fisher_exact", block, r, float(k_obs), numer / total, "exact"))
-    return outcomes
+                                       counts.tolist())):
+        if r not in failures:
+            weights = hypergeometric_counts(n, n1, m)
+            plans.p_values[r] = sum(w for w in weights.values() if w <= weights[k_obs]) / total
+    return plans
 
 
 def fisher_exact_2x2(observed: ObservedExperiment) -> TestReport:
@@ -649,13 +652,11 @@ def fisher_exact_2x2(observed: ObservedExperiment) -> TestReport:
 class Procedure(NamedTuple):
     """One test: its command-line spelling, the null it addresses, the
     codes of the model assumptions it rests on, and build(block, design,
-    census), which returns for each experiment of the ObservedBlock its
-    ResamplingPlan, for run_block to score, its TestReport, or the
-    RandcompareError it raised, or a closed-form test's ClosedFormPlans of
-    the whole block, for the caller to score; an error of the whole block
-    is raised. census is the selection design the data came from, or None.
-    Every builder reads the block's label and response matrices; the
-    public test functions call their entry, through run_tests."""
+    census), which reads the ObservedBlock's label and response matrices
+    into its ResamplingPlans or ClosedFormPlans, holding each failed
+    experiment's error, or raises an error of the whole block. census is
+    the selection design the data came from, or None. The public test
+    functions call their entry, through run_tests."""
 
     spelling: str
     hypothesis: Hypothesis
@@ -682,21 +683,16 @@ TESTS = {
 def run_block(block: ObservedBlock, design: AssignmentDesign, engines, names,
               census=None, alpha: Optional[float] = None):
     """Yield, for each test named (keys of TESTS) in order, its outcomes on
-    the block: a closed-form test's ClosedFormPlans, or for each
-    experiment a TestReport or the RandcompareError it raised, so that a
+    the block: its ClosedFormPlans, its scored ResamplingPlans, or for an
+    error of the whole block a list of it, once per experiment; so a
     failing test hides no other and the caller decides which errors to
-    raise. The caller reads the plans' p-values, on score_closed_form or
-    closed_form_p_values, as many plans at a time as it likes: the CDFs
-    are array functions whose cost is mostly per call. engines[r] scores
-    experiment r's resampling plans, on run_resampling_plans with alpha:
-    given alpha, a Monte Carlo report is a decision, not a p-value. Only
-    a resampling test reads engines.
+    raise. The caller reads closed-form p-values (score_closed_form,
+    closed_form_p_values) as many plans at a time as it likes: the CDFs
+    cost mostly per call. engines[r] scores experiment r of the resampling
+    plans, with alpha as _score_experiment takes it.
 
-    Every test builds the whole block from its label and response
-    matrices, each experiment's plan, report or error, with one call of
-    its TESTS entry. The plans of one experiment and one design are
-    scored on one run_resampling_plans call, whose error is the result of
-    each, made when the first of them is reached: a caller that stops at
+    Experiment r of the plans of one design is scored on one engine.tails
+    call, made when the first of them is reached: a caller that stops at
     an error pays for no later test's draws. Under the data's own uniform
     CRD, permutation and fisher_rand have one plan (the same weights over
     the same support): the first built lends it to the other, when every
@@ -705,32 +701,25 @@ def run_block(block: ObservedBlock, design: AssignmentDesign, engines, names,
     for name in names:
         difference = name in ("permutation", "fisher_rand")
         if difference and shared is not None:
-            outcomes = [replace(plan, test=name) for plan in shared]
+            outcomes = replace(shared, test=name, failures=_Failures(len(block)))
         else:
             try:
                 outcomes = TESTS[name].build(block, design, census)
             except RandcompareError as exc:
                 outcomes = [exc] * len(block)
-            if (difference and all(isinstance(plan, ResamplingPlan) for plan in outcomes)
-                    and design == outcomes[0].design == UniformCRD(block.n, block.n1)):
+            if (difference and not isinstance(outcomes, list) and not outcomes.failures
+                    and design == outcomes.design == UniformCRD(block.n, block.n1)):
                 shared = outcomes
         results.append(outcomes)
-    per_experiment = [j for j, outcomes in enumerate(results)
-                      if not isinstance(outcomes, ClosedFormPlans)]
     for i, outcomes in enumerate(results):
-        for r, result in enumerate(outcomes if i in per_experiment else ()):
-            if isinstance(result, ResamplingPlan):
-                positions = [j for j in per_experiment if j >= i
-                             and isinstance(results[j][r], ResamplingPlan)
-                             and results[j][r].design == result.design]
-                try:
-                    reports = run_resampling_plans([results[j][r] for j in positions],
-                                                   engines[r], alpha)
-                except RandcompareError as exc:
-                    reports = [exc] * len(positions)
-                for j, report in zip(positions, reports):
-                    results[j][r] = report
-        yield results[i]
+        if isinstance(outcomes, ResamplingPlans) and outcomes.design is not None:
+            alike = [later for later in results[i:] if isinstance(later, ResamplingPlans)
+                     and later.design == outcomes.design]
+            for r in range(len(block)):
+                if outcomes.pending(r):
+                    _score_experiment([later for later in alike if later.pending(r)], r,
+                                      engines[r], alpha)
+        yield outcomes
 
 
 def run_tests(observed: ObservedExperiment, design: AssignmentDesign,

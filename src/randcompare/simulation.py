@@ -21,26 +21,25 @@ as two (R, n) matrices straight from its replicates' draws, each on its
 own substream: the randomization row stacks each replicate's one-row
 assignment draw and picks each response from the fixed table with one
 np.where; the process row stacks each replicate's potential table and
-picks from it by the fixed assignment. No replicate becomes an
-ObservedExperiment: every test reads the block's matrices. The
-resampling tests build each replicate's plan from them. The closed-form
-tests build a block from one set of arm reductions and hand back its
-studentized statistics and reference laws as arrays (ClosedFormPlans);
-the blocks write them into two arrays of the row, one block slice at a
-time, and once the thread pool joins, one closed_form_p_values call
-reads the p-values of the whole row and every closed-form test: one t
-CDF call for the t tests and one normal CDF call for the Neyman test. An
-array call costs about what a few calls on one replicate do, and gives
-each replicate the p-value such a call gives, bit for bit. The
-resampling tests score each replicate under exact_small, when the
-support fits the enumeration cap, on an ExactEngine, which counts a
-uniform CRD's exact tails without enumerating it, and otherwise on a
-MonteCarloEngine per replicate, made only when a resampling test runs,
-whose draws stop once each of the replicate's decisions p <= alpha is
-fixed (run_resampling_plans). The design is the data's own uniform CRD,
-so fisher_rand's plan is permutation's: one column, scored once, gives
-both p-values. Binary scenarios read that p-value from an exact table
-and report no rank sum. How a row is split moves no result.
+picks from it by the fixed assignment. Every test builds its plans of
+the whole block from those matrices, as arrays. The resampling tests'
+plans (ResamplingPlans) come back scored into (R,) p-values, which the
+block writes into its slice of the row: each replicate is scored under
+exact_small, when the support fits the enumeration cap, on an
+ExactEngine, which counts a uniform CRD's exact tails without
+enumerating it, and otherwise on a MonteCarloEngine of its own, made
+only when a resampling test runs, whose draws stop once each of the
+replicate's decisions p <= alpha is fixed. The design is the data's own
+uniform CRD, so fisher_rand's plans are permutation's: one column per
+replicate, scored once, gives both p-values. The closed-form tests hand
+back their studentized statistics and reference laws
+(ClosedFormPlans), which the blocks write into two arrays of the row;
+once the thread pool joins, one closed_form_p_values call reads the
+p-values of the whole row: one t CDF call for the t tests and one
+normal CDF call for the Neyman test, each replicate's p-value the one a
+call on it alone gives, bit for bit. Binary scenarios read the
+difference tests' p-value from an exact table and report no rank sum.
+How a row is split moves no result.
 
 Reproducibility contract: replicate r of the randomization row consumes
 substreams (2, r) for data and (4, 0, r) for the per-replicate Monte
@@ -75,7 +74,6 @@ from .inference import (
     ClosedFormPlans,
     ExactEngine,
     MonteCarloEngine,
-    TestReport,
     check_mc_budget,
     closed_form_p_values,
     hypergeometric_counts,
@@ -760,19 +758,20 @@ def run_size_power(
             raised = []
             for test, outcomes in zip(run, run_block(block, design, engines, run, alpha=alpha)):
                 j = columns[test]
-                if isinstance(outcomes, ClosedFormPlans):
+                if isinstance(outcomes, list):  # an error of the whole block
+                    failures = dict(enumerate(outcomes))
+                elif isinstance(outcomes, ClosedFormPlans):
                     statistics[rows_of_block, j] = outcomes.statistics
                     dfs[rows_of_block, j] = outcomes.dfs
-                    outcomes = outcomes.failures.items()
+                    failures = outcomes.failures
                 else:
-                    outcomes = enumerate(outcomes)
-                for r, result in outcomes:
-                    if isinstance(result, TestReport):
-                        p_values[rows_of_block.start + r, j] = result.p_value
-                    elif isinstance(result, DegenerateDataError):
+                    p_values[rows_of_block, j] = outcomes.p_values
+                    failures = outcomes.failures
+                for r, error in failures.items():
+                    if isinstance(error, DegenerateDataError):
                         p_values[rows_of_block.start + r, j] = 1.0
                     else:
-                        raised.append((r, j, result))
+                        raised.append((r, j, error))
             if raised:
                 raise min(raised, key=lambda failure: failure[:2])[2]
 

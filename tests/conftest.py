@@ -13,7 +13,6 @@ from randcompare import (
     AssignmentVector,
     ObservedBlock,
     ObservedExperiment,
-    RandcompareError,
     SampleVector,
     bundled_dataset_path,
     load_dataset,
@@ -33,13 +32,13 @@ settings.load_profile("suite")
 
 
 def resampling_plan(name, observed, design=None):
-    """The ResamplingPlan of the resampling test name (a key of TESTS) on
-    observed alone, built by its TESTS entry on the block of observed, or
-    the error that stopped it, raised."""
-    [plan] = TESTS[name].build(observed.block, design, None)
-    if isinstance(plan, RandcompareError):
-        raise plan
-    return plan
+    """The ResamplingPlans of the resampling test name (a key of TESTS) on
+    the block of observed alone, built by its TESTS entry, or the error
+    that stopped it, raised."""
+    plans = TESTS[name].build(observed.block, design, None)
+    if plans.failures:
+        raise plans.failures[0]
+    return plans
 
 
 def stacked_block(experiments) -> ObservedBlock:

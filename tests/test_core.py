@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,23 @@ class TestAssignmentVector:
 
 
 class TestObservedExperiment:
+    def test_copies_its_responses_once(self):
+        # the block of one makes the only copy: the peak is one copy of the
+        # responses and the checks' one-byte masks, where a second copy
+        # would take it past twice the responses' size
+        n = 1_000_000
+        sample, assignment = SampleVector.first_n(n), AssignmentVector.two_arms(n // 2, n // 2)
+        y = np.arange(n, dtype=np.float64)
+        tracemalloc.start()
+        try:
+            obs = ObservedExperiment(sample, assignment, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.nbytes <= peak < 1.5 * y.nbytes
+        y[0] = -1.0
+        assert obs.responses[0] == 0.0 and not obs.responses.flags.writeable
+
     def test_length_mismatch(self):
         with pytest.raises(DataValidationError):
             ObservedExperiment(

@@ -575,8 +575,8 @@ def observed_data(gen, kind, n, n1) -> ObservedExperiment:
 
 def kernel_columns(observed) -> list:
     """The permutation and rank-sum columns (coef, offset, compared)."""
-    return [resampling_plan("permutation", observed).column,
-            resampling_plan("wilcoxon", observed).column]
+    return [resampling_plan("permutation", observed).column(0),
+            resampling_plan("wilcoxon", observed).column(0)]
 
 
 def bounded(design, columns) -> list:
@@ -684,7 +684,7 @@ def test_sum_table_equals_the_fractions(data):
     labels = np.full(n, 2, np.int8)
     labels[data.draw(st.permutations(range(n)))[:n1]] = 1
     observed = ObservedExperiment(SampleVector.first_n(n), AssignmentVector(labels), y)
-    coef, offset, stat = resampling_plan("wilcoxon", observed).column
+    coef, offset, stat = resampling_plan("wilcoxon", observed).column(0)
     tails = sum_table_tails(UniformCRD(n, n1),
                             (coef, offset, UniformCRD(n, n1).tie_bounds(coef, offset, stat)))
     size = math.comb(n, n1)

@@ -51,8 +51,12 @@ from randcompare.designs import sample_assignment_batch, scan_tails
 from randcompare.inference import (
     STOP_CHUNK,
     TESTS,
-    run_resampling_plans,
+    _p_value,
+    _score_experiment,
+    _stop_rule,
+    run_block,
     run_tests,
+    score_closed_form,
 )
 from randcompare.simulation import DEFAULT_TEST_SUITE
 
@@ -185,18 +189,19 @@ def stop_alphas(budget):
 
 
 class TestStopRule:
-    """The harness's lazy decisions, ResamplingPlan.rejection_bound and
-    stop_rule, against brute force over the report's own p-values."""
+    """The harness's lazy decisions, a plan's _stop_rule and its bound,
+    against brute force over the plan's own p-values."""
 
     @pytest.mark.parametrize("budget", STOP_BUDGETS)
     def test_bounds_match_a_scan_of_every_count(self, six_obs, budget):
         for plan in (resampling_plan("permutation", six_obs),
                      resampling_plan("wilcoxon", six_obs)):
-            p = [plan.report([h, h, h], budget, "monte_carlo").p_value
+            doubled = plan.test == "wilcoxon"
+            p = [_p_value([h, h, h], budget, "monte_carlo", doubled)[0]
                  for h in range(budget + 1)]
             for alpha in stop_alphas(budget):
                 expected = max((h for h, value in enumerate(p) if value <= alpha), default=-1)
-                assert plan.rejection_bound(alpha, budget) == expected, (plan.test, alpha)
+                assert _stop_rule(doubled, alpha, budget).bound == expected, (plan.test, alpha)
 
     def test_decided_when_every_reachable_count_agrees(self, six_obs):
         # a plan is decided when each count it can still reach gives the
@@ -204,9 +209,10 @@ class TestStopRule:
         budget = 1000
         for plan in (resampling_plan("permutation", six_obs),
                      resampling_plan("wilcoxon", six_obs)):
+            doubled = plan.test == "wilcoxon"
             for alpha in stop_alphas(budget):
-                decided = plan.stop_rule(alpha, budget)
-                bound = plan.rejection_bound(alpha, budget)
+                decided = _stop_rule(doubled, alpha, budget)
+                bound = decided.bound
                 for drawn in (0, 1, 500, 999, 1000):
                     left = budget - drawn
                     for count in {0, drawn, bound - left - 1, bound - left, bound - left + 1,
@@ -214,7 +220,7 @@ class TestStopRule:
                         if not 0 <= count <= drawn:
                             continue
                         reachable = {
-                            plan.report([k, k, k], budget, "monte_carlo").p_value <= alpha
+                            _p_value([k, k, k], budget, "monte_carlo", doubled)[0] <= alpha
                             for k in range(count, count + left + 1)}
                         if plan.test == "wilcoxon":
                             layouts = ([drawn, count, drawn], [drawn, drawn, count])
@@ -230,20 +236,21 @@ class TestStopRule:
         for _ in range(8):
             observed = random_instance(gen, 10, 24)
             design = UniformCRD(observed.n, observed.n1)
-            plans = [resampling_plan("permutation", observed),
-                     resampling_plan("wilcoxon", observed),
-                     resampling_plan("fisher_rand", observed, design)]
-            full = run_resampling_plans(plans, MonteCarloEngine(2000, RngStream(seed)))
-            alphas = (1 / 2002, 1 / 2001, 0.01, 0.05, 0.5, *(r.p_value for r in full))
+            names = ("permutation", "wilcoxon", "fisher_rand")
+
+            def scored(alpha=None):
+                return [plans.p_values[0] for plans in run_block(
+                    observed.block, design, [MonteCarloEngine(2000, RngStream(seed))], names,
+                    alpha=alpha)]
+            full = scored()
+            alphas = (1 / 2002, 1 / 2001, 0.01, 0.05, 0.5, *full)
             for alpha in alphas:
-                lazy = run_resampling_plans(plans, MonteCarloEngine(2000, RngStream(seed)),
-                                            alpha)
-                assert [r.p_value <= alpha for r in lazy] == [r.p_value <= alpha
-                                                              for r in full], alpha
+                lazy = scored(alpha)
+                assert [p <= alpha for p in lazy] == [p <= alpha for p in full], alpha
 
     def test_kernel_without_a_rule_draws_its_budget(self, drawn_rows, six_obs):
         engine = MonteCarloEngine(9192, RngStream(9))
-        run_resampling_plans([resampling_plan("permutation", six_obs)], engine)
+        list(run_block(six_obs.block, None, [engine], ["permutation"]))
         assert sum(drawn_rows) == 9192 and max(drawn_rows) <= STOP_CHUNK
 
 
@@ -609,13 +616,11 @@ class TestFisherRandomization:
         )
         perm = resampling_plan("permutation", obs)
         fisher = resampling_plan("fisher_rand", obs, UniformCRD(n, n1))
-        assert np.array_equal(perm.coef, fisher.coef)
-        assert (perm.offset, perm.statistic) == (fisher.offset, fisher.statistic)
-        p_perm, p_fisher = (
-            run_resampling_plans([plan], MonteCarloEngine(1000, RngStream(seed)))[0].p_value
-            for plan in (perm, fisher)
-        )
-        assert p_perm == p_fisher
+        assert np.array_equal(perm.coefs, fisher.coefs)
+        assert (perm.offsets[0], perm.statistics[0]) == (fisher.offsets[0], fisher.statistics[0])
+        for plans in (perm, fisher):
+            _score_experiment([plans], 0, MonteCarloEngine(1000, RngStream(seed)))
+        assert perm.p_values[0] == fisher.p_values[0]
 
     def test_report_fields(self, six_obs):
         report = fisher_randomization_test(six_obs, UniformCRD(6, 3), ExactEngine())
@@ -649,8 +654,9 @@ class TestFisherRandomization:
         doc = {"support": [[1, 1, 1, 2, 2, 2], [2, 2, 2, 1, 1, 1], [1, 2, 1, 2, 1, 2]],
                "probs": [0.5, 0.3, 0.2]}
         first, second = explicit_from_json(doc), explicit_from_json(doc)
-        alone = [run_resampling_plans([resampling_plan("fisher_rand", six_obs, d)], engine)[0]
-                 for d in (first, second)]
+        alone = [resampling_plan("fisher_rand", six_obs, d) for d in (first, second)]
+        for plans in alone:
+            _score_experiment([plans], 0, engine)
         calls = []
         kernel = type(engine).tails
 
@@ -659,10 +665,11 @@ class TestFisherRandomization:
             return kernel(self, design, columns)
 
         monkeypatch.setattr(type(engine), "tails", counting)
-        plans = [resampling_plan("fisher_rand", six_obs, d) for d in (first, second)]
-        together = run_resampling_plans(plans, engine)
+        together = [resampling_plan("fisher_rand", six_obs, d) for d in (first, second)]
+        _score_experiment(together, 0, engine)
         assert len(calls) == 1
-        assert together == alone
+        assert [score_closed_form(plans) for plans in together] == [
+            score_closed_form(plans) for plans in alone]
 
     def test_nonuniform_explicit_design_changes_p(self):
         # same data, same support; tilting the atom probabilities moves p
@@ -862,11 +869,14 @@ class TestCatalogue:
         plans = [resampling_plan("permutation", six_obs),
                  resampling_plan("wilcoxon", six_obs)]
         design = plans[0].design
-        tails = engine.tails(design, [p.column for p in plans])
+        tails = engine.tails(design, [p.column(0) for p in plans])
         denominator = budget or math.comb(6, 3)
         assert engine.denominator(design) == denominator
-        reports = [plan.report(t, denominator, engine.kind) for plan, t in zip(plans, tails)]
-        assert reports == run_resampling_plans(plans, engine)
+        read = [_p_value(t, denominator, engine.kind, plan.test == "wilcoxon")
+                for plan, t in zip(plans, tails)]
+        reports = list(run_tests(six_obs, None, engine, ["permutation", "wilcoxon"]))
+        assert [(r.p_value, r.mc_stderr) for r in reports] == [
+            (p, None if math.isnan(stderr) else stderr) for p, stderr in read]
         for report in reports:
             assert (report.p_value, report.mc_stderr) == expected[report.test]
             assert report.p_value_kind == ("exact" if budget is None else "monte_carlo")
@@ -882,8 +892,8 @@ class TestBlockBuilders:
 
     def test_explicit_designs_on_a_block_of_one(self, six_obs):
         design = explicit_from_json(self.EXPLICIT)
-        plan = resampling_plan("fisher_rand", six_obs, design)
-        assert plan_bits(plan.statistic, plan.coef, plan.offset, plan.compared) == plan_bits(
+        plans = resampling_plan("fisher_rand", six_obs, design)
+        assert plan_bits(plans.statistics[0], *plans.column(0)) == plan_bits(
             *difference_plan_by_experiment(six_obs, design))
         # a census-reducible ExplicitJoint: every split of 7 units into 4
         # and 3, whose weights miss the arm sizes in the last bit
@@ -918,13 +928,11 @@ class TestBlockBuilders:
         design = explicit_from_json(self.EXPLICIT) if explicit else None
         experiments = [ObservedExperiment(SampleVector.first_n(6), AssignmentVector(labels),
                                           np.array(y, dtype=float)) for labels, y in rows]
-        outcomes = TESTS[name].build(stacked_block(experiments), design, None)
-        assert (type(outcomes[1]), str(outcomes[1])) == (error, message)
+        plans = TESTS[name].build(stacked_block(experiments), design, None)
+        assert (type(plans.failures[1]), str(plans.failures[1])) == (error, message)
         for r in (0, 2):
             if name == "fisher_exact":
-                assert outcomes[r] == fisher_exact_2x2(experiments[r])
+                assert score_closed_form(plans)[r] == fisher_exact_2x2(experiments[r])
             else:
                 want = difference_plan_by_experiment(experiments[r], design or UniformCRD(6, 3))
-                plan = outcomes[r]
-                assert plan_bits(plan.statistic, plan.coef, plan.offset, plan.compared) == (
-                    plan_bits(*want))
+                assert plan_bits(plans.statistics[r], *plans.column(r)) == plan_bits(*want)

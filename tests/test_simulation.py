@@ -449,7 +449,7 @@ class TestRunSizePower:
 
             def counting_build(block, design, census, entry=entry):
                 plans = entry.build(block, design, census)
-                built.extend(plans)
+                built.extend(plans.statistics)
                 return plans
 
             monkeypatch.setitem(randcompare.inference.TESTS, name,
@@ -643,11 +643,12 @@ def test_block_plans_are_the_experiments_plans(monkeypatch):
                 run_size_power(scenario, test_suite=("pooled_t",), replicates=100,
                                rng=RngStream(2), rows=(row,))
                 assert max(map(len, blocks)) == size, (sid, row, size)
-                got = [[plan_bits(plan.statistic, plan.coef, plan.offset, plan.compared)
-                        for plan in plans]
-                       for block in blocks for plans in zip(*(
-                           randcompare.inference.TESTS[name].build(block, design, None)
-                           for name in names))]
+                got = []
+                for block in blocks:
+                    built = [randcompare.inference.TESTS[name].build(block, design, None)
+                             for name in names]
+                    got += [[plan_bits(plans.statistics[r], *plans.column(r)) for plans in built]
+                            for r in range(len(block))]
                 assert got == want, (sid, row, size)
 
 

@@ -1,4 +1,5 @@
 import codecs
+import hashlib
 import json
 import math
 import sys
@@ -255,6 +256,84 @@ class TestPopulations:
             assert int(np.sum(table.y1 > 100.0)) == 1
         table = draw_fixed_population(get_scenario("t5.sc3"), RngStream(1))
         assert int(np.sum(table.y1 > 100.0)) == 7
+
+
+# SHA-256 of the draws the reproducibility contract fixes, on seed 7: the
+# process row's populations on substreams (3, 0), (3, 1) and (3, 2), then
+# the randomization row's fixed table. Every built-in scenario draws them
+# through its law and effect, so a change to a law's draw order, to an
+# effect, or to the conditioning loops moves a digest.
+CONTRACT_DRAW_DIGESTS = {
+    "t3.sc1": ("a1e8f5f3d21f9289e842b9a17226d9395095bac94e3ba00e1bbd08febb0e3a6f",
+               "454131060aca9ec9bc84d20c0f44972263f38bc902d4195f0b61233521c1dc83"),
+    "t3.sc2": ("164ff9777c17daa8dfba8e7dbef309ddcd34e519df80e536bbc75cc3ecc8d28b",
+               "89bbb0a7040d8bcc7cdbbe918c7e700ffb75f6310f16515e54f14e7c9a82f54b"),
+    "t3.sc3": ("56118fba021f1e9d0b57980bd8b3ec55889c94f21700553c2b99bdd693217e1f",
+               "0e503dd138ed42ca83acf47f6d27a642b3740d84f05ddb2517461f9d5ce91ee8"),
+    "t3.sc4": ("3c6d52e03f9aa7b44d9080f06307de2582e407170549fca3eaf713bd32449b60",
+               "062fad543f32df97c34e68c06c769dc015deaadc17625bcc220c823304b9d82f"),
+    "t3.sc5": ("319e21008985b90c1dc4c1dc6152bd1a58a40c5e7e2170ced226f54ecd861f33",
+               "0b13695835146d1ad2f15cfccd6cb1707f12e72907d82aea0736e8d04a0c2deb"),
+    "t3.sc6": ("f939ba9e7ce4f2fb202c966cb08d714b0140645a8321c842addf006431f5ca7c",
+               "14e313f297658c2ff63eb960ab9aaa72a56760d8072126eb8595014d0872a318"),
+    "t3.sc7": ("97e46c1af192b37a58998216d3a8285efccaa58b257e0794120c15313ad55954",
+               "99fabc3b7594e0e839568927250472fe79f3cf12e4fd71cc01ea363a32783972"),
+    "t4.sc1": ("6232e5b8252526ee997605aa35337d28100371ebe6cb2b782ef06599b03aefb1",
+               "a02718a1aa18189f94f4fcd3067c5790c84cf061dac364c2b359d84c99d06d92"),
+    "t4.sc2": ("09c48d02e779276119ad3781244b69b8dc6a20e086ba25c23a97f55ac7c8432b",
+               "5dfc0a6155f90a069c38ded96d5fc76a8bfc83ccb1f18806804a734012fc4f86"),
+    "t4.sc3": ("2edec8d87d07f5896f871771cf4033ca24430bfd7e62225cef445a535e5dc3c9",
+               "20fa763484b6fc966274dfd65277743eecc418cd700024004dc8f6736d990d52"),
+    "t4.sc4": ("68b375ea26538b20ada800dbbef14b5e90cfc0bc54f64ea6d3ee26bf7832e0f1",
+               "501a7ce693add3528366a5d1793d310640e679a7ad6af3e816b46a4ea8feec50"),
+    "t4.sc5": ("332371475f83c352989b86ad2e7289f78463fbf2c0497b974bb29c481e02dd10",
+               "376591cc24564fdb2e47660288ba906d88ca312b6dcf2c0fab3dcbebd0725b02"),
+    "t4.sc6": ("fd3c6a9890cbd42f436e371a35f77f574abab21f9ba58166b553827480aa8ad9",
+               "219b133068556a397b5260b74c07fe3a782daf315598611240db3164f982701a"),
+    "t5.sc1": ("77098f997239aebc2c00d20cc06992962dce7d8343dcadb2204dad31ea7500cb",
+               "a1881f8488619ffce5329cfac80ea5f8d0994ca2d621b2b1f81053b75e9b6fa0"),
+    "t5.sc2": ("c3eeb234004836d7a5e9d44d33ceb4306ccbdf7a4fcd03aefd14581ad6f2a836",
+               "45df8cf3d28dfc779f07b2ae2516e14fbf33b084aeb553a08f8cff4cb94807d5"),
+    "t5.sc3": ("cf4367b7777e9adc9e7df4b12cfe6b5f9616d2f277a6fa87d764e6fc71bf9f04",
+               "b5971d8e7257c5ca59ef7a570df94bfa067e9a626206d10c8e446eeb29e5d019"),
+    "t5.sc4": ("f25e039e129f14788c5f783c41789d7290c8c1d1b0196d81eab91b581172449f",
+               "87c08907c96320ab538742e191de60d452bcdff8407c386abaf7ba6eeb2842cd"),
+    "t5.sc5": ("884713a4a4568a74d019fc660a520c8e930b12b8e438dbe128de0cc91f52ee49",
+               "e7e49ed6fb821d400c356c29b982cbda4ac6b38b2f7766d75f6904c4a0591d4e"),
+    "t5.sc6": ("6b10041bdd4cec38cddacd10ed9f90a90461d8fb80ffb87f66a6c0eaaedd17a6",
+               "de16b290e3070c853ae671d4fdb3536a3430208bb32ed53bd703482b04e80acd"),
+    "t5.sc7": ("3f975455baf6a64b4f01ff1bc1161d58315bf0bdf615a443e6b8df76d135482d",
+               "8454e66b363105d15900a6643a3bbb34f5d9384a3b5e652863b9630b449eaeab"),
+    "t6.sc1": ("d11fe833846147344716134cb0eb82ca9a6bb926244c126b6094d257c4a6ff35",
+               "ecdd9cdf073a0d6e31bfb6050a6539d3e8707acf0caf6c536d58b4004088396b"),
+    "t6.sc2": ("707c850b87726f58fbd239dd333c145c9b702cf314d22def55d35b666509e92d",
+               "a18bb4adeb4d0716eb08bd5864a5b3c963bda5856789278fb0755bb49d8e1190"),
+    "t6.sc3": ("9afd5371c23876f7115fc4b70588cf8aae3ada345e0bdfa567d0349eb5a7f773",
+               "60ad1c0b0ebd0ffa9aadec1136dda31b3baf97b8a40cce44ec9e3fdaac4d6d4e"),
+    "t6.sc4": ("0dafa074f6d11f137928b52c2ae7db5d9cdd60c640bba999ab41f0c6dbb68469",
+               "916a25b62ce40ef0d68dae48cb0e04a22dfd28783f64c12501b3e3aca26b43ea"),
+    "t6.sc5": ("1b16663a36e1b31cdefe360bf6a14454d57aa2e51fb2986e9df777dcb0a1a69d",
+               "11a833b0b648c5492260e5319f6d15c66a60f28639dbd6b9693361fa57493035"),
+    "t6.sc6": ("cc63f5d26525aa15d90ebbacfa32956e89931deeb851a468570992916ce73836",
+               "6194bd8a1d416b1591e73b1bab2586ef5f68d207ca4da2a733df94e5b3ee323b"),
+}
+
+
+def _digest(tables) -> str:
+    digest = hashlib.sha256()
+    for table in tables:
+        digest.update(np.stack([table.y1, table.y2]).astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("sid", sorted(CONTRACT_DRAW_DIGESTS))
+def test_contract_draws_are_pinned(sid):
+    assert set(CONTRACT_DRAW_DIGESTS) == set(known_scenarios())
+    scenario, master = get_scenario(sid), RngStream(7)
+    process = _digest(generate_population(scenario, master.substream(3, r).generator())
+                      for r in range(3))
+    fixed = _digest([draw_fixed_population(scenario, master)])
+    assert (process, fixed) == CONTRACT_DRAW_DIGESTS[sid]
 
 
 class TestFixedBinaryVectors:

@@ -80,7 +80,6 @@ from .simulation import (
     get_scenario,
     known_scenarios,
     load_scenario_file,
-    random_deviates,
     run_size_power,
 )
 from .special import erfc, normal_cdf, regularized_incomplete_beta, student_t_cdf

@@ -38,7 +38,7 @@ class PotentialTable:
     """Full table of both potential responses for all N units.
 
     Only simulations and brute-force property checks ever hold a complete
-    table; real data never determine one.
+    table; real data never determine one. It unpacks as y1, y2.
     """
 
     y1: np.ndarray
@@ -57,6 +57,9 @@ class PotentialTable:
     @property
     def n_units(self) -> int:
         return len(self.y1)
+
+    def __iter__(self):
+        return iter((self.y1, self.y2))
 
 
 @dataclass(frozen=True)
@@ -302,12 +305,12 @@ def hypothesis_implies(a: Hypothesis, b: Hypothesis) -> bool:
     return a is b or any(hypothesis_implies(c, b) for c in _DIRECT_IMPLICATIONS[a])
 
 
-def _table_rows(table: PotentialTable, sample: SampleVector) -> np.ndarray:
+def _table_rows(n_units: int, sample: SampleVector) -> np.ndarray:
     """The table rows of the sampled units; BoundsError past the table."""
     idx = sample.indices
-    if np.any(idx > table.n_units):
-        bad = int(idx[np.argmax(idx > table.n_units)])
-        raise BoundsError(f"unit identifier {bad} exceeds table size {table.n_units}")
+    if np.any(idx > n_units):
+        bad = int(idx[np.argmax(idx > n_units)])
+        raise BoundsError(f"unit identifier {bad} exceeds table size {n_units}")
     return idx - 1
 
 
@@ -317,12 +320,14 @@ def select_components(
     """Project the observed sub-vector (y[t_1.s_1], ..., y[t_n.s_n]).
 
     This is the observation map: given the full table, the sample and the
-    assignment jointly pick exactly one potential per sampled unit.
+    assignment jointly pick exactly one potential per sampled unit. The
+    table may also be the (2, N) array that generate_population draws.
     """
     if sample.n != assignment.n:
         raise DataValidationError("sample and assignment must have equal length")
-    pos = _table_rows(table, sample)
-    return np.where(assignment.labels == 1, table.y1[pos], table.y2[pos])
+    y1, y2 = table
+    pos = _table_rows(len(y1), sample)
+    return np.where(assignment.labels == 1, y1[pos], y2[pos])
 
 
 @dataclass(frozen=True)
@@ -339,7 +344,7 @@ def realized_effects(table: PotentialTable, sample: SampleVector) -> RealizedEff
     population differences of potential means. Computable only from a full
     table, hence only in simulations.
     """
-    pos = _table_rows(table, sample)
+    pos = _table_rows(table.n_units, sample)
     unit = table.y1[pos] - table.y2[pos]
     return RealizedEffects(
         unit_effects=unit,

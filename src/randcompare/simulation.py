@@ -2,15 +2,15 @@
 
 The data-generation model is a census: the sample is the whole
 population with probability one and treatments follow a uniform
-completely randomized design. Each scenario draws the first potential
-column IID from a process law and builds the second column with an
-effect transformation (or draws both columns jointly for the paired
-binary laws).
+completely randomized design. A scenario's law draws both potential
+columns as one (2, n) array: a single-column law draws the first IID
+and the scenario's effect makes the second from it, on one generator;
+the paired binary law draws both jointly.
 
 Two conditioning rows are estimated per scenario. The "randomization"
 row fixes one potential table and redraws the assignment every
 replicate; the "process" row fixes the assignment and redraws the
-potential table. Rejection rates are reported in percent with the
+potential columns. Rejection rates are reported in percent with the
 binomial standard error sqrt(r(100 - r) / replicates).
 
 Each replicate runs the library's own tests, as the test command does,
@@ -20,7 +20,7 @@ responses each, and each block is one run_block call. A block is built
 as two (R, n) matrices straight from its replicates' draws, each on its
 own substream: the randomization row stacks each replicate's one-row
 assignment draw and picks each response from the fixed table with one
-np.where; the process row stacks each replicate's potential table and
+np.where; the process row stacks each replicate's (2, n) draw and
 picks from it by the fixed assignment. Every test builds its plans of
 the whole block from those matrices, as arrays. The resampling tests'
 plans (ResamplingPlans) come back scored into (R,) p-values, which the
@@ -99,8 +99,20 @@ DEFAULT_TEST_SUITE = (
 # ---------------------------------------------------------------- laws
 
 
+class _OneColumnLaw:
+    """A law that draws the first potential column; the effect makes the
+    second from it, on the same generator. paired: a law draws both
+    columns itself; binary: its values are 0 or 1."""
+
+    paired = binary = False
+
+    def potentials(self, gen: np.random.Generator, count: int, effect) -> np.ndarray:
+        y1 = self.draw(gen, count)
+        return np.stack([y1, effect.apply(y1, gen)])
+
+
 @dataclass(frozen=True)
-class Normal:
+class Normal(_OneColumnLaw):
     mean: float
     sd: float
 
@@ -113,7 +125,7 @@ class Normal:
 
 
 @dataclass(frozen=True)
-class GammaLaw:
+class GammaLaw(_OneColumnLaw):
     shape: float
     scale: float
 
@@ -126,7 +138,7 @@ class GammaLaw:
 
 
 @dataclass(frozen=True)
-class UniformMixture:
+class UniformMixture(_OneColumnLaw):
     """weight * U(lo1, hi1) + (1 - weight) * U(lo2, hi2)."""
 
     weight: float
@@ -149,8 +161,10 @@ class UniformMixture:
 
 
 @dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(_OneColumnLaw):
     p: float
+
+    binary = True
 
     def __post_init__(self):
         if not (0.0 < self.p < 1.0):
@@ -165,12 +179,14 @@ class CorrelatedBernoulliPair:
     """Joint 0/1 pair with given margins and correlation.
 
     The joint cell P(y1=1, y2=1) = p1 p2 + rho sqrt(p1 q1 p2 q2) must
-    give a valid 2x2 probability table.
+    give a valid 2x2 probability table. It draws both columns: no effect.
     """
 
     p1: float
     p2: float
     correlation: float
+
+    paired = binary = True
 
     def __post_init__(self):
         if not (0.0 < self.p1 < 1.0 and 0.0 < self.p2 < 1.0):
@@ -195,26 +211,19 @@ class CorrelatedBernoulliPair:
         p00 = 1.0 - p11 - p10 - p01
         return p11, p10, p01, p00
 
-    def draw_pairs(self, gen: np.random.Generator, count: int) -> np.ndarray:
+    def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        """The (2, count) 0/1 columns, from one uniform per unit."""
         p11, p10, p01, _ = self.cells()
         u = gen.random(count)
         y1 = u < p11 + p10
         y2 = (u < p11) | ((u >= p11 + p10) & (u < p11 + p10 + p01))
         return np.vstack([y1, y2]).astype(np.float64)
 
+    def potentials(self, gen: np.random.Generator, count: int, effect) -> np.ndarray:
+        return self.draw(gen, count)
+
 
 ProcessLaw = Union[Normal, GammaLaw, UniformMixture, Bernoulli, CorrelatedBernoulliPair]
-
-
-def random_deviates(law: ProcessLaw, count: int, rng: RngStream) -> np.ndarray:
-    """IID draws from a process law, from the start of rng; pair laws
-    return shape (2, count)."""
-    if count < 1:
-        raise DataValidationError("count must be positive")
-    gen = rng.generator()
-    if isinstance(law, CorrelatedBernoulliPair):
-        return law.draw_pairs(gen, count)
-    return law.draw(gen, count)
 
 
 # ------------------------------------------------------------- effects
@@ -314,7 +323,7 @@ class Scenario:
             raise DataValidationError("scenario arms need n1, n2 >= 2")
         if self.n_population > np.iinfo(np.intp).max:  # past numpy's index range
             raise DataValidationError(f"n1 + n2 must be at most {np.iinfo(np.intp).max}")
-        paired = isinstance(self.law, CorrelatedBernoulliPair)
+        paired = self.law.paired
         if paired and self.effect is not None:
             raise DataValidationError("paired laws draw both columns; effect must be None")
         if not paired and self.effect is None:
@@ -338,31 +347,24 @@ class Scenario:
         unchanged by its effect, and a 0/1 fixed table if there is one."""
         table = self.fixed_y
         return (
-            isinstance(self.law, (Bernoulli, CorrelatedBernoulliPair))
+            self.law.binary
             and self.effect in (None, Identity())
             and (table is None or bool(np.isin([table.y1, table.y2], (0.0, 1.0)).all()))
         )
 
 
-def generate_population(scenario: Scenario, gen: np.random.Generator) -> PotentialTable:
-    """One potential table drawn on gen under the scenario's law and effect."""
-    n = scenario.n_population
-    if isinstance(scenario.law, CorrelatedBernoulliPair):
-        for _ in range(_MAX_CONDITION_ATTEMPTS):
-            pairs = scenario.law.draw_pairs(gen, n)
-            if not scenario.adjust_equal_means:
-                break
-            if int(pairs[0].sum()) == int(pairs[1].sum()):
-                break
-        else:
-            raise DataValidationError(
-                f"scenario {scenario.name!r}: gave up adjusting a paired binary "
-                f"population to equal means after {_MAX_CONDITION_ATTEMPTS} draws"
-            )
-        return PotentialTable(y1=pairs[0], y2=pairs[1])
-    y1 = scenario.law.draw(gen, n)
-    y2 = scenario.effect.apply(y1, gen)
-    return PotentialTable(y1=y1, y2=y2)
+def generate_population(scenario: Scenario, gen: np.random.Generator) -> np.ndarray:
+    """The (2, n) float64 potential columns y1, y2 drawn on gen by the
+    scenario's law and effect, redrawn until their sums agree when the
+    scenario adjusts equal means."""
+    for _ in range(_MAX_CONDITION_ATTEMPTS):
+        y = scenario.law.potentials(gen, scenario.n_population, scenario.effect)
+        if not scenario.adjust_equal_means or int(y[0].sum()) == int(y[1].sum()):
+            return y
+    raise DataValidationError(
+        f"scenario {scenario.name!r}: gave up adjusting a paired binary "
+        f"population to equal means after {_MAX_CONDITION_ATTEMPTS} draws"
+    )
 
 
 def draw_fixed_population(scenario: Scenario, rng: RngStream) -> PotentialTable:
@@ -372,21 +374,13 @@ def draw_fixed_population(scenario: Scenario, rng: RngStream) -> PotentialTable:
         return scenario.fixed_y
     gen = rng.substream(0, 0).generator()
     for _ in range(_MAX_CONDITION_ATTEMPTS):
-        table = generate_population(scenario, gen)
-        if scenario.fixed_large_count is None:
-            return table
-        count = int(np.count_nonzero(table.y1 > LARGE_OBSERVATION_THRESHOLD))
-        if count == scenario.fixed_large_count:
-            return table
+        y1, y2 = generate_population(scenario, gen)
+        count = np.count_nonzero(y1 > LARGE_OBSERVATION_THRESHOLD)
+        if scenario.fixed_large_count in (None, count):
+            return PotentialTable(y1, y2)
     raise DataValidationError(
         f"scenario {scenario.name!r}: gave up conditioning the fixed population "
         f"draw after {_MAX_CONDITION_ATTEMPTS} draws"
-    )
-
-
-def _table(y1, y2) -> PotentialTable:
-    return PotentialTable(
-        y1=np.asarray(y1, dtype=np.float64), y2=np.asarray(y2, dtype=np.float64)
     )
 
 
@@ -397,7 +391,7 @@ def _block_binary(n, both, only1, only2) -> PotentialTable:
     y1 = [1.0] * both + [1.0] * only1 + [0.0] * only2
     y2 = [1.0] * both + [0.0] * only1 + [1.0] * only2
     pad = n - len(y1)
-    return _table(y1 + [0.0] * pad, y2 + [0.0] * pad)
+    return PotentialTable(y1 + [0.0] * pad, y2 + [0.0] * pad)
 
 
 _T3_SC6_VEC = (0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0)
@@ -424,7 +418,7 @@ def fixed_binary_vectors(table_id: int, scenario_id: int) -> PotentialTable:
             f"no fixed binary vectors for ({table_id}, {scenario_id}); "
             f"known pairs: {known}"
         ) from None
-    return _table(y1, y2)
+    return PotentialTable(y1, y2)
 
 
 _NORMAL = Normal(10.0, 2.0)
@@ -638,18 +632,17 @@ def _draw_block(scenario, design, sample, row_key, fixed, rng, replicates) -> Ob
     substream. The randomization row (row_key 0) stacks each replicate's
     assignment draw on (2, r) and picks the responses from the fixed
     table with one np.where; the process row (row_key 1) stacks each
-    replicate's potential table drawn on (3, r) and picks from them by
-    the fixed assignment. The draws are freed once the block is made."""
+    replicate's (2, n) draw on (3, r) and picks from them by the fixed
+    assignment. The draws are freed once the block is made."""
     if row_key == 0:
         arm1 = np.concatenate([
             sample_assignment_batch(design, 1, rng.substream(2, r).generator())
             for r in replicates]) == 1.0
         y1, y2 = fixed.y1, fixed.y2
     else:
-        tables = [generate_population(scenario, rng.substream(3, r).generator())
-                  for r in replicates]
-        arm1 = np.tile(fixed.labels == 1, (len(tables), 1))
-        y1, y2 = np.stack([t.y1 for t in tables]), np.stack([t.y2 for t in tables])
+        y1, y2 = np.stack([generate_population(scenario, rng.substream(3, r).generator())
+                           for r in replicates], axis=1)
+        arm1 = np.broadcast_to(fixed.labels == 1, y1.shape)
     return ObservedBlock(sample=sample, labels=np.where(arm1, 1, 2),
                          responses=np.where(arm1, y1, y2))
 
@@ -953,7 +946,7 @@ def _scenario_from_doc(doc) -> Scenario:
         for key in ("y1", "y2"):
             _expect(isinstance(block[key], list) and all(map(_is_number, block[key])),
                     f"fixed_y {key}", "an array of numbers", block[key])
-        fixed_y = _table(block["y1"], block["y2"])
+        fixed_y = PotentialTable(block["y1"], block["y2"])
     large_count = doc.get("fixed_large_count")
     if large_count is not None:
         large_count = _integer(large_count, "fixed_large_count")

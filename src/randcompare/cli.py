@@ -153,7 +153,7 @@ def _resolve_design(raw: str, observed):
     design = explicit_from_json(path)
     if design.n != observed.n:
         raise DataValidationError(
-            f"design covers {design.n} units but the dataset has {observed.n}"
+            f"{path}: design covers {design.n} units but the dataset has {observed.n}"
         )
     return design
 

@@ -103,12 +103,13 @@ class AssignmentVector:
     n1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.labels, dtype=np.int8)
+        # checked before the int8 cast, which reads 257 and 1.7 as 1
+        arr = np.asarray(self.labels)
         if arr.ndim != 1 or len(arr) == 0:
             raise DataValidationError("assignment must be a nonempty 1-d label vector")
         if not np.all((arr == 1) | (arr == 2)):
             raise DataValidationError("treatment labels must be 1 or 2")
-        arr = arr.copy()
+        arr = arr.astype(np.int8)
         arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
         object.__setattr__(self, "n1", int(np.count_nonzero(arr == 1)))

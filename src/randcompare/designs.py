@@ -77,9 +77,10 @@ def _support_probs(probs, size: int) -> np.ndarray:
     probs = np.array(probs, dtype=np.float64)
     if probs.shape != (size,):
         raise DesignInvalidError("probs must align with the support")
-    if np.any(probs < 0):
+    # written so that a nan fails them
+    if not np.all(probs >= 0):
         raise DesignInvalidError("probabilities must be nonnegative")
-    if abs(float(probs.sum()) - 1.0) > 1e-12:
+    if not abs(float(probs.sum()) - 1.0) <= 1e-12:
         raise DesignInvalidError("probabilities must sum to 1 within 1e-12")
     probs.setflags(write=False)
     return probs
@@ -390,9 +391,10 @@ def explicit_from_json(doc) -> Explicit:
 
     Accepts a parsed document, a JSON string, or a path to a JSON file. A
     string whose first non-space character, after one byte-order mark, is
-    { or [ is JSON text; any other string is a path.
+    { or [ is JSON text; any other string is a path. A file's every
+    refusal names it.
     """
-    text = doc
+    text, path = doc, None
     if isinstance(doc, (str, bytes)):
         text = doc.removeprefix("\ufeff" if isinstance(doc, str) else codecs.BOM_UTF8)
     if isinstance(text, (str, bytes)) and text.lstrip()[:1] in ("{", "[", b"{", b"["):
@@ -401,13 +403,21 @@ def explicit_from_json(doc) -> Explicit:
         except json.JSONDecodeError as exc:
             raise DataValidationError(f"cannot read {doc}: invalid JSON: {exc}") from exc
     elif isinstance(doc, (str, bytes, os.PathLike)):
-        doc = read_json(doc)
-    if not isinstance(doc, dict) or "support" not in doc or "probs" not in doc:
-        raise DataValidationError(
-            'explicit design document must have "support" and "probs" keys'
-        )
-    support = tuple(AssignmentVector(np.asarray(v)) for v in doc["support"])
-    return Explicit(support=support, probs=np.asarray(doc["probs"], float))
+        path, doc = doc, read_json(doc)
+    try:
+        if not isinstance(doc, dict) or "support" not in doc or "probs" not in doc:
+            raise DataValidationError(
+                'explicit design document must have "support" and "probs" keys'
+            )
+        # numpy would read a JSON true as the label 1
+        if any(isinstance(row, list) and any(isinstance(label, bool) for label in row)
+               for row in doc["support"]):
+            raise DataValidationError("treatment labels must be 1 or 2")
+        return Explicit(support=tuple(doc["support"]), probs=doc["probs"])
+    except (DataValidationError, DesignInvalidError) as exc:
+        if path is None:
+            raise
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def check_both_arm_inclusion(design: AssignmentDesign) -> None:

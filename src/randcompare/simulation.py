@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -815,7 +816,9 @@ _EFFECT_KINDS = {
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float: nan, the infinities and ints past float range fail."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _expect(ok, key, kind, value) -> None:
@@ -841,7 +844,7 @@ def _build_from_spec(table, kinds, what):
     if missing:
         raise DataValidationError(f"{what} {kind!r} missing parameters: {missing}")
     for p in params:
-        _expect(_is_number(table[p]), f"{what} parameter {p!r}", "a number", table[p])
+        _expect(_is_number(table[p]), f"{what} parameter {p!r}", "a finite number", table[p])
     return cls(**{p: table[p] for p in params})
 
 
@@ -945,7 +948,7 @@ def _scenario_from_doc(doc) -> Scenario:
             raise DataValidationError("fixed_y needs 'y1' and 'y2' arrays")
         for key in ("y1", "y2"):
             _expect(isinstance(block[key], list) and all(map(_is_number, block[key])),
-                    f"fixed_y {key}", "an array of numbers", block[key])
+                    f"fixed_y {key}", "an array of finite numbers", block[key])
         fixed_y = PotentialTable(block["y1"], block["y2"])
     large_count = doc.get("fixed_large_count")
     if large_count is not None:

@@ -415,6 +415,17 @@ class TestGroupedResampling:
 
 SCENARIO = {"name": "demo", "n1": 5, "n2": 5, "law": {"kind": "normal", "mean": 0, "sd": 1},
             "effect": {"kind": "identity"}}
+SCENARIO_TOML = 'name = "demo"\nn1 = 5\nn2 = 5\n[law]\nkind = "normal"\n{}\n[effect]\n{}\n'
+DATA = Path(__file__).resolve().parent / "data"
+TIES20_TEST = ("test", "--data", str(DATA / "ties20.csv"), "--tests", "fisher-rand", "--design")
+
+
+def design_with_label(label) -> bytes:
+    """The ties20 design file with unit 3's arm-1 label in its first
+    support row, the observed assignment, written as label."""
+    doc = json.loads((DATA / "ties20_design.json").read_text())
+    doc["support"][0][2] = label
+    return json.dumps(doc).encode()
 
 
 class TestExitCodes:
@@ -519,6 +530,18 @@ class TestExitCodes:
         ("n1_one.json", json.dumps({**SCENARIO, "n1": 1}).encode(),
          ("simulate", "--replicates", "100")),
         ("syntax.toml", b'name = "demo"\nn1 = = 5\n', ("simulate", "--replicates", "100")),
+        ("label_257.json", design_with_label(257), TIES20_TEST),
+        ("label_1_7.json", design_with_label(1.7), TIES20_TEST),
+        ("label_true.json", design_with_label(True), TIES20_TEST),
+        ("mean_nan.toml", SCENARIO_TOML.format("mean = nan\nsd = 1", 'kind = "identity"')
+         .encode(), ("simulate", "--replicates", "100")),
+        ("delta_inf.toml", SCENARIO_TOML.format("mean = 0\nsd = 1", 'kind = "shift"\ndelta = inf')
+         .encode(), ("simulate", "--replicates", "100")),
+        ("sd_infinity.json", json.dumps({**SCENARIO, "law": {
+            "kind": "normal", "mean": 0, "sd": math.inf}}).encode(),
+         ("simulate", "--replicates", "100")),
+        ("delta_nan.json", json.dumps({**SCENARIO, "effect": {"kind": "shift", "delta": math.nan}})
+         .encode(), ("simulate", "--replicates", "100")),
     ], ids=["design_not_json", "data_not_utf8", "n1_not_integer", "unknown_hypothesis",
             "law_parameter_string", "effect_parameter_bool", "hypothesis_truth_not_list",
             "n1_not_integral", "flag_not_bool", "count_string", "fixed_y_not_numbers",
@@ -526,7 +549,9 @@ class TestExitCodes:
             "unknown_law_parameter", "missing_law_parameter", "top_level_not_mapping",
             "n2_missing", "fixed_y_without_y2", "gamma_shape_0", "mixture_weight_1_5",
             "mixture_empty_interval", "pair_margin_0", "correlation_2", "noise_sd_0",
-            "n1_is_1", "toml_syntax_error"])
+            "n1_is_1", "toml_syntax_error", "design_label_257", "design_label_1_7",
+            "design_label_true", "law_parameter_nan_toml", "effect_parameter_inf_toml",
+            "law_parameter_infinity_json", "effect_parameter_nan_json"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, filename, content, command):
         path = tmp_path / filename
         path.write_bytes(content)

@@ -377,6 +377,7 @@ class TestSelectionDesigns:
     ([1.0], "probs must align with the support"),
     ([1.5, -0.5], "probabilities must be nonnegative"),
     ([0.7, 0.4], "probabilities must sum to 1 within 1e-12"),
+    ([math.nan, 1.0], "probabilities must be nonnegative"),
 ])
 def test_explicit_designs_check_probabilities_alike(probs, message):
     vectors = (AssignmentVector([1, 2]), AssignmentVector([2, 1]))

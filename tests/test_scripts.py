@@ -1,12 +1,14 @@
 """The scripts under scripts/ run on the library as it is: each goes
 through a child interpreter, so a public name they import that no longer
 exists fails here."""
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_analyze_cellphone_matches_the_cli(python_process, cli_process):
@@ -29,3 +31,21 @@ def test_analyze_cellphone_matches_the_cli(python_process, cli_process):
 def test_help_exits_0(python_process, script):
     proc = python_process(str(SCRIPTS / script), "--help")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_reproduce_tables_writes_the_harness_rates(python_process, tmp_path):
+    out = tmp_path / "t3.csv"
+    proc = python_process(str(SCRIPTS / "reproduce_tables.py"), "--table", "t3",
+                          "--replicates", "100", "--seed", "11", "--threads", "1",
+                          "--exact-small", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    # 7 scenarios, 2 rows, 6 tests
+    assert len(rows) == 84
+    reference = json.loads((DATA / "simulate_all_tables_exact_r100_s11.json").read_text())
+    rates = {(e["scenario"], e["row"], e["test"]): e["rejection_rate"]
+             for e in reference["estimates"]}
+    for row in rows:
+        rate = float(row["rate"]) if row["rate"] else None  # NA is written empty
+        assert rate == rates[(row["scenario"], row["row"], row["test"])], row

@@ -968,6 +968,22 @@ class TestScenarioFiles:
         with pytest.raises(DataValidationError):
             load_scenario_file(path)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"law": {"kind": "normal", "mean": math.nan, "sd": 1.0}},
+         "law parameter 'mean' must be a finite number, got nan"),
+        ({"law": {"kind": "normal", "mean": 10**400, "sd": 1.0}},
+         "law parameter 'mean' must be a finite number, got 1000"),
+        ({"effect": {"kind": "shift", "delta": -math.inf}},
+         "effect parameter 'delta' must be a finite number, got -inf"),
+        ({"fixed_y": {"y1": [0.0] * 11 + [math.nan], "y2": [0.0] * 12}},
+         r"fixed_y y1 must be an array of finite numbers, got \[0.0, "),
+    ], ids=["nan", "past_float_range", "minus_infinity", "fixed_y_nan"])
+    def test_non_finite_numbers_are_refused_at_load(self, tmp_path, change, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**self.doc, **change}))
+        with pytest.raises(DataValidationError, match=f"^{path}: {message}"):
+            load_scenario_file(path)
+
     def test_loaded_scenario_runs(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(self.doc))

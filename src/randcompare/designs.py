@@ -77,10 +77,9 @@ def _support_probs(probs, size: int) -> np.ndarray:
     probs = np.array(probs, dtype=np.float64)
     if probs.shape != (size,):
         raise DesignInvalidError("probs must align with the support")
-    # written so that a nan fails them
-    if not np.all(probs >= 0):
+    if not np.all(probs >= 0):  # a nan fails this, where it passes probs < 0
         raise DesignInvalidError("probabilities must be nonnegative")
-    if not abs(float(probs.sum()) - 1.0) <= 1e-12:
+    if abs(float(probs.sum()) - 1.0) > 1e-12:
         raise DesignInvalidError("probabilities must sum to 1 within 1e-12")
     probs.setflags(write=False)
     return probs
@@ -391,8 +390,7 @@ def explicit_from_json(doc) -> Explicit:
 
     Accepts a parsed document, a JSON string, or a path to a JSON file. A
     string whose first non-space character, after one byte-order mark, is
-    { or [ is JSON text; any other string is a path. A file's every
-    refusal names it.
+    { or [ is JSON text; any other string is a path, named by every refusal.
     """
     text, path = doc, None
     if isinstance(doc, (str, bytes)):

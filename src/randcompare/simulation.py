@@ -180,7 +180,7 @@ class CorrelatedBernoulliPair:
     """Joint 0/1 pair with given margins and correlation.
 
     The joint cell P(y1=1, y2=1) = p1 p2 + rho sqrt(p1 q1 p2 q2) must
-    give a valid 2x2 probability table. It draws both columns: no effect.
+    give a valid 2x2 probability table. It draws both columns, so takes no effect.
     """
 
     p1: float
